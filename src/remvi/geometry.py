@@ -104,7 +104,7 @@ def simplex_block(idx, anchor=None):
 
 
 def _check_finite(v, what):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
 
 
@@ -176,6 +176,19 @@ class GeometryBundle:
         self._coord_block = np.empty(d, dtype=np.intp)
         for bi, b in enumerate(self.blocks):
             self._coord_block[b.idx] = bi
+        # The same parameters as full-length per-coordinate arrays, so that
+        # prox_coords gathers an arbitrary coordinate set in one step each.
+        # Entropy coordinates hold neutral values and are never read.
+        self._w = np.ones(d)
+        self._mu = np.zeros(d)
+        self._lo = np.full(d, -np.inf)
+        self._hi = np.full(d, np.inf)
+        ei = self._eu_idx
+        self._w[ei] = self._eu_w
+        self._mu[ei] = self._eu_mu
+        self._lo[ei] = self._eu_lo
+        self._hi[ei] = self._eu_hi
+        self._wx0 = self._w * self.x0
 
     # -- block-level operations -------------------------------------------
 
@@ -201,6 +214,18 @@ class GeometryBundle:
             hi = np.inf if b.hi is None else b.hi
             u = np.clip(u, lo, hi)
         return u
+
+    def prox_coords(self, idx, z_idx, A):
+        """The prox on an arbitrary set of Euclidean coordinates ``idx``
+        given z on them.  Euclidean blocks are separable, so this equals
+        prox_block element by element on whatever blocks the coordinates
+        belong to."""
+        _check_finite(z_idx, "prox input z")
+        if A < 0.0:
+            raise ValueError("step-size sum A must be >= 0")
+        u = (self._wx0[idx] - z_idx) / (self._w[idx] + A * self._mu[idx])
+        np.maximum(u, self._lo[idx], out=u)
+        return np.minimum(u, self._hi[idx], out=u)
 
     def block_norm_sq(self, block, x_block):
         b = self.blocks[block] if isinstance(block, (int, np.integer)) else block

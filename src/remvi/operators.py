@@ -184,26 +184,22 @@ class ComponentTable:
     Each slot holds F_j evaluated at some past iterate (the iteration id is
     tracked).  ``resolve_prev`` implements the value a component held *two*
     iterations ago, which only differs from the current slot for the single
-    component refreshed in the previous iteration; a one-level shadow suffices
-    ("shadow" mode, the default).  "stale" mode instead keeps, for every
-    component, the value it held before its own latest overwrite, whatever
-    iteration that was.
+    component refreshed in the previous iteration; a one-level shadow of that
+    slot suffices.
     """
 
-    def __init__(self, op, x0, mode="shadow"):
-        if mode not in ("shadow", "stale"):
-            raise ValueError("mode must be 'shadow' or 'stale'")
+    def __init__(self, op, x0):
         self.op = op
-        self.mode = mode
         self.values = [c.evaluate(x0) for c in op.components]
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
-        self.aggregate = np.zeros(op.d)
-        for c, v in zip(op.components, self.values):
-            np.add.at(self.aggregate, c.out_idx, v)
+        # Every slot's output coordinates, concatenated in component order:
+        # one scatter-add over them sums the table in the same order as m
+        # separate per-component adds would.
+        self._out_all = np.concatenate([c.out_idx for c in op.components])
+        self.aggregate = self.explicit_sum()
         self._shadow_iter = -1
         self._shadow_j = -1
         self._shadow_vals = None
-        self._stale = [v.copy() for v in self.values] if mode == "stale" else None
         self._refreshes = 0
 
     def value(self, j):
@@ -215,8 +211,6 @@ class ComponentTable:
         self._shadow_iter = k
         self._shadow_j = j
         self._shadow_vals = old
-        if self._stale is not None:
-            self._stale[j] = old
         self.values[j] = vals
         self.eval_iter[j] = k
         # out_idx entries are unique within a component, so plain fancy
@@ -229,23 +223,17 @@ class ComponentTable:
 
     def resolve_prev(self, j, k):
         """Stored value of component j as of the end of iteration k-2."""
-        if self.mode == "stale":
-            return self._stale[j]
         if self._shadow_j == j and self._shadow_iter == k - 1:
             return self._shadow_vals
         return self.values[j]
 
     def resum(self):
         """Exact re-summation of the aggregate, bounding incremental drift."""
-        self.aggregate[:] = 0.0
-        for c, v in zip(self.op.components, self.values):
-            np.add.at(self.aggregate, c.out_idx, v)
+        self.aggregate[:] = self.explicit_sum()
 
     def explicit_sum(self):
-        s = np.zeros(self.op.d)
-        for c, v in zip(self.op.components, self.values):
-            np.add.at(s, c.out_idx, v)
-        return s
+        return np.bincount(self._out_all, weights=np.concatenate(self.values),
+                           minlength=self.op.d)
 
 
 def load_matrix_market(path):

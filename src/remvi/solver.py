@@ -5,12 +5,13 @@ Each iteration draws two independent component indices: j1 (from p) picks the
 single component whose fresh evaluation corrects the table aggregate into the
 extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
-vector z.  The lazy variant defers dual accumulation on untouched blocks:
-while a block's aggregate slice is constant, its pending increments sum to
-(A_now - A_last) * aggregate_slice, so only blocks read or written by the two
-sampled components are materialized per iteration.  Both variants consume the
-same draw stream (j1 first, then j2) and produce trajectories that agree to
-floating-point accumulation order.
+vector z.  The lazy variant defers dual accumulation on untouched
+coordinates: while a coordinate's aggregate entry is constant, its pending
+increments sum to (A_now - A_last) * aggregate_entry, so only the Euclidean
+coordinates and entropy blocks read or written by the two sampled components
+are materialized per iteration.  Both variants consume the same draw stream
+(j1 first, then j2) and produce trajectories that agree to floating-point
+accumulation order.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -72,7 +73,6 @@ class SolverConfig:
     comparator: np.ndarray | None = None
     divergence_bound: float = 1e9
     check_steps: bool = True
-    table_mode: str = "shadow"
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -243,7 +243,7 @@ def run_dense(problem, plan, config):
     index_rng = RngStream(config.seed, stream=1)
     avg = _Averager(config, gamma, op.m, op.d, index_rng)
     t0 = time.perf_counter_ns()
-    table = ComponentTable(op, geom.x0, mode=config.table_mode)
+    table = ComponentTable(op, geom.x0)
     calls = op.m
     z = np.zeros(op.d)
     x = geom.x0.copy()
@@ -328,14 +328,126 @@ def _cert_bad(k, a, A, a_prev, A_km1, A_km2, gamma, lpq, q_star):
     return bad
 
 
-def run_lazy(problem, plan, config):
-    """Lazy implementation: per iteration only the blocks read or written by
-    the two sampled components are caught up and re-proxed.
+# A lazy catch-up target may sit this far below a coordinate's last settled
+# step-size sum (rounding); anything lower means a read without catch-up.
+SETTLE_TOL = 1e-15
 
-    Catch-up for block j adds (A_now - A_last[j]) times the block's aggregate
-    slice to z (the slice is constant over the untouched span because any
-    table refresh first settles the blocks it writes), then re-solves the
-    block prox.  With the same seed the metric trace matches run_dense.
+
+class _LazyDual:
+    """The dual vector z and iterate x of a lazy run, caught up on demand.
+
+    Between touches the pending dual increments of coordinate i sum to
+    (A_now - A_last[i]) * S[i], because the aggregate S only changes where a
+    table refresh writes, and those coordinates are settled first.  Euclidean
+    coordinates are separable, so they are settled and re-proxed one
+    coordinate at a time, a component's read and write sets being its
+    ``in_idx`` and ``out_idx``.  Each entropy block (one normalisation per
+    simplex) is settled and re-proxed as a whole.  The invariant is
+    x[i] = prox(z[i], A_last[i]) on every coordinate.
+    """
+
+    def __init__(self, geom, op, S):
+        self.geom = geom
+        self.S = S
+        self.z = np.zeros(op.d)
+        self.x = geom.x0.copy()
+        self.A_last = np.zeros(op.d)            # per Euclidean coordinate
+        self.A_block = np.zeros(len(geom.blocks))   # per entropy block
+        self.entropy = [(bi, b.idx) for bi, b in enumerate(geom.blocks)
+                        if b.kind == "entropy"]
+        comps = op.components
+        if self.entropy:
+            self.read_coords, self.read_blocks = _split_supports(
+                geom, [c.in_idx for c in comps])
+            self.write_coords, self.write_blocks = _split_supports(
+                geom, [c.out_idx for c in comps])
+        else:
+            self.read_coords = [c.in_idx for c in comps]
+            self.write_coords = [c.out_idx for c in comps]
+            self.read_blocks = self.write_blocks = [()] * op.m
+
+    def settle(self, idx, blocks, A_target, k):
+        """Bring z up to A_target on the coordinates ``idx`` and the entropy
+        blocks ``blocks``; returns the ones that were behind."""
+        A_prev = self.A_last[idx]
+        dA = A_target - A_prev
+        if (dA < -SETTLE_TOL).any():
+            i = int(np.argmin(dA))
+            raise RuntimeError(
+                f"lazy catch-up at iteration {k}: coordinate {int(idx[i])} has "
+                f"A_last={float(A_prev[i])!r} above the target "
+                f"{float(A_target)!r}")
+        behind = dA != 0.0
+        idx = idx[behind]
+        self.z[idx] += dA[behind] * self.S[idx]
+        self.A_last[idx] = A_target
+        stale = []
+        for b in blocks:
+            dA = A_target - self.A_block[b]
+            if dA < -SETTLE_TOL:
+                raise RuntimeError(
+                    f"lazy catch-up at iteration {k}: block {int(b)} has "
+                    f"A_last={float(self.A_block[b])!r} above the target "
+                    f"{float(A_target)!r}")
+            if dA != 0.0:
+                bidx = self.geom.blocks[b].idx
+                self.z[bidx] += dA * self.S[bidx]
+                self.A_block[b] = A_target
+                stale.append(b)
+        return idx, stale
+
+    def prox(self, idx, blocks, A):
+        """Re-solve x = prox(z, A) on the coordinates and entropy blocks."""
+        if idx.size:
+            self.x[idx] = self.geom.prox_coords(idx, self.z[idx], A)
+        for b in blocks:
+            bidx = self.geom.blocks[b].idx
+            self.x[bidx] = self.geom.prox_block(b, self.z[bidx], A)
+
+    def catch_up(self, idx, blocks, A_target, k):
+        self.prox(*self.settle(idx, blocks, A_target, k), A_target)
+
+    def flush(self, A_now):
+        """The iterate at A_now on every coordinate, leaving z as it is."""
+        snap = self.x.copy()
+        eu = self.geom._eu_idx
+        A_prev = self.A_last[eu]
+        behind = A_prev != A_now
+        idx = eu[behind]
+        if idx.size:
+            snap[idx] = self.geom.prox_coords(
+                idx, self.z[idx] + (A_now - A_prev[behind]) * self.S[idx], A_now)
+        for b, bidx in self.entropy:
+            dA = A_now - self.A_block[b]
+            if dA != 0.0:
+                snap[bidx] = self.geom.prox_block(
+                    b, self.z[bidx] + dA * self.S[bidx], A_now)
+        return snap
+
+
+def _split_supports(geom, supports):
+    """Split each coordinate array into its Euclidean coordinates and the
+    sorted ids of the entropy blocks it touches, in one vectorized pass."""
+    m = len(supports)
+    flat = np.concatenate(supports)
+    owner = np.repeat(np.arange(m), [s.size for s in supports])
+    is_ent = np.zeros(geom.d, dtype=bool)
+    is_ent[geom._ent_idx] = True
+    on_ent = is_ent[flat]
+    eu = ~on_ent
+    coords = np.split(flat[eu],
+                      np.cumsum(np.bincount(owner[eu], minlength=m))[:-1])
+    nb = len(geom.blocks)
+    pairs = np.unique(owner[on_ent] * nb + geom._coord_block[flat[on_ent]])
+    blocks = np.split(pairs % nb, np.searchsorted(pairs // nb, np.arange(1, m)))
+    return coords, blocks
+
+
+def run_lazy(problem, plan, config):
+    """Lazy implementation: per iteration only the coordinates (Euclidean)
+    and blocks (entropy) read or written by the two sampled components are
+    caught up and re-proxed (see ``_LazyDual``).  With the same seed the
+    metric trace matches run_dense.
     """
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")
@@ -351,49 +463,17 @@ def run_lazy(problem, plan, config):
     index_rng = RngStream(config.seed, stream=1)
     avg = _Averager(config, gamma, op.m, op.d, index_rng)
     t0 = time.perf_counter_ns()
-    table = ComponentTable(op, geom.x0, mode=config.table_mode)
-    S = table.aggregate
+    table = ComponentTable(op, geom.x0)
     calls = op.m
-    z = np.zeros(op.d)
-    x = geom.x0.copy()
-
-    blocks = geom.blocks
-    block_idx = [b.idx for b in blocks]
-    coord_block = geom._coord_block
-    in_blocks = [np.unique(coord_block[c.in_idx]) for c in op.components]
-    out_blocks = [np.unique(coord_block[c.out_idx]) for c in op.components]
-    A_last = np.zeros(len(blocks))
+    lazy = _LazyDual(geom, op, table.aggregate)
+    z, x = lazy.z, lazy.x
+    reads, read_blocks = lazy.read_coords, lazy.read_blocks
+    writes, write_blocks = lazy.write_coords, lazy.write_blocks
 
     trace = Trace(solver="rem-lazy", seed=config.seed, m=op.m, iterations=K,
                   info={"gamma": gamma, "lpq": lpq, "q_star": plan.q_min,
                         "stride": stride, "averaging": config.averaging})
     _record(problem, x, metrics, config.comparator, 0, calls, t0, trace.records)
-
-    prox_block = geom.prox_block
-
-    def settle(b, A_target):
-        dA = A_target - A_last[b]
-        assert dA >= -1e-15, "block read without prior catch-up"
-        if dA != 0.0:
-            idx = block_idx[b]
-            z[idx] += dA * S[idx]
-            A_last[b] = A_target
-            return True
-        return False
-
-    def catchup(b, A_target):
-        if settle(b, A_target):
-            idx = block_idx[b]
-            x[idx] = prox_block(b, z[idx], A_target)
-
-    def flush(A_now):
-        snap = x.copy()
-        for b in range(len(blocks)):
-            dA = A_now - A_last[b]
-            if dA != 0.0:
-                idx = block_idx[b]
-                snap[idx] = prox_block(b, z[idx] + dA * S[idx], A_now)
-        return snap
 
     a_seq = np.empty(K)
     a = 0.0
@@ -415,36 +495,31 @@ def run_lazy(problem, plan, config):
                 trace.cert_violations += _cert_bad(k, a, A, a_prev, A_km1, A_km2,
                                                    gamma, lpq, q_star)
             j1 = plan.sample_p(draw)
-            for b in in_blocks[j1]:
-                catchup(b, A_km1)
+            lazy.catch_up(reads[j1], read_blocks[j1], A_km1, k)
             comp1 = op.components[j1]
             v1 = comp1.evaluate(x)
             calls += 1
             old = table.resolve_prev(j1, k)
-            for b in out_blocks[j1]:
-                settle(b, A)
+            lazy.settle(writes[j1], write_blocks[j1], A, k)
             if a_prev != 0.0:
                 z[comp1.out_idx] += (a_prev / p[j1]) * (v1 - old)
             if k == K:
                 fhat_last = table.aggregate.copy()
                 if a_prev != 0.0:
                     fhat_last[comp1.out_idx] += (a_prev / (a * p[j1])) * (v1 - old)
-            for b in out_blocks[j1]:
-                idx = block_idx[b]
-                x[idx] = prox_block(b, z[idx], A)
+            lazy.prox(writes[j1], write_blocks[j1], A)
             j2 = plan.sample_q(draw)
-            for b in in_blocks[j2]:
-                catchup(b, A)
-            comp2 = op.components[j2]
-            v2 = comp2.evaluate(x)
+            # The coordinates j2 reads and the ones its refresh will change
+            # in S, caught up together (duplicates are harmless).
+            lazy.catch_up(np.concatenate((reads[j2], writes[j2])),
+                          (*read_blocks[j2], *write_blocks[j2]), A, k)
+            v2 = op.components[j2].evaluate(x)
             calls += 1
-            for b in out_blocks[j2]:
-                catchup(b, A)
             table.refresh(j2, v2, k)
             if avg.needs_iterate(k):
-                avg.add_sampled(k, flush(A))
+                avg.add_sampled(k, lazy.flush(A))
             if k % stride == 0 or k == K:
-                snap = flush(A)
+                snap = lazy.flush(A)
                 _check_divergence(snap, k, config.divergence_bound)
                 _record(problem, snap, metrics, config.comparator, k, calls,
                         t0, trace.records)
@@ -453,7 +528,7 @@ def run_lazy(problem, plan, config):
         trace.diverged_at = exc.iteration
         raise
     finally:
-        trace.final_x = flush(A)
+        trace.final_x = lazy.flush(A)
         trace.x_bar = avg.result(A)
         trace.oracle_calls = calls
         trace.a_seq = a_seq

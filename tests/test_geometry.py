@@ -185,6 +185,29 @@ def test_full_prox_matches_blockwise():
                                    rtol=1e-14, atol=1e-15)
 
 
+def test_coordinate_prox_equals_blockwise_bitwise():
+    geom = GeometryBundle([
+        euclidean_block(np.arange(3), anchor=np.array([0.3, -0.7, 0.1]),
+                        weights=np.array([0.5, 2.0, 3.0]), mu=0.25),
+        simplex_block(np.arange(3, 5)),
+        euclidean_block(np.array([5, 6]), lo=-0.5, hi=[0.5, 2.0]),
+        euclidean_block(np.array([7]), mu=1.5, lo=0.0),
+    ])
+    rng = np.random.default_rng(6)
+    z = 3.0 * rng.standard_normal(geom.d)
+    blockwise = np.empty(geom.d)
+    for bi, b in enumerate(geom.blocks):
+        blockwise[b.idx] = geom.prox_block(bi, z[b.idx], 1.7)
+    # any subset, any order, repeats allowed
+    idx = np.array([7, 1, 5, 0, 6, 2, 1])
+    np.testing.assert_array_equal(geom.prox_coords(idx, z[idx], 1.7),
+                                  blockwise[idx])
+    with pytest.raises(ValueError, match="finite"):
+        geom.prox_coords(idx[:2], np.array([0.0, np.inf]), 1.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        geom.prox_coords(idx[:2], np.zeros(2), -1.0)
+
+
 def test_composite_norms_sum_over_blocks():
     geom = mixed_bundle()
     rng = np.random.default_rng(4)

@@ -186,6 +186,24 @@ class TestComponentTable:
                                    inst.operator.evaluate_full(inst.x0),
                                    atol=1e-12)
 
+    def test_sum_follows_component_order_bitwise(self):
+        # overlapping supports: the single scatter-add must add in the same
+        # order as one add per component, so the sums agree bit for bit
+        rng = np.random.default_rng(8)
+        comps = []
+        for _ in range(40):
+            out = rng.choice(7, size=int(rng.integers(1, 5)), replace=False)
+            vals = rng.standard_normal(out.size) * 10.0 ** rng.integers(-8, 8)
+            comps.append(CallableComponent(out, [], (lambda v: lambda x: v)(vals)))
+        op = FiniteSumOperator(comps, 7)
+        table = ComponentTable(op, np.zeros(7))
+        expect = np.zeros(7)
+        for c in comps:
+            np.add.at(expect, c.out_idx, c.evaluate(None))
+        np.testing.assert_array_equal(table.aggregate, expect)
+        table.resum()
+        np.testing.assert_array_equal(table.aggregate, expect)
+
     def test_aggregate_drift_bounded(self):
         inst, table = self.make_table()
         rng = np.random.default_rng(5)

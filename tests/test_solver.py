@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from remvi.geometry import GeometryBundle, euclidean_block
+from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 from remvi.operators import CallableComponent, ComponentTable, FiniteSumOperator
 from remvi.problems import (generate_instance, make_custom, make_lad,
                             problem_instances_for_tests)
 from remvi.sampling import RngStream, SamplingPlan, build_plan, problem_plan
-from remvi.solver import (DivergenceError, SolverConfig, average_output,
-                          extrapolate, next_step_size, run_dense, run_lazy,
-                          step_condition_violations)
+from remvi.solver import (DivergenceError, SolverConfig, _LazyDual,
+                          average_output, extrapolate, next_step_size,
+                          run_dense, run_lazy, step_condition_violations)
 
 SQ23 = math.sqrt(2.0 / 3.0)
 
@@ -247,6 +247,73 @@ class TestDenseLazyEquivalence:
         td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         np.testing.assert_allclose(tl.x_bar, td.x_bar, atol=1e-11)
+
+
+def mixed_instance():
+    """Custom monotone affine operator on a mixed geometry: a 4-coordinate
+    weighted Euclidean block that components read only in part, a simplex
+    block, and a boxed singleton.  One component reads nothing."""
+    geom = GeometryBundle([
+        euclidean_block(np.arange(4), anchor=np.array([0.5, -0.2, 0.0, 0.1]),
+                        weights=np.array([1.0, 2.0, 1.0, 0.5]), mu=0.3),
+        simplex_block(np.arange(4, 7)),
+        euclidean_block(np.array([7]), lo=-1.0, hi=1.0),
+    ])
+    comps = [
+        CallableComponent([0], [4, 5], lambda x: [x[4] - 2.0 * x[5] + 0.1]),
+        CallableComponent([4, 5], [0], lambda x: [-x[0], 2.0 * x[0]]),
+        CallableComponent([1, 7], [1, 7],
+                          lambda x: [0.5 * x[7], 0.2 - 0.5 * x[1]]),
+        CallableComponent([2, 3], [2], lambda x: [0.2 * x[2], 0.1]),
+        CallableComponent([6, 3], [3, 6], lambda x: [x[3], -x[6]]),
+        CallableComponent([1], [], lambda x: [-0.3]),
+    ]
+    ref = geom.x0.copy()
+    return make_custom(comps, geom, [2.3, 2.3, 0.5, 0.2, 1.0, 0.01],
+                       reference=ref)
+
+
+class TestLazyCatchup:
+    def test_mixed_geometry_matches_dense_every_iteration(self):
+        inst = mixed_instance()
+        plan = problem_plan(inst)
+        args = dict(iterations=3000, seed=4, eval_stride=1,
+                    eval_metrics=("dist_sq", "gap_fixed"),
+                    comparator=inst.x0)
+        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+        assert len(tl.records) == 3001
+        for rd, rl in zip(td.records, tl.records):
+            for key in ("dist_sq", "gap_fixed"):
+                dv, lv = getattr(rd, key), getattr(rl, key)
+                assert abs(dv - lv) <= 1e-9 * max(abs(dv), 1.0)
+        np.testing.assert_allclose(tl.final_x, td.final_x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(tl.x_bar, td.x_bar, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(tl.info["fhat_last"], td.info["fhat_last"],
+                                   rtol=0, atol=1e-9)
+
+    def test_target_below_last_settle_raises(self):
+        # raised, not asserted: the check holds under python -O too
+        inst = mixed_instance()
+        lazy = _LazyDual(inst.geometry, inst.operator, np.ones(inst.d))
+        lazy.catch_up(np.array([1, 2]), [1], 2.0, 6)
+        z = lazy.z.copy()
+        with pytest.raises(RuntimeError, match=r"iteration 7: coordinate 2 "
+                           r"has A_last=2\.0 above the target 1\.5"):
+            lazy.catch_up(np.array([0, 2]), [], 1.5, 7)
+        with pytest.raises(RuntimeError, match=r"iteration 8: block 1 "
+                           r"has A_last=2\.0 above the target 1\.0"):
+            lazy.catch_up(np.array([], dtype=np.intp), [1], 1.0, 8)
+        np.testing.assert_array_equal(lazy.z, z)
+
+    def test_lad_long_horizon_drift(self):
+        inst = generate_instance("lad", 30, 30, 1.0, seed=0)
+        plan = problem_plan(inst)
+        K = 100_000
+        args = dict(iterations=K, seed=0, eval_stride=K, eval_metrics=())
+        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+        assert np.max(np.abs(td.final_x - tl.final_x)) <= 1e-9
 
 
 class TestLazySupportBookkeeping:
