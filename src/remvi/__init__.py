@@ -4,8 +4,7 @@ with exact gap evaluators, and a deterministic benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .geometry import (Block, GeometryBundle, bregman, dual_norm_sq,
-                       euclidean_block, prox_step, simplex_block)
+from .geometry import Block, GeometryBundle, euclidean_block, simplex_block
 from .operators import (CallableComponent, Component, ComponentTable,
                         FiniteSumOperator, LipschitzProfile,
                         empirical_full_lipschitz, load_matrix_market,
@@ -18,21 +17,21 @@ from .problems import (ProblemInstance, generate_instance, load_instance,
 from .metrics import EvalRecord, dist_sq, evaluate_point, gap_fixed
 from .solver import (DivergenceError, SolverConfig, Trace, average_output,
                      extrapolate, next_step_size, run, run_dense, run_lazy,
-                     step_condition_violations)
+                     step_condition_violations, step_schedule)
 from .baselines import BaselineConfig, mirror_prox_run, popov_run, run_baseline
 
 __all__ = [
     "AliasTable", "BaselineConfig", "Block", "CallableComponent", "Component",
     "ComponentTable", "DivergenceError", "EvalRecord", "FiniteSumOperator",
     "GeometryBundle", "LipschitzProfile", "ProblemInstance", "RngStream",
-    "SamplingPlan", "SolverConfig", "Trace", "average_output", "bregman",
-    "build_plan", "dist_sq", "dual_norm_sq", "empirical_full_lipschitz",
+    "SamplingPlan", "SolverConfig", "Trace", "average_output", "build_plan",
+    "dist_sq", "empirical_full_lipschitz",
     "euclidean_block", "evaluate_point", "extrapolate", "gap_fixed",
     "generate_instance", "load_instance", "load_matrix_market", "lpq_bound",
     "lpq_empirical", "make_box_simplex", "make_custom", "make_lad",
     "make_matrix_game", "make_policy_eval", "mirror_prox_run",
-    "next_step_size", "popov_run", "problem_plan", "prox_step", "run",
+    "next_step_size", "popov_run", "problem_plan", "run",
     "run_baseline", "run_dense", "run_lazy", "save_instance", "simplex_block",
     "solve_policy_eval_direct", "stationary_distribution",
-    "step_condition_violations",
+    "step_condition_violations", "step_schedule",
 ]

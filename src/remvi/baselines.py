@@ -74,24 +74,22 @@ def mirror_prox_run(problem, config):
     trace = Trace(solver="mirror-prox", seed=config.seed, m=op.m, iterations=K,
                   info={"eta": eta, "stride": stride})
     _record(problem, x, metrics, config.comparator, 0, calls, t0, trace.records)
-    try:
-        for k in range(1, K + 1):
-            v = op.evaluate_full(x)
-            calls += op.m
-            w = geom.prox_full(eta * v, eta, anchor=x)
-            v_half = op.evaluate_full(w)
-            calls += op.m
-            x = geom.prox_full(eta * v_half, eta, anchor=x)
-            wsum += w
-            if k % stride == 0 or k == K:
-                _check_divergence(x, k, config.divergence_bound)
-                x_eval = wsum / k if config.eval_point == "average" else x
-                _record(problem, x_eval, metrics, config.comparator, k, calls,
-                        t0, trace.records)
-    finally:
-        trace.final_x = x
-        trace.x_bar = wsum / K if K else None
-        trace.oracle_calls = calls
+    for k in range(1, K + 1):
+        v = op.evaluate_full(x)
+        calls += op.m
+        w = geom.prox_full(eta * v, eta, anchor=x)
+        v_half = op.evaluate_full(w)
+        calls += op.m
+        x = geom.prox_full(eta * v_half, eta, anchor=x)
+        wsum += w
+        if k % stride == 0 or k == K:
+            _check_divergence(x, k, config.divergence_bound)
+            x_eval = wsum / k if config.eval_point == "average" else x
+            _record(problem, x_eval, metrics, config.comparator, k, calls,
+                    t0, trace.records)
+    trace.final_x = x
+    trace.x_bar = wsum / K if K else None
+    trace.oracle_calls = calls
     return trace
 
 
@@ -112,23 +110,21 @@ def popov_run(problem, config):
     trace = Trace(solver="popov", seed=config.seed, m=op.m, iterations=K,
                   info={"eta": eta, "stride": stride})
     _record(problem, x, metrics, config.comparator, 0, calls, t0, trace.records)
-    try:
-        for k in range(1, K + 1):
-            v = op.evaluate_full(x)
-            calls += op.m
-            u = v if v_prev is None else 2.0 * v - v_prev
-            x = geom.prox_full(eta * u, eta, anchor=x)
-            v_prev = v
-            xsum += x
-            if k % stride == 0 or k == K:
-                _check_divergence(x, k, config.divergence_bound)
-                x_eval = xsum / k if config.eval_point == "average" else x
-                _record(problem, x_eval, metrics, config.comparator, k, calls,
-                        t0, trace.records)
-    finally:
-        trace.final_x = x
-        trace.x_bar = xsum / K if K else None
-        trace.oracle_calls = calls
+    for k in range(1, K + 1):
+        v = op.evaluate_full(x)
+        calls += op.m
+        u = v if v_prev is None else 2.0 * v - v_prev
+        x = geom.prox_full(eta * u, eta, anchor=x)
+        v_prev = v
+        xsum += x
+        if k % stride == 0 or k == K:
+            _check_divergence(x, k, config.divergence_bound)
+            x_eval = xsum / k if config.eval_point == "average" else x
+            _record(problem, x_eval, metrics, config.comparator, k, calls,
+                    t0, trace.records)
+    trace.final_x = x
+    trace.x_bar = xsum / K if K else None
+    trace.oracle_calls = calls
     return trace
 
 

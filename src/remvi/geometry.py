@@ -382,15 +382,3 @@ class GeometryBundle:
             x[b.idx] = np.maximum(rng.dirichlet(np.full(b.size, alpha)), 1e-300)
         return x
 
-
-def prox_step(geom, block, z_block, A, x0_block=None):
-    """Module-level alias for the per-block dual-averaging prox."""
-    return geom.prox_block(block, z_block, A, x0_block=x0_block)
-
-
-def bregman(geom, x, y):
-    return geom.bregman(x, y)
-
-
-def dual_norm_sq(geom, v):
-    return geom.dual_norm_sq(v)

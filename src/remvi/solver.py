@@ -1,23 +1,26 @@
 """Randomized extrapolated method for generalized Minty variational
-inequalities: dense reference implementation and lazy sparse-update variant.
+inequalities: one iteration loop over a dense or a lazy dual state.
 
 Each iteration draws two independent component indices: j1 (from p) picks the
 single component whose fresh evaluation corrects the table aggregate into the
 extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
-vector z.  The lazy variant defers dual accumulation on untouched
-coordinates: while a coordinate's aggregate entry is constant, its pending
-increments sum to (A_now - A_last) * aggregate_entry, so only the Euclidean
-coordinates and entropy blocks read or written by the two sampled components
-are materialized per iteration.  Both variants consume the same draw stream
-(j1 first, then j2) and produce trajectories that agree to floating-point
-accumulation order.
+vector z.  ``run`` is the one loop; the dual state it drives decides how much
+of z and x an iteration touches.  The dense state updates all of them.  The
+lazy state defers dual accumulation on untouched coordinates: while a
+coordinate's aggregate entry is constant, its pending increments sum to
+(A_now - A_last) * aggregate_entry, so only the Euclidean coordinates and
+entropy blocks read or written by the two sampled components are
+materialized per iteration.  Both consume the same draw stream (j1 first,
+then j2) and produce trajectories that agree to floating-point accumulation
+order.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
 growth min(sqrt(1 + q*/5) a, (A gamma + 1)/(10 L)) with it, seeded from the
-same constant first step.  The three certificate inequalities are re-checked
-at every iteration.
+same constant first step.  The schedule does not depend on the draws, so it
+is computed once before the loop and its three certificate inequalities are
+checked once, over the whole schedule.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .operators import ComponentTable
 from .sampling import RngStream
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
-CERT_REL = 1.0 + 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -72,7 +74,6 @@ class SolverConfig:
     eval_point: str = "iterate"
     comparator: np.ndarray | None = None
     divergence_bound: float = 1e9
-    check_steps: bool = True
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -85,6 +86,12 @@ class SolverConfig:
             raise ValueError("eval_point must be 'iterate' or 'average'")
         if self.gamma is not None and self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
+        if self.mode == "lazy" and self.averaging == "weighted-full":
+            raise ValueError("weighted-full averaging needs dense iterates; "
+                             "use sampled-index-set in lazy mode")
+        if self.eval_point == "average" and self.averaging != "weighted-full":
+            raise ValueError("averaged-point evaluation needs weighted-full "
+                             "averaging")
 
 
 @dataclass
@@ -102,8 +109,9 @@ class Trace:
     a_seq: np.ndarray | None = None
     A_final: float = 0.0
     cert_violations: int = 0
+    # A divergence raises DivergenceError, so a returned trace never has it;
+    # kept for callers that check it.
     diverged: bool = False
-    diverged_at: int | None = None
     info: dict = field(default_factory=dict)
 
 
@@ -124,26 +132,37 @@ def next_step_size(a_prev, A_prev, k, gamma, lpq, q_star):
                (A_prev * gamma + 1.0) / (10.0 * lpq))
 
 
+def step_schedule(K, gamma, lpq, q_star):
+    """The step sizes a_1..a_K and their running sums A_0..A_K (A_0 = 0),
+    added in iteration order.  They depend on the constants only, not on
+    the draws."""
+    a_seq = np.empty(K)
+    A_seq = np.zeros(K + 1)
+    a = A = 0.0
+    for i in range(K):
+        a = next_step_size(a, A, i + 1, gamma, lpq, q_star)
+        A = A + a
+        a_seq[i] = a
+        A_seq[i + 1] = A
+    return a_seq, A_seq
+
+
 def step_condition_violations(a_seq, gamma, lpq, q_star, rel=1e-12):
-    """Count violations of the three step-size certificate inequalities."""
-    a_seq = np.asarray(a_seq, dtype=float)
-    A = np.concatenate([[0.0], np.cumsum(a_seq)])
-    bad = 0
+    """Count violations of the three step-size certificate inequalities,
+    checked at every iteration k (the last two from k = 2 on)."""
+    a = np.asarray(a_seq, dtype=float)
+    A = np.concatenate([[0.0], np.cumsum(a)])
     tol = 1.0 + rel
-    for k in range(1, a_seq.size + 1):
-        a_k = a_seq[k - 1]
-        if gamma == 0.0 and 75.0 * lpq * lpq * a_k * a_k / 2.0 > 0.25 * tol:
-            bad += 1
-        if k >= 2:
-            a_km1 = a_seq[k - 2]
-            lhs = a_k * a_k / (A[k] * gamma + 1.0)
-            rhs = (1.0 + q_star / 5.0) * a_km1 * a_km1 / (A[k - 1] * gamma + 1.0)
-            if lhs > rhs * tol:
-                bad += 1
-            lhs2 = 25.0 * lpq * lpq * a_km1 * a_km1 / (A[k - 1] * gamma + 1.0)
-            if lhs2 > (A[k - 2] * gamma + 1.0) / 4.0 * tol:
-                bad += 1
-    return bad
+    bad = 0
+    if gamma == 0.0:
+        bad += np.count_nonzero(75.0 * lpq * lpq * a * a / 2.0 > 0.25 * tol)
+    a_k, a_km1 = a[1:], a[:-1]
+    lhs = a_k * a_k / (A[2:] * gamma + 1.0)
+    rhs = (1.0 + q_star / 5.0) * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
+    bad += np.count_nonzero(lhs > rhs * tol)
+    lhs2 = 25.0 * lpq * lpq * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
+    bad += np.count_nonzero(lhs2 > (A[:-2] * gamma + 1.0) / 4.0 * tol)
+    return int(bad)
 
 
 def extrapolate(table, j, comp_at_prev, a_prev, a, p_j, k):
@@ -189,15 +208,16 @@ class _Averager:
             self.counts = counts
             self.acc = np.zeros(d)
 
-    def needs_iterate(self, k):
-        return self.counts is not None and self.counts[k] > 0
+    def wants(self, k):
+        """Whether the iterate of iteration k enters the average."""
+        return self.wsum is not None or (self.counts is not None
+                                         and self.counts[k] > 0)
 
-    def add_sampled(self, k, x):
-        self.acc += self.counts[k] * x
-
-    def add_weighted(self, a, x):
+    def add(self, k, a, x):
         if self.wsum is not None:
             self.wsum += a * x
+        else:
+            self.acc += self.counts[k] * x
 
     def result(self, A_final):
         if self.wsum is not None and A_final > 0.0:
@@ -229,103 +249,28 @@ def _check_divergence(x, k, bound):
         raise DivergenceError(k, norm, bound)
 
 
-def run_dense(problem, plan, config):
-    """Reference full-vector implementation of the randomized extrapolated
-    method; every iteration updates the whole dual vector and iterate."""
-    if config.mode != "dense":
-        raise ValueError("config.mode must be 'dense'")
-    gamma, lpq, stride, metrics = _resolve(problem, plan, config)
-    if config.eval_point == "average" and config.averaging != "weighted-full":
-        raise ValueError("averaged-point evaluation needs weighted-full averaging")
-    geom, op = problem.geometry, problem.operator
-    K = config.iterations
-    draw = RngStream(config.seed, stream=0)
-    index_rng = RngStream(config.seed, stream=1)
-    avg = _Averager(config, gamma, op.m, op.d, index_rng)
-    t0 = time.perf_counter_ns()
-    table = ComponentTable(op, geom.x0)
-    calls = op.m
-    z = np.zeros(op.d)
-    x = geom.x0.copy()
-    trace = Trace(solver="rem-dense", seed=config.seed, m=op.m, iterations=K,
-                  info={"gamma": gamma, "lpq": lpq, "q_star": plan.q_min,
-                        "stride": stride, "averaging": config.averaging})
-    _record(problem, x, metrics, config.comparator, 0, calls, t0, trace.records)
-    a_seq = np.empty(K)
-    a = 0.0
-    A = 0.0
-    A_km1 = 0.0
-    A_km2 = 0.0
-    fhat_last = None
-    p = plan.p
-    q_star = plan.q_min
-    comps = op.components
-    S = table.aggregate  # updated in place by refresh/resum
-    prox_full = geom.prox_full
-    try:
-        for k in range(1, K + 1):
-            a_prev = a
-            a = next_step_size(a_prev, A, k, gamma, lpq, q_star)
-            A_km2 = A_km1
-            A_km1 = A
-            A = A + a
-            a_seq[k - 1] = a
-            if config.check_steps:
-                trace.cert_violations += _cert_bad(k, a, A, a_prev, A_km1, A_km2,
-                                                   gamma, lpq, q_star)
-            j1 = plan.sample_p(draw)
-            comp1 = comps[j1]
-            v1 = comp1.evaluate(x)
-            calls += 1
-            # z += a_k * F_hat with F_hat = aggregate + rescaled correction
-            z += a * S
-            if a_prev != 0.0:
-                z[comp1.out_idx] += (a_prev / p[j1]) * (v1 - table.resolve_prev(j1, k))
-            if k == K:
-                fhat_last = extrapolate(table, j1, v1, a_prev, a, p[j1], k)
-            x = prox_full(z, A, check=False)
-            j2 = plan.sample_q(draw)
-            v2 = comps[j2].evaluate(x)
-            calls += 1
-            table.refresh(j2, v2, k)
-            avg.add_weighted(a, x)
-            if avg.needs_iterate(k):
-                avg.add_sampled(k, x)
-            if k % stride == 0 or k == K:
-                _check_divergence(x, k, config.divergence_bound)
-                x_eval = avg.wsum / A if config.eval_point == "average" else x
-                _record(problem, x_eval, metrics, config.comparator, k, calls,
-                        t0, trace.records)
-    except DivergenceError as exc:
-        trace.diverged = True
-        trace.diverged_at = exc.iteration
-        raise
-    finally:
-        trace.final_x = x
-        trace.x_bar = avg.result(A)
-        trace.oracle_calls = calls
-        trace.a_seq = a_seq
-        trace.A_final = A
-        if fhat_last is not None and not trace.diverged:
-            trace.info["fhat_last"] = fhat_last
-            trace.info["table_values"] = [v.copy() for v in table.values]
-            trace.info["table_eval_iter"] = table.eval_iter.copy()
-    return trace
+class _DenseDual:
+    """The dual vector z and iterate x of a dense run: every step adds a_k
+    times the whole aggregate S to z and re-proxes all of x."""
 
+    def __init__(self, geom, op, S):
+        self.geom = geom
+        self.comps = op.components
+        self.S = S
+        self.z = np.zeros(op.d)
+        self.x = geom.x0.copy()
 
-def _cert_bad(k, a, A, a_prev, A_km1, A_km2, gamma, lpq, q_star):
-    bad = 0
-    if gamma == 0.0 and 75.0 * lpq * lpq * a * a / 2.0 > 0.25 * CERT_REL:
-        bad += 1
-    if k >= 2:
-        lhs = a * a / (A * gamma + 1.0)
-        rhs = (1.0 + q_star / 5.0) * a_prev * a_prev / (A_km1 * gamma + 1.0)
-        if lhs > rhs * CERT_REL:
-            bad += 1
-        if (25.0 * lpq * lpq * a_prev * a_prev / (A_km1 * gamma + 1.0)
-                > (A_km2 * gamma + 1.0) / 4.0 * CERT_REL):
-            bad += 1
-    return bad
+    def read(self, j, A_target, k, refresh=False):
+        """Nothing to catch up: x is current after every step."""
+
+    def step(self, j, corr, a, A, k):
+        self.z += a * self.S
+        if corr is not None:
+            self.z[self.comps[j].out_idx] += corr
+        self.x = self.geom.prox_full(self.z, A, check=False)
+
+    def at(self, A):
+        return self.x
 
 
 # A lazy catch-up target may sit this far below a coordinate's last settled
@@ -348,6 +293,7 @@ class _LazyDual:
 
     def __init__(self, geom, op, S):
         self.geom = geom
+        self.comps = op.components
         self.S = S
         self.z = np.zeros(op.d)
         self.x = geom.x0.copy()
@@ -365,6 +311,26 @@ class _LazyDual:
             self.read_coords = [c.in_idx for c in comps]
             self.write_coords = [c.out_idx for c in comps]
             self.read_blocks = self.write_blocks = [()] * op.m
+
+    def read(self, j, A_target, k, refresh=False):
+        """Catch up what component j reads; with ``refresh`` also what its
+        table refresh will change in S, in one call (duplicates are
+        harmless)."""
+        if refresh:
+            self.catch_up(
+                np.concatenate((self.read_coords[j], self.write_coords[j])),
+                (*self.read_blocks[j], *self.write_blocks[j]), A_target, k)
+        else:
+            self.catch_up(self.read_coords[j], self.read_blocks[j],
+                          A_target, k)
+
+    def step(self, j, corr, a, A, k):
+        """Settle j's write set to A, add the correction, re-prox it."""
+        idx, blocks = self.write_coords[j], self.write_blocks[j]
+        self.settle(idx, blocks, A, k)
+        if corr is not None:
+            self.z[self.comps[j].out_idx] += corr
+        self.prox(idx, blocks, A)
 
     def settle(self, idx, blocks, A_target, k):
         """Bring z up to A_target on the coordinates ``idx`` and the entropy
@@ -407,8 +373,9 @@ class _LazyDual:
     def catch_up(self, idx, blocks, A_target, k):
         self.prox(*self.settle(idx, blocks, A_target, k), A_target)
 
-    def flush(self, A_now):
-        """The iterate at A_now on every coordinate, leaving z as it is."""
+    def at(self, A_now):
+        """The iterate at A_now on every coordinate (a flush), leaving z as
+        it is."""
         snap = self.x.copy()
         eu = self.geom._eu_idx
         A_prev = self.A_last[eu]
@@ -443,6 +410,82 @@ def _split_supports(geom, supports):
     return coords, blocks
 
 
+def run(problem, plan, config):
+    """The randomized extrapolated method in ``config.mode``: one loop over
+    a dense (``_DenseDual``) or lazy (``_LazyDual``) dual state.  With the
+    same seed both modes draw the same components and agree to
+    floating-point accumulation order."""
+    gamma, lpq, stride, metrics = _resolve(problem, plan, config)
+    geom, op = problem.geometry, problem.operator
+    K = config.iterations
+    q_star = plan.q_min
+    a_seq, A_seq = step_schedule(K, gamma, lpq, q_star)
+    draw = RngStream(config.seed, stream=0)
+    index_rng = RngStream(config.seed, stream=1)
+    avg = _Averager(config, gamma, op.m, op.d, index_rng)
+    t0 = time.perf_counter_ns()
+    table = ComponentTable(op, geom.x0)
+    calls = op.m
+    Dual = _DenseDual if config.mode == "dense" else _LazyDual
+    dual = Dual(geom, op, table.aggregate)   # S: the table updates it in place
+    trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
+                  iterations=K, a_seq=a_seq,
+                  cert_violations=step_condition_violations(a_seq, gamma, lpq,
+                                                            q_star),
+                  info={"gamma": gamma, "lpq": lpq, "q_star": q_star,
+                        "stride": stride, "averaging": config.averaging})
+    _record(problem, dual.x, metrics, config.comparator, 0, calls, t0,
+            trace.records)
+    a_list = [0.0] + a_seq.tolist()
+    A_list = A_seq.tolist()
+    p = plan.p
+    comps = op.components
+    fhat_last = None
+    for k in range(1, K + 1):
+        a_prev, a, A = a_list[k - 1], a_list[k], A_list[k]
+        j1 = plan.sample_p(draw)
+        dual.read(j1, A_list[k - 1], k)
+        v1 = comps[j1].evaluate(dual.x)
+        calls += 1
+        # the step adds a_k * F_hat to z: a_k * aggregate plus this correction
+        corr = None
+        if a_prev != 0.0:
+            corr = (a_prev / p[j1]) * (v1 - table.resolve_prev(j1, k))
+        if k == K:
+            fhat_last = extrapolate(table, j1, v1, a_prev, a, p[j1], k)
+        dual.step(j1, corr, a, A, k)
+        j2 = plan.sample_q(draw)
+        dual.read(j2, A, k, refresh=True)
+        v2 = comps[j2].evaluate(dual.x)
+        calls += 1
+        table.refresh(j2, v2, k)
+        if avg.wants(k):
+            avg.add(k, a, dual.at(A))
+        if k % stride == 0 or k == K:
+            x = dual.at(A)
+            _check_divergence(x, k, config.divergence_bound)
+            x_eval = avg.wsum / A if config.eval_point == "average" else x
+            _record(problem, x_eval, metrics, config.comparator, k, calls,
+                    t0, trace.records)
+    trace.A_final = A_list[-1]
+    trace.final_x = dual.at(trace.A_final)
+    trace.x_bar = avg.result(trace.A_final)
+    trace.oracle_calls = calls
+    if fhat_last is not None:
+        trace.info["fhat_last"] = fhat_last
+        trace.info["table_values"] = [v.copy() for v in table.values]
+        trace.info["table_eval_iter"] = table.eval_iter.copy()
+    return trace
+
+
+def run_dense(problem, plan, config):
+    """Reference full-vector implementation of the randomized extrapolated
+    method; every iteration updates the whole dual vector and iterate."""
+    if config.mode != "dense":
+        raise ValueError("config.mode must be 'dense'")
+    return run(problem, plan, config)
+
+
 def run_lazy(problem, plan, config):
     """Lazy implementation: per iteration only the coordinates (Euclidean)
     and blocks (entropy) read or written by the two sampled components are
@@ -451,98 +494,7 @@ def run_lazy(problem, plan, config):
     """
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")
-    if config.averaging == "weighted-full":
-        raise ValueError("weighted-full averaging needs dense iterates; "
-                         "use sampled-index-set in lazy mode")
-    if config.eval_point == "average":
-        raise ValueError("averaged-point evaluation is dense-only")
-    gamma, lpq, stride, metrics = _resolve(problem, plan, config)
-    geom, op = problem.geometry, problem.operator
-    K = config.iterations
-    draw = RngStream(config.seed, stream=0)
-    index_rng = RngStream(config.seed, stream=1)
-    avg = _Averager(config, gamma, op.m, op.d, index_rng)
-    t0 = time.perf_counter_ns()
-    table = ComponentTable(op, geom.x0)
-    calls = op.m
-    lazy = _LazyDual(geom, op, table.aggregate)
-    z, x = lazy.z, lazy.x
-    reads, read_blocks = lazy.read_coords, lazy.read_blocks
-    writes, write_blocks = lazy.write_coords, lazy.write_blocks
-
-    trace = Trace(solver="rem-lazy", seed=config.seed, m=op.m, iterations=K,
-                  info={"gamma": gamma, "lpq": lpq, "q_star": plan.q_min,
-                        "stride": stride, "averaging": config.averaging})
-    _record(problem, x, metrics, config.comparator, 0, calls, t0, trace.records)
-
-    a_seq = np.empty(K)
-    a = 0.0
-    A = 0.0
-    A_km1 = 0.0
-    A_km2 = 0.0
-    fhat_last = None
-    p = plan.p
-    q_star = plan.q_min
-    try:
-        for k in range(1, K + 1):
-            a_prev = a
-            a = next_step_size(a_prev, A, k, gamma, lpq, q_star)
-            A_km2 = A_km1
-            A_km1 = A
-            A = A + a
-            a_seq[k - 1] = a
-            if config.check_steps:
-                trace.cert_violations += _cert_bad(k, a, A, a_prev, A_km1, A_km2,
-                                                   gamma, lpq, q_star)
-            j1 = plan.sample_p(draw)
-            lazy.catch_up(reads[j1], read_blocks[j1], A_km1, k)
-            comp1 = op.components[j1]
-            v1 = comp1.evaluate(x)
-            calls += 1
-            old = table.resolve_prev(j1, k)
-            lazy.settle(writes[j1], write_blocks[j1], A, k)
-            if a_prev != 0.0:
-                z[comp1.out_idx] += (a_prev / p[j1]) * (v1 - old)
-            if k == K:
-                fhat_last = table.aggregate.copy()
-                if a_prev != 0.0:
-                    fhat_last[comp1.out_idx] += (a_prev / (a * p[j1])) * (v1 - old)
-            lazy.prox(writes[j1], write_blocks[j1], A)
-            j2 = plan.sample_q(draw)
-            # The coordinates j2 reads and the ones its refresh will change
-            # in S, caught up together (duplicates are harmless).
-            lazy.catch_up(np.concatenate((reads[j2], writes[j2])),
-                          (*read_blocks[j2], *write_blocks[j2]), A, k)
-            v2 = op.components[j2].evaluate(x)
-            calls += 1
-            table.refresh(j2, v2, k)
-            if avg.needs_iterate(k):
-                avg.add_sampled(k, lazy.flush(A))
-            if k % stride == 0 or k == K:
-                snap = lazy.flush(A)
-                _check_divergence(snap, k, config.divergence_bound)
-                _record(problem, snap, metrics, config.comparator, k, calls,
-                        t0, trace.records)
-    except DivergenceError as exc:
-        trace.diverged = True
-        trace.diverged_at = exc.iteration
-        raise
-    finally:
-        trace.final_x = lazy.flush(A)
-        trace.x_bar = avg.result(A)
-        trace.oracle_calls = calls
-        trace.a_seq = a_seq
-        trace.A_final = A
-        if fhat_last is not None and not trace.diverged:
-            trace.info["fhat_last"] = fhat_last
-            trace.info["table_values"] = [v.copy() for v in table.values]
-            trace.info["table_eval_iter"] = table.eval_iter.copy()
-    return trace
-
-
-def run(problem, plan, config):
-    return run_dense(problem, plan, config) if config.mode == "dense" \
-        else run_lazy(problem, plan, config)
+    return run(problem, plan, config)
 
 
 def average_output(trace, config):

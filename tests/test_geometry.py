@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from remvi.geometry import (GeometryBundle, bregman, dual_norm_sq,
-                            euclidean_block, prox_step, simplex_block)
+from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 
 
 def euclid_quad(mu=1.0, size=2):
@@ -41,70 +40,70 @@ ALL_GEOMS = [euclid_quad(), euclid_box(), entropy(3), weighted([4.0, 1.0]),
 class TestProxClosedForms:
     def test_quadratic(self):
         geom = euclid_quad(mu=1.0)
-        out = prox_step(geom, 0, np.array([1.0, -1.0]), 1.0, np.array([0.0, 0.0]))
+        out = geom.prox_block(0, np.array([1.0, -1.0]), 1.0, np.array([0.0, 0.0]))
         np.testing.assert_allclose(out, [-0.5, 0.5])
 
     def test_entropy_simplex(self):
         geom = entropy(2, anchor=np.array([0.5, 0.5]))
-        out = prox_step(geom, 0, np.array([math.log(2.0), 0.0]), 3.7)
+        out = geom.prox_block(0, np.array([math.log(2.0), 0.0]), 3.7)
         np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
 
     def test_box_clip(self):
         geom = euclid_box()
-        out = prox_step(geom, 0, np.array([3.0, -0.5]), 0.0)
+        out = geom.prox_block(0, np.array([3.0, -0.5]), 0.0)
         np.testing.assert_allclose(out, [-1.0, 0.5])
 
     def test_weighted_scaling(self):
         geom = weighted([4.0, 1.0])
-        out = prox_step(geom, 0, np.array([2.0, 2.0]), 0.0)
+        out = geom.prox_block(0, np.array([2.0, 2.0]), 0.0)
         np.testing.assert_allclose(out, [-0.5, -2.0])
 
     def test_entropy_overflow_safe(self):
         geom = entropy(3)
-        out = prox_step(geom, 0, np.array([-5000.0, 0.0, 5000.0]), 1.0)
+        out = geom.prox_block(0, np.array([-5000.0, 0.0, 5000.0]), 1.0)
         assert np.isfinite(out).all()
         assert abs(out.sum() - 1.0) < 1e-12
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            prox_step(euclid_quad(), 0, np.array([np.nan, 0.0]), 1.0)
+            euclid_quad().prox_block(0, np.array([np.nan, 0.0]), 1.0)
 
     def test_rejects_boundary_entropy_anchor(self):
         geom = entropy(2, anchor=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            prox_step(geom, 0, np.zeros(2), 1.0, x0_block=np.array([1.0, 0.0]))
+            geom.prox_block(0, np.zeros(2), 1.0, x0_block=np.array([1.0, 0.0]))
 
 
 class TestBregman:
     def test_zero_at_equal(self):
         geom = euclid_quad()
-        assert bregman(geom, np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert geom.bregman(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_euclidean_half_square(self):
         geom = euclid_quad()
-        assert bregman(geom, np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
+        assert geom.bregman(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
 
     def test_kl_with_zero_coordinate(self):
         # direct KL sum with 0*log 0 = 0
         geom = entropy(2)
-        val = bregman(geom, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        val = geom.bregman(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert abs(val - math.log(2.0)) < 1e-12
 
     def test_rejects_boundary_second_argument(self):
         geom = entropy(2)
         with pytest.raises(ValueError):
-            bregman(geom, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            geom.bregman(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 class TestDualNorm:
     def test_euclidean(self):
-        assert dual_norm_sq(euclid_quad(), np.array([3.0, 4.0])) == 25.0
+        assert euclid_quad().dual_norm_sq(np.array([3.0, 4.0])) == 25.0
 
     def test_linf_for_l1_block(self):
-        assert dual_norm_sq(entropy(2), np.array([3.0, -4.0])) == 16.0
+        assert entropy(2).dual_norm_sq(np.array([3.0, -4.0])) == 16.0
 
     def test_inverse_weighted(self):
-        assert dual_norm_sq(weighted([4.0, 1.0]), np.array([2.0, 1.0])) == 2.0
+        assert weighted([4.0, 1.0]).dual_norm_sq(np.array([2.0, 1.0])) == 2.0
 
 
 class TestBundleInvariants:

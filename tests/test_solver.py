@@ -10,7 +10,8 @@ from remvi.problems import (generate_instance, make_custom, make_lad,
 from remvi.sampling import RngStream, SamplingPlan, build_plan, problem_plan
 from remvi.solver import (DivergenceError, SolverConfig, _LazyDual,
                           average_output, extrapolate, next_step_size,
-                          run_dense, run_lazy, step_condition_violations)
+                          run_dense, run_lazy, step_condition_violations,
+                          step_schedule)
 
 SQ23 = math.sqrt(2.0 / 3.0)
 
@@ -58,9 +59,26 @@ class TestStepSize:
             a = next_step_size(a, A, k, gamma, lpq, q_star)
             A += a
             a_seq.append(a)
+        sched, A_seq = step_schedule(199, gamma, lpq, q_star)
+        np.testing.assert_array_equal(sched, a_seq)
+        assert A_seq[0] == 0.0 and A_seq[-1] == A
         assert step_condition_violations(a_seq, gamma, lpq, q_star) == 0
         assert step_condition_violations(np.array(a_seq) * 3.0, gamma, lpq,
                                          q_star) > 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_vectorized_certificate_matches_scalar_loop(self, gamma):
+        lpq, q_star = 1.5, 0.3
+        rng = np.random.default_rng(int(gamma * 10))
+        base, _ = step_schedule(300, gamma, lpq, q_star)
+        for trial in range(20):
+            a_seq = base * rng.uniform(0.98, 1.0, size=base.size)
+            hit = rng.choice(base.size, size=int(rng.integers(1, 15)),
+                             replace=False)
+            a_seq[hit] *= rng.uniform(1.0, 4.0, size=hit.size)
+            count = step_condition_violations(a_seq, gamma, lpq, q_star)
+            assert count == _scalar_violations(a_seq, gamma, lpq, q_star)
+            assert count > 0
 
     def test_growth_lower_bound(self):
         for gamma, lpq, q_star in [(0.0, 3.0, 0.2), (0.5, 2.0, 0.05),
@@ -76,6 +94,28 @@ class TestStepSize:
             for k, Ak in enumerate(A_seq, start=1):
                 bound = A1 * max(k, (1.0 + alpha) ** (k - 1))
                 assert Ak >= bound * (1 - 1e-12)
+
+
+def _scalar_violations(a_seq, gamma, lpq, q_star, rel=1e-12):
+    """Reference: the three certificate inequalities, one iteration at a
+    time."""
+    A = np.concatenate([[0.0], np.cumsum(a_seq)])
+    bad = 0
+    tol = 1.0 + rel
+    for k in range(1, a_seq.size + 1):
+        a_k = a_seq[k - 1]
+        if gamma == 0.0 and 75.0 * lpq * lpq * a_k * a_k / 2.0 > 0.25 * tol:
+            bad += 1
+        if k >= 2:
+            a_km1 = a_seq[k - 2]
+            lhs = a_k * a_k / (A[k] * gamma + 1.0)
+            rhs = (1.0 + q_star / 5.0) * a_km1 * a_km1 / (A[k - 1] * gamma + 1.0)
+            if lhs > rhs * tol:
+                bad += 1
+            lhs2 = 25.0 * lpq * lpq * a_km1 * a_km1 / (A[k - 1] * gamma + 1.0)
+            if lhs2 > (A[k - 2] * gamma + 1.0) / 4.0 * tol:
+                bad += 1
+    return bad
 
 
 class TestExtrapolate:
@@ -193,9 +233,22 @@ class TestRunDense:
         plan = problem_plan(inst)
         cfg = SolverConfig(iterations=5000, mode="dense", lpq=1e-8,
                            eval_stride=50, eval_metrics=(),
-                           divergence_bound=1e6, check_steps=False)
+                           divergence_bound=1e6)
         with pytest.raises(DivergenceError):
             run_dense(inst, plan, cfg)
+
+    def test_lazy_divergence_at_dense_iteration(self):
+        inst = make_lad(np.eye(3) * 2.0, np.ones(3), ref_optimum=None)
+        plan = problem_plan(inst)
+        at = {}
+        for mode, run in (("dense", run_dense), ("lazy", run_lazy)):
+            cfg = SolverConfig(iterations=5000, mode=mode, lpq=1e-8,
+                               eval_stride=1, eval_metrics=(),
+                               divergence_bound=1e6)
+            with pytest.raises(DivergenceError) as exc:
+                run(inst, plan, cfg)
+            at[mode] = exc.value.iteration
+        assert at["lazy"] == at["dense"] > 1
 
     def test_cert_violations_zero_on_runs(self):
         for inst in problem_instances_for_tests():
@@ -370,11 +423,22 @@ class TestAveraging:
         np.testing.assert_allclose(tr.x_bar, np.mean(xs, axis=0), atol=1e-12)
 
     def test_weighted_full_rejected_in_lazy(self):
+        with pytest.raises(ValueError, match="weighted-full"):
+            SolverConfig(iterations=5, mode="lazy", averaging="weighted-full")
+
+    def test_average_point_needs_weighted_full(self):
+        for mode in ("dense", "lazy"):
+            with pytest.raises(ValueError, match="averaged-point"):
+                SolverConfig(iterations=5, mode=mode, eval_point="average",
+                             averaging="sampled-index-set")
+
+    def test_entry_points_reject_other_mode(self):
         inst = problem_instances_for_tests()[0]
         plan = problem_plan(inst)
-        with pytest.raises(ValueError, match="weighted-full"):
-            run_lazy(inst, plan, SolverConfig(iterations=5, mode="lazy",
-                                              averaging="weighted-full"))
+        with pytest.raises(ValueError, match="'dense'"):
+            run_dense(inst, plan, SolverConfig(iterations=5, mode="lazy"))
+        with pytest.raises(ValueError, match="'lazy'"):
+            run_lazy(inst, plan, SolverConfig(iterations=5, mode="dense"))
 
     def test_gamma_positive_sampled_set_empty(self):
         inst = problem_instances_for_tests()[3]  # policy eval, gamma > 0
