@@ -54,9 +54,13 @@ class FiniteSumOperator:
         self.components = list(components)
         self.m = len(self.components)
         self.d = int(d)
-        for c in self.components:
-            if c.out_idx.size and (c.out_idx.min() < 0 or c.out_idx.max() >= d):
-                raise ValueError("component output support out of range")
+        # Every component's output coordinates, concatenated in component
+        # order: one scatter-add over them sums m component values in the
+        # same order as m separate per-component adds would.
+        self.out_all = np.concatenate([c.out_idx for c in self.components])
+        if self.out_all.size and (self.out_all.min() < 0
+                                  or self.out_all.max() >= self.d):
+            raise ValueError("component output support out of range")
 
     def evaluate_component(self, j, x):
         """Value of F_j at x as (out_idx, values); costs O(|support|)."""
@@ -65,12 +69,14 @@ class FiniteSumOperator:
         c = self.components[j]
         return c.out_idx, c.evaluate(x)
 
+    def scatter_sum(self, values):
+        """Dense sum of per-component values aligned with each ``out_idx``."""
+        return np.bincount(self.out_all, weights=np.concatenate(values),
+                           minlength=self.d)
+
     def evaluate_full(self, x):
         """Dense F(x) = sum of all components (m component-oracle calls)."""
-        out = np.zeros(self.d)
-        for c in self.components:
-            np.add.at(out, c.out_idx, c.evaluate(x))
-        return out
+        return self.scatter_sum([c.evaluate(x) for c in self.components])
 
 
 class LipschitzProfile:
@@ -192,10 +198,6 @@ class ComponentTable:
         self.op = op
         self.values = [c.evaluate(x0) for c in op.components]
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
-        # Every slot's output coordinates, concatenated in component order:
-        # one scatter-add over them sums the table in the same order as m
-        # separate per-component adds would.
-        self._out_all = np.concatenate([c.out_idx for c in op.components])
         self.aggregate = self.explicit_sum()
         self._shadow_iter = -1
         self._shadow_j = -1
@@ -232,8 +234,7 @@ class ComponentTable:
         self.aggregate[:] = self.explicit_sum()
 
     def explicit_sum(self):
-        return np.bincount(self._out_all, weights=np.concatenate(self.values),
-                           minlength=self.op.d)
+        return self.op.scatter_sum(self.values)
 
 
 def load_matrix_market(path):

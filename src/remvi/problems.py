@@ -21,12 +21,13 @@ Families
 from __future__ import annotations
 
 import numpy as np
-from scipy.io import mmread, mmwrite
+from scipy.io import mmwrite
 from scipy.optimize import minimize
 from scipy.sparse import coo_matrix
 
 from .geometry import GeometryBundle, euclidean_block, simplex_block
-from .operators import Component, FiniteSumOperator, LipschitzProfile
+from .operators import (Component, FiniteSumOperator, LipschitzProfile,
+                        load_matrix_market)
 
 
 class ProblemInstance:
@@ -266,19 +267,25 @@ class _LadComponent(Component):
     """F_ij = (A_ij y_i e_j, -(A_ij z_j - b_i/c_i) e_i), c_i = row nonzero count.
 
     b_i is split across row i's components so that the sum telescopes to
-    -(Az - b) exactly.
+    -(Az - b) exactly.  ``idx`` is the pair (j, d + i), a row view of the
+    instance's shared index array; it is both the read and the write set.
     """
 
-    __slots__ = ("a", "bshare")
+    __slots__ = ("zpos", "ypos", "a", "bshare")
 
-    def __init__(self, i, j, a, bshare, d):
-        super().__init__(out_idx=np.array([j, d + i]), in_idx=np.array([j, d + i]))
+    def __init__(self, idx, zpos, ypos, a, bshare):
+        self.out_idx = self.in_idx = idx
+        self.zpos = zpos
+        self.ypos = ypos
         self.a = a
         self.bshare = bshare
 
     def evaluate(self, x):
-        return np.array([self.a * x[self.in_idx[1]],
-                         self.bshare - self.a * x[self.in_idx[0]]])
+        # Python-float arithmetic: the same IEEE products as numpy scalars,
+        # without their per-operation overhead
+        a = self.a
+        return np.array((a * x.item(self.ypos),
+                         self.bshare - a * x.item(self.zpos)))
 
 
 def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
@@ -299,14 +306,14 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     counts = np.bincount(rows, minlength=n)
     if np.any(counts == 0):
         raise ValueError(f"empty row {int(np.argmin(counts))}: b entry unreachable")
-    comps = [
-        _LadComponent(i, j, A[i, j], b[i] / counts[i], d)
-        for i, j in zip(rows, cols)
-    ]
-    geometry = GeometryBundle(
-        [euclidean_block(np.array([j]), mu=quad) for j in range(d)]
-        + [euclidean_block(np.array([d + i]), mu=quad, lo=-1.0, hi=1.0)
-           for i in range(n)])
+    idx = np.stack([cols, d + rows], axis=1)
+    comps = [_LadComponent(*args) for args in zip(
+        idx, cols.tolist(), (d + rows).tolist(), A[rows, cols].tolist(),
+        (b[rows] / counts[rows]).tolist())]
+    # Coordinates are separable: one block for z, one for the boxed y.
+    geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
+                               euclidean_block(np.arange(d, d + n), mu=quad,
+                                               lo=-1.0, hi=1.0)])
     lam = np.abs(A[rows, cols])
     weights = np.sqrt(lam)
     lpq = float(np.sum(np.sqrt(lam)) ** 2)
@@ -516,12 +523,11 @@ def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 303, attempt)))
         mask = rng.random((n, d)) < density
-        for i in range(n):
-            if not mask[i].any():
-                mask[i, rng.integers(d)] = True
-        for j in range(d):
-            if not mask[:, j].any():
-                mask[rng.integers(n), j] = True
+        # the draws fill empty rows first, then the columns still empty
+        for i in np.flatnonzero(~mask.any(axis=1)):
+            mask[i, rng.integers(d)] = True
+        for j in np.flatnonzero(~mask.any(axis=0)):
+            mask[rng.integers(n), j] = True
         m = int(mask.sum())
         magnitudes = rng.permutation(lipschitz_shape(m, exponent))
         signs = rng.choice([-1.0, 1.0], size=m)
@@ -635,11 +641,11 @@ def load_instance(basename):
                 meta[key] = val
     family = meta["family"]
     if family == "policy-eval":
-        P = _read_dense(basename + ".mtx")
-        Phi = _read_dense(basename + ".phi.mtx")
+        P = load_matrix_market(basename + ".mtx")
+        Phi = load_matrix_market(basename + ".phi.mtx")
         R = np.array([float(v) for v in meta["rewards"].split(",")])
         return make_policy_eval(P, Phi, R, float(meta["beta"]), float(meta["mu"]))
-    A = _read_dense(basename + ".mtx")
+    A = load_matrix_market(basename + ".mtx")
     if family == "matrix-game":
         return make_matrix_game(A, mode=meta.get("mode", "two-sided"))
     b = np.array([float(v) for v in meta["b"].split(",")])
@@ -650,10 +656,3 @@ def load_instance(basename):
         return make_lad(A, b, quad=float(meta.get("quad", "0.0")),
                         ref_optimum=None if ref is None else float(ref))
     raise ValueError(f"unknown family {family!r} in {basename}.meta")
-
-
-def _read_dense(path):
-    mat = mmread(path)
-    if hasattr(mat, "toarray"):
-        mat = mat.toarray()
-    return np.asarray(mat, dtype=float)

@@ -26,11 +26,13 @@ class AliasTable:
     def __init__(self, p):
         p = np.asarray(p, dtype=float)
         m = p.size
-        scaled = p * m / p.sum()
-        prob = np.ones(m)
-        alias = np.arange(m, dtype=np.intp)
-        small = [i for i in range(m) if scaled[i] < 1.0]
-        large = [i for i in range(m) if scaled[i] >= 1.0]
+        # The loop runs on Python lists: per-entry numpy indexing costs more
+        # than the arithmetic, which is the same IEEE double operations.
+        scaled = (p * m / p.sum()).tolist()
+        prob = [1.0] * m
+        alias = list(range(m))
+        small = [i for i, s in enumerate(scaled) if s < 1.0]
+        large = [i for i, s in enumerate(scaled) if s >= 1.0]
         while small and large:
             s = small.pop()
             g = large.pop()
@@ -40,8 +42,8 @@ class AliasTable:
             (small if scaled[g] < 1.0 else large).append(g)
         # leftovers are 1 up to rounding; prob/alias defaults already cover them
         self.m = m
-        self.prob = prob
-        self.alias = alias
+        self.prob = np.array(prob)
+        self.alias = np.array(alias, dtype=np.intp)
 
     def sample(self, u):
         """Map one uniform in [0,1) to an index with the table's distribution."""
@@ -119,7 +121,9 @@ class SamplingPlan:
         self.q_min = float(q[self.j_star])
         self.mode = mode
         self._alias_p = AliasTable(p)
-        self._alias_q = AliasTable(q)
+        # the build is deterministic, so equal distributions share a table
+        self._alias_q = (self._alias_p if np.array_equal(p, q)
+                         else AliasTable(q))
         if mode == "importance" and self.q_min < 1.0 / (2.0 * self.m) - 1e-12:
             raise AssertionError("importance plan violated q_min >= 1/(2m)")
 

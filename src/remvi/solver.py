@@ -285,8 +285,9 @@ class _LazyDual:
     (A_now - A_last[i]) * S[i], because the aggregate S only changes where a
     table refresh writes, and those coordinates are settled first.  Euclidean
     coordinates are separable, so they are settled and re-proxed one
-    coordinate at a time, a component's read and write sets being its
-    ``in_idx`` and ``out_idx``.  Each entropy block (one normalisation per
+    coordinate at a time, in one gather-and-prox pass per call, a
+    component's read and write sets being its ``in_idx`` and ``out_idx``.
+    Each entropy block (one normalisation per
     simplex) is settled and re-proxed as a whole.  The invariant is
     x[i] = prox(z[i], A_last[i]) on every coordinate.
     """
@@ -302,11 +303,13 @@ class _LazyDual:
         self.entropy = [(bi, b.idx) for bi, b in enumerate(geom.blocks)
                         if b.kind == "entropy"]
         comps = op.components
+        self.on_eu = np.ones(op.d, dtype=bool)
+        self.on_eu[geom._ent_idx] = False
         if self.entropy:
             self.read_coords, self.read_blocks = _split_supports(
-                geom, [c.in_idx for c in comps])
+                geom, self.on_eu, [c.in_idx for c in comps])
             self.write_coords, self.write_blocks = _split_supports(
-                geom, [c.out_idx for c in comps])
+                geom, self.on_eu, [c.out_idx for c in comps])
         else:
             self.read_coords = [c.in_idx for c in comps]
             self.write_coords = [c.out_idx for c in comps]
@@ -316,6 +319,8 @@ class _LazyDual:
         """Catch up what component j reads; with ``refresh`` also what its
         table refresh will change in S, in one call (duplicates are
         harmless)."""
+        if A_target == 0.0:
+            return      # nothing has accumulated yet: x is still x0
         if refresh:
             self.catch_up(
                 np.concatenate((self.read_coords[j], self.write_coords[j])),
@@ -327,14 +332,29 @@ class _LazyDual:
     def step(self, j, corr, a, A, k):
         """Settle j's write set to A, add the correction, re-prox it."""
         idx, blocks = self.write_coords[j], self.write_blocks[j]
-        self.settle(idx, blocks, A, k)
+        if len(blocks) == 0:
+            # all of out_idx is Euclidean, and idx is out_idx
+            self.settle_coords(idx, A, k, corr)
+            return
+        out = self.comps[j].out_idx
+        eu = self.on_eu[out]
+        self.settle_coords(idx, A, k, None if corr is None else corr[eu])
+        self.settle_blocks(blocks, A, k)
         if corr is not None:
-            self.z[self.comps[j].out_idx] += corr
-        self.prox(idx, blocks, A)
+            self.z[out[~eu]] += corr[~eu]
+        self.prox_blocks(blocks, A)
 
-    def settle(self, idx, blocks, A_target, k):
-        """Bring z up to A_target on the coordinates ``idx`` and the entropy
-        blocks ``blocks``; returns the ones that were behind."""
+    def catch_up(self, idx, blocks, A_target, k):
+        self.settle_coords(idx, A_target, k)
+        self.prox_blocks(self.settle_blocks(blocks, A_target, k), A_target)
+
+    def settle_coords(self, idx, A_target, k, corr=None):
+        """Bring z up to A_target on the Euclidean coordinates ``idx``, add
+        ``corr`` (aligned with idx) and re-prox them, in one pass.  A
+        coordinate already at A_target gets z + 0*S = z and the x it has
+        (z is never -0.0: it starts at +0.0 and only ever has numbers added)."""
+        if not idx.size:
+            return
         A_prev = self.A_last[idx]
         dA = A_target - A_prev
         if (dA < -SETTLE_TOL).any():
@@ -343,10 +363,16 @@ class _LazyDual:
                 f"lazy catch-up at iteration {k}: coordinate {int(idx[i])} has "
                 f"A_last={float(A_prev[i])!r} above the target "
                 f"{float(A_target)!r}")
-        behind = dA != 0.0
-        idx = idx[behind]
-        self.z[idx] += dA[behind] * self.S[idx]
+        z = self.z[idx] + dA * self.S[idx]
+        if corr is not None:
+            z += corr
+        self.z[idx] = z
         self.A_last[idx] = A_target
+        self.x[idx] = self.geom.prox_coords(idx, z, A_target)
+
+    def settle_blocks(self, blocks, A_target, k):
+        """Bring z up to A_target on the entropy blocks ``blocks``; returns
+        the ones that were behind."""
         stale = []
         for b in blocks:
             dA = A_target - self.A_block[b]
@@ -360,18 +386,13 @@ class _LazyDual:
                 self.z[bidx] += dA * self.S[bidx]
                 self.A_block[b] = A_target
                 stale.append(b)
-        return idx, stale
+        return stale
 
-    def prox(self, idx, blocks, A):
-        """Re-solve x = prox(z, A) on the coordinates and entropy blocks."""
-        if idx.size:
-            self.x[idx] = self.geom.prox_coords(idx, self.z[idx], A)
+    def prox_blocks(self, blocks, A):
+        """Re-solve x = prox(z, A) on the entropy blocks."""
         for b in blocks:
             bidx = self.geom.blocks[b].idx
             self.x[bidx] = self.geom.prox_block(b, self.z[bidx], A)
-
-    def catch_up(self, idx, blocks, A_target, k):
-        self.prox(*self.settle(idx, blocks, A_target, k), A_target)
 
     def at(self, A_now):
         """The iterate at A_now on every coordinate (a flush), leaving z as
@@ -392,16 +413,15 @@ class _LazyDual:
         return snap
 
 
-def _split_supports(geom, supports):
-    """Split each coordinate array into its Euclidean coordinates and the
-    sorted ids of the entropy blocks it touches, in one vectorized pass."""
+def _split_supports(geom, on_eu, supports):
+    """Split each coordinate array into its Euclidean coordinates (those
+    ``on_eu`` marks) and the sorted ids of the entropy blocks it touches, in
+    one vectorized pass."""
     m = len(supports)
     flat = np.concatenate(supports)
     owner = np.repeat(np.arange(m), [s.size for s in supports])
-    is_ent = np.zeros(geom.d, dtype=bool)
-    is_ent[geom._ent_idx] = True
-    on_ent = is_ent[flat]
-    eu = ~on_ent
+    eu = on_eu[flat]
+    on_ent = ~eu
     coords = np.split(flat[eu],
                       np.cumsum(np.bincount(owner[eu], minlength=m))[:-1])
     nb = len(geom.blocks)
@@ -473,7 +493,9 @@ def run(problem, plan, config):
     trace.oracle_calls = calls
     if fhat_last is not None:
         trace.info["fhat_last"] = fhat_last
-        trace.info["table_values"] = [v.copy() for v in table.values]
+        # refresh replaces slots and never writes into one, so the slots
+        # themselves are the final table
+        trace.info["table_values"] = list(table.values)
         trace.info["table_eval_iter"] = table.eval_iter.copy()
     return trace
 

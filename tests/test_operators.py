@@ -67,6 +67,51 @@ class TestComponentEvaluation:
             np.testing.assert_allclose(total, full, rtol=0, atol=1e-10 * scale)
 
 
+def add_at_sum(op, x):
+    """The full operator summed the way it was before the single scatter:
+    one np.add.at per component, in component order."""
+    out = np.zeros(op.d)
+    for c in op.components:
+        np.add.at(out, c.out_idx, c.evaluate(x))
+    return out
+
+
+class TestEvaluateFull:
+    @pytest.mark.parametrize("inst", problem_instances_for_tests(),
+                             ids=lambda i: i.family)
+    def test_equals_per_component_add_at(self, inst):
+        rng = np.random.default_rng(12)
+        for sharp in (False, True) * 5:
+            x = inst.geometry.sample_domain(rng, sharp=sharp)
+            np.testing.assert_array_equal(inst.operator.evaluate_full(x),
+                                          add_at_sum(inst.operator, x))
+
+    def test_callable_components_equal_add_at(self):
+        # overlapping supports, a repeated coordinate inside one support,
+        # an empty support and values over 16 orders of magnitude
+        rng = np.random.default_rng(13)
+        comps = [CallableComponent([3, 1, 3], [0, 2],
+                                   lambda x: np.array([x[0], -x[2], 1e8 * x[0]])),
+                 CallableComponent([], [4], lambda x: np.empty(0))]
+        for _ in range(30):
+            out = rng.choice(6, size=int(rng.integers(1, 5)), replace=False)
+            scale = rng.standard_normal(out.size) * 10.0 ** rng.integers(-8, 8)
+            comps.append(CallableComponent(
+                out, out, (lambda o, s: lambda x: s * x[o] + s)(out, scale)))
+        op = FiniteSumOperator(comps, 6)
+        for _ in range(20):
+            x = rng.standard_normal(6)
+            np.testing.assert_array_equal(op.evaluate_full(x), add_at_sum(op, x))
+
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_out_of_range_support_rejected(self, bad):
+        ok = CallableComponent([0, 2], [0], lambda x: np.zeros(2))
+        wrong = CallableComponent([1, bad], [0], lambda x: np.zeros(2))
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteSumOperator([ok, wrong], 3)
+        FiniteSumOperator([ok], 3)
+
+
 class TestLipschitzProfile:
     def test_norm_chain(self):
         prof = LipschitzProfile([1.0, 4.0, 0.25])

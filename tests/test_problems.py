@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
 from remvi.problems import (generate_instance, generate_lad, load_instance,
                             make_box_simplex, make_lad, make_matrix_game,
@@ -185,6 +186,35 @@ class TestLad:
         np.testing.assert_allclose(quad * z + A.T @ y, 0.0, atol=1e-9)
         np.testing.assert_allclose(y, np.clip((A @ z - b) / quad, -1, 1), atol=1e-8)
         assert inst.gamma == quad
+
+
+    @pytest.mark.parametrize("quad", [0.0, 0.3])
+    def test_two_block_geometry_equals_singletons(self, quad):
+        # z and the boxed y as two blocks act exactly like one block per
+        # coordinate: every geometry operation agrees bit for bit
+        inst = generate_lad(7, 5, 1.0, seed=9, density=0.5, quad=quad)
+        n, d = inst.data["A"].shape
+        geom = inst.geometry
+        assert len(geom.blocks) == 2
+        old = GeometryBundle(
+            [euclidean_block(np.array([j]), mu=quad) for j in range(d)]
+            + [euclidean_block(np.array([d + i]), mu=quad, lo=-1.0, hi=1.0)
+               for i in range(n)])
+        np.testing.assert_array_equal(geom.x0, old.x0)
+        rng = np.random.default_rng(10)
+        for A in (0.0, 0.7, 123.0):
+            z = 3.0 * rng.standard_normal(d + n)
+            np.testing.assert_array_equal(geom.prox_full(z, A),
+                                          old.prox_full(z, A))
+            idx = rng.choice(d + n, size=6, replace=False)
+            np.testing.assert_array_equal(geom.prox_coords(idx, z[idx], A),
+                                          old.prox_coords(idx, z[idx], A))
+            assert geom.norm_sq(z) == old.norm_sq(z)
+            assert geom.dual_norm_sq(z) == old.dual_norm_sq(z)
+        for sharp in (False, True):
+            np.testing.assert_array_equal(
+                geom.sample_domain(np.random.default_rng(3), sharp=sharp),
+                old.sample_domain(np.random.default_rng(3), sharp=sharp))
 
 
 class TestPolicyEval:

@@ -8,6 +8,25 @@ from remvi.sampling import (AliasTable, RngStream, SamplingPlan, build_plan,
                             problem_plan)
 
 
+def scalar_alias_build(p):
+    """The Vose build as it ran on numpy arrays, one entry at a time."""
+    p = np.asarray(p, dtype=float)
+    m = p.size
+    scaled = p * m / p.sum()
+    prob = np.ones(m)
+    alias = np.arange(m, dtype=np.intp)
+    small = [i for i in range(m) if scaled[i] < 1.0]
+    large = [i for i in range(m) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] -= 1.0 - scaled[s]
+        (small if scaled[g] < 1.0 else large).append(g)
+    return prob, alias
+
+
 class TestBuildPlan:
     def test_uniform(self):
         plan = build_plan("uniform", profile=LipschitzProfile(np.ones(4)))
@@ -87,6 +106,25 @@ class TestSampling:
             freq = np.bincount(draws, minlength=16) / 1e6
             tv = 0.5 * np.sum(np.abs(freq - p))
             assert tv <= 0.005
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "one-heavy"])
+    def test_build_equals_scalar_loop(self, kind):
+        rng = np.random.default_rng(21)
+        for m in (1, 2, 7, 1000):
+            if kind == "random":
+                p = np.exp(rng.uniform(-4, 4, size=m))
+            elif kind == "uniform":
+                p = np.ones(m)
+            else:
+                p = np.full(m, 1e-6)
+                p[rng.integers(m)] = 1.0
+            p = p / p.sum()
+            table = AliasTable(p)
+            prob, alias = scalar_alias_build(p)
+            np.testing.assert_array_equal(table.prob, prob)
+            np.testing.assert_array_equal(table.alias, alias)
+            assert table.prob.dtype == prob.dtype
+            assert table.alias.dtype == alias.dtype
 
     def test_sample_many_matches_sequential(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
