@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.io import mmwrite
 from scipy.optimize import minimize
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .geometry import GeometryBundle, euclidean_block, simplex_block
 from .operators import (Component, FiniteSumOperator, LipschitzProfile,
@@ -81,9 +81,9 @@ class ProblemInstance:
         if self.family == "lad":
             if self.ref_optimum is None:
                 raise ValueError("LAD sup-gap needs a reference optimum")
-            A, b = self.data["A"], self.data["b"]
-            d = A.shape[1]
-            z = x[:d]
+            # the CSR copy costs nnz(A) per evaluation, not n*d
+            A, b = self.data["A_csr"], self.data["b"]
+            z = x[:A.shape[1]]
             return float(np.sum(np.abs(A @ z - b)) - self.ref_optimum)
         raise ValueError(f"sup_gap not available for family {self.family!r}")
 
@@ -306,15 +306,19 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     counts = np.bincount(rows, minlength=n)
     if np.any(counts == 0):
         raise ValueError(f"empty row {int(np.argmin(counts))}: b entry unreachable")
+    vals = A[rows, cols]
+    # np.nonzero is row-major, so (vals, cols) are already in CSR order
+    A_csr = csr_matrix((vals, cols, np.concatenate(([0], np.cumsum(counts)))),
+                       shape=(n, d))
     idx = np.stack([cols, d + rows], axis=1)
     comps = [_LadComponent(*args) for args in zip(
-        idx, cols.tolist(), (d + rows).tolist(), A[rows, cols].tolist(),
+        idx, cols.tolist(), (d + rows).tolist(), vals.tolist(),
         (b[rows] / counts[rows]).tolist())]
     # Coordinates are separable: one block for z, one for the boxed y.
     geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
                                euclidean_block(np.arange(d, d + n), mu=quad,
                                                lo=-1.0, hi=1.0)])
-    lam = np.abs(A[rows, cols])
+    lam = np.abs(vals)
     weights = np.sqrt(lam)
     lpq = float(np.sum(np.sqrt(lam)) ** 2)
     reference = None
@@ -324,7 +328,8 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
         reference = _solve_lad_reference(A, b, quad)
     op = FiniteSumOperator(comps, d + n)
     return ProblemInstance("lad", geometry, op, LipschitzProfile(lam), weights,
-                           lpq, data={"A": A, "b": b, "quad": quad},
+                           lpq, data={"A": A, "A_csr": A_csr, "b": b,
+                                      "quad": quad},
                            reference=reference, ref_optimum=ref_optimum)
 
 
@@ -515,6 +520,12 @@ def generate_box_simplex(n, d, exponent, seed):
     return make_box_simplex(A, b)
 
 
+def _max_abs(A, axis):
+    """``np.abs(A).max(axis)`` without allocating |A|: the same values, NaN
+    propagating and an all-zero line giving 0 (-0.0 at worst)."""
+    return np.maximum(A.max(axis=axis), -A.min(axis=axis))
+
+
 def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
                  solve_reference=False, max_retries=32):
     """Random LAD instance whose |A_ij| profile over the nonzeros follows the
@@ -533,8 +544,8 @@ def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
         signs = rng.choice([-1.0, 1.0], size=m)
         A = np.zeros((n, d))
         A[mask] = magnitudes * signs
-        absA = np.abs(A)
-        if absA.max(axis=1).min() > 0.0 and absA.max(axis=0).min() > 0.0:
+        if (_max_abs(A, axis=1).min() > 0.0
+                and _max_abs(A, axis=0).min() > 0.0):
             z_star = z_scale * rng.uniform(-1.0, 1.0, size=d)
             b = A @ z_star
             return make_lad(A, b, quad=quad, ref_optimum=0.0,

@@ -318,13 +318,15 @@ class _LazyDual:
     def read(self, j, A_target, k, refresh=False):
         """Catch up what component j reads; with ``refresh`` also what its
         table refresh will change in S, in one call (duplicates are
-        harmless)."""
+        harmless; a component whose read set is its write set, as every LAD
+        and policy-evaluation one, needs no concatenation)."""
         if A_target == 0.0:
             return      # nothing has accumulated yet: x is still x0
         if refresh:
-            self.catch_up(
-                np.concatenate((self.read_coords[j], self.write_coords[j])),
-                (*self.read_blocks[j], *self.write_blocks[j]), A_target, k)
+            rc, wc = self.read_coords[j], self.write_coords[j]
+            self.catch_up(rc if rc is wc else np.concatenate((rc, wc)),
+                          (*self.read_blocks[j], *self.write_blocks[j]),
+                          A_target, k)
         else:
             self.catch_up(self.read_coords[j], self.read_blocks[j],
                           A_target, k)

@@ -5,9 +5,9 @@ import pytest
 
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
-from remvi.problems import (generate_instance, generate_lad, load_instance,
-                            make_box_simplex, make_lad, make_matrix_game,
-                            make_policy_eval, lipschitz_shape,
+from remvi.problems import (_max_abs, generate_instance, generate_lad,
+                            load_instance, make_box_simplex, make_lad,
+                            make_matrix_game, make_policy_eval, lipschitz_shape,
                             problem_instances_for_tests, save_instance,
                             solve_policy_eval_direct, stationary_distribution)
 
@@ -215,6 +215,161 @@ class TestLad:
             np.testing.assert_array_equal(
                 geom.sample_domain(np.random.default_rng(3), sharp=sharp),
                 old.sample_domain(np.random.default_rng(3), sharp=sharp))
+
+
+def dense_lad_gap(inst, x):
+    """The LAD sup-gap computed on the dense A (the reference formula)."""
+    A, b = inst.data["A"], inst.data["b"]
+    return float(np.sum(np.abs(A @ x[:A.shape[1]] - b)) - inst.ref_optimum)
+
+
+class TestLadCsrMetric:
+    """The LAD sup-gap runs on a CSR copy of A; it must equal the dense
+    formula up to summation order."""
+
+    def check_points(self, inst, seed, count=20):
+        rng = np.random.default_rng(seed)
+        for sharp in (False, True):
+            for _ in range(count):
+                x = inst.geometry.sample_domain(rng, sharp=sharp)
+                assert inst.sup_gap(x) == pytest.approx(dense_lad_gap(inst, x),
+                                                        rel=1e-12)
+
+    def check_csr(self, inst):
+        A, A_csr = inst.data["A"], inst.data["A_csr"]
+        assert A_csr.shape == A.shape
+        assert A_csr.nnz == np.count_nonzero(A)
+        assert A_csr.has_canonical_format
+        dense = A_csr.toarray()
+        assert dense.dtype == A.dtype
+        np.testing.assert_array_equal(dense, A)
+        assert np.array_equal(np.signbit(dense), np.signbit(A))
+
+    @pytest.mark.parametrize("n,d,density,seed", [
+        (30, 20, 0.2, 0), (12, 40, 0.1, 1), (50, 50, 1.0, 2)])
+    def test_generated_matches_dense(self, n, d, density, seed):
+        inst = generate_lad(n, d, 1.0, seed, density=density)
+        self.check_csr(inst)
+        self.check_points(inst, seed)
+
+    def test_handwritten_matches_dense(self):
+        A = np.array([[1.5, 0.0, -2.0, 0.0],
+                      [0.0, 0.0, 0.0, 3.25],
+                      [-0.5, 7.0, 0.0, 1e-3]])
+        b = np.array([0.3, -1.0, 2.0])
+        inst = make_lad(A, b, ref_optimum=0.125)
+        self.check_csr(inst)
+        np.testing.assert_array_equal(inst.data["A_csr"].indptr, [0, 2, 3, 6])
+        np.testing.assert_array_equal(inst.data["A_csr"].indices,
+                                      [0, 2, 3, 0, 1, 3])
+        self.check_points(inst, 11)
+        x = np.array([1.0, -1.0, 0.5, 2.0, 0.0, 0.0, 0.0])
+        # |1.5 - 1 - 0.3| + |6.5 + 1| + |-0.5 - 7 + 0.002 - 2| - 0.125
+        assert inst.sup_gap(x) == pytest.approx(0.2 + 7.5 + 9.498 - 0.125,
+                                                rel=1e-12)
+
+    def test_roundtrip_matches_dense(self, tmp_path):
+        inst = generate_lad(25, 15, 1.5, 4, density=0.3)
+        base = str(tmp_path / "lad")
+        save_instance(inst, base)
+        loaded = load_instance(base)
+        self.check_csr(loaded)
+        np.testing.assert_array_equal(loaded.data["A"], inst.data["A"])
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            x = inst.sample_feasible(rng)
+            assert loaded.sup_gap(x) == pytest.approx(dense_lad_gap(inst, x),
+                                                      rel=1e-12)
+            assert loaded.sup_gap(x) == inst.sup_gap(x)
+
+    def test_infeasible_point_rejected(self):
+        inst = generate_lad(6, 5, 1.0, 3, density=0.6)
+        x = inst.x0.copy()
+        x[5] = 1.5          # a y coordinate outside [-1, 1]
+        with pytest.raises(ValueError, match="box bounds"):
+            inst.sup_gap(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            inst.sup_gap(np.full(inst.d, np.nan))
+
+
+def _reference_generate_lad_arrays(n, d, exponent, seed, density, z_scale=1.0,
+                                   max_retries=32):
+    """``generate_lad``'s draws with the validity check on an explicit |A|
+    copy, as the generator did before it compared max and -min instead."""
+    for attempt in range(max_retries):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 303, attempt)))
+        mask = rng.random((n, d)) < density
+        for i in np.flatnonzero(~mask.any(axis=1)):
+            mask[i, rng.integers(d)] = True
+        for j in np.flatnonzero(~mask.any(axis=0)):
+            mask[rng.integers(n), j] = True
+        m = int(mask.sum())
+        magnitudes = rng.permutation(lipschitz_shape(m, exponent))
+        signs = rng.choice([-1.0, 1.0], size=m)
+        A = np.zeros((n, d))
+        A[mask] = magnitudes * signs
+        absA = np.abs(A)
+        if absA.max(axis=1).min() > 0.0 and absA.max(axis=0).min() > 0.0:
+            z_star = z_scale * rng.uniform(-1.0, 1.0, size=d)
+            return A, A @ z_star
+    raise ValueError("no valid instance")
+
+
+def _validity_cases():
+    """(name, matrix, whether generate_lad accepts it): every row and every
+    column needs an entry with |a| > 0, and a NaN anywhere rejects."""
+    base = np.array([[1.0, -2.0, 0.0],
+                     [0.0, 3.0, -0.5],
+                     [-4.0, 0.0, 0.25]])
+
+    def edit(src, key, value):
+        A = src.copy()
+        A[key] = value
+        return A
+
+    zero_row = edit(base, (1, slice(None)), 0.0)
+    return [
+        ("plain", base, True),
+        ("nan", edit(base, (1, 0), np.nan), False),
+        ("signed-zero-row", edit(base, (2, slice(None)), [-0.0, 0.0, -0.0]), False),
+        ("negzero-column", edit(base, (slice(None), 1), -0.0), False),
+        ("minus-inf", edit(base, (0, 2), -np.inf), True),
+        ("plus-inf", edit(base, (2, 1), np.inf), True),
+        ("zero-row", zero_row, False),
+        ("zero-column", edit(base, (slice(None), 2), 0.0), False),
+        ("nan-in-zero-row", edit(zero_row, (1, 1), np.nan), False),
+        ("all-zero", np.zeros((2, 2)), False),
+        ("single-negzero", np.array([[-0.0]]), False),
+    ]
+
+
+class TestLadValidityCheck:
+    @pytest.mark.parametrize("name,A,accepted", _validity_cases(),
+                             ids=[c[0] for c in _validity_cases()])
+    def test_max_abs_matches_abs_copy(self, name, A, accepted):
+        decisions = []
+        for axis in (0, 1):
+            with np.errstate(invalid="ignore"):
+                ref = np.abs(A).max(axis=axis)
+                got = _max_abs(A, axis)
+            # NaN compares equal here; +0.0 and -0.0 do too, and both fail > 0
+            np.testing.assert_array_equal(got, ref)
+            assert (got.min() > 0.0) == (ref.min() > 0.0)
+            decisions.append(got.min() > 0.0)
+        assert all(decisions) == accepted
+
+    @pytest.mark.parametrize("n,d,density,seed", [
+        (40, 30, 0.05, 0), (25, 60, 0.2, 7), (15, 15, 0.7, 123)])
+    def test_generate_lad_unchanged(self, n, d, density, seed):
+        inst = generate_lad(n, d, 1.0, seed, density=density)
+        A, b = _reference_generate_lad_arrays(n, d, 1.0, seed, density)
+        np.testing.assert_array_equal(inst.data["A"], A)
+        np.testing.assert_array_equal(inst.data["b"], b)
+        rows, cols = np.nonzero(A)
+        supports = np.stack([cols, d + rows], axis=1)
+        for j, comp in enumerate(inst.operator.components):
+            np.testing.assert_array_equal(comp.out_idx, supports[j])
+            np.testing.assert_array_equal(comp.in_idx, supports[j])
 
 
 class TestPolicyEval:
