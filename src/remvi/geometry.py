@@ -189,6 +189,12 @@ class GeometryBundle:
         self._lo[ei] = self._eu_lo
         self._hi[ei] = self._eu_hi
         self._wx0 = self._w * self.x0
+        # validate_domain compares only the coordinates with a finite bound
+        # on some side: a finite x never violates -inf or +inf
+        self._bounded_idx = np.flatnonzero((self._lo > -np.inf)
+                                           | (self._hi < np.inf))
+        self._bounded_lo = self._lo[self._bounded_idx]
+        self._bounded_hi = self._hi[self._bounded_idx]
 
     # -- block-level operations -------------------------------------------
 
@@ -332,10 +338,10 @@ class GeometryBundle:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite entries")
-        if self._eu_idx.size:
-            xe = x[self._eu_idx]
-            if np.any(xe < self._eu_lo - tol) or np.any(xe > self._eu_hi + tol):
-                raise ValueError("point violates box bounds")
+        xb = x[self._bounded_idx]
+        if (np.any(xb < self._bounded_lo - tol)
+                or np.any(xb > self._bounded_hi + tol)):
+            raise ValueError("point violates box bounds")
         for b in self._ent_blocks:
             xb = x[b.idx]
             if np.any(xb < -tol) or abs(xb.sum() - 1.0) > max(tol, 1e-8):

@@ -21,7 +21,7 @@ Families
 from __future__ import annotations
 
 import numpy as np
-from scipy.io import mmwrite
+from scipy.io import mmread, mmwrite
 from scipy.optimize import minimize
 from scipy.sparse import coo_matrix, csr_matrix
 
@@ -81,8 +81,7 @@ class ProblemInstance:
         if self.family == "lad":
             if self.ref_optimum is None:
                 raise ValueError("LAD sup-gap needs a reference optimum")
-            # the CSR copy costs nnz(A) per evaluation, not n*d
-            A, b = self.data["A_csr"], self.data["b"]
+            A, b = self.data["A"], self.data["b"]
             z = x[:A.shape[1]]
             return float(np.sum(np.abs(A @ z - b)) - self.ref_optimum)
         raise ValueError(f"sup_gap not available for family {self.family!r}")
@@ -291,25 +290,29 @@ class _LadComponent(Component):
 def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     """Least absolute deviation saddle instance with nnz(A) components.
 
-    ``quad`` > 0 adds a quadratic regularizer of that strength to both sides
-    (the strongly monotone variant); ``solve_reference`` then computes the
-    unique saddle point with an independent box-constrained dual solve.
+    ``A`` is a dense array or any ``scipy.sparse`` matrix; the instance keeps
+    it as a canonical CSR (sorted column indices, duplicates summed, no stored
+    zeros) in ``data["A"]``, whose entries are those ``np.nonzero`` finds in
+    the dense matrix.  ``quad`` > 0 adds a quadratic regularizer of that
+    strength to both sides (the strongly monotone variant);
+    ``solve_reference`` then computes the unique saddle point with an
+    independent box-constrained dual solve.
     """
-    A = np.asarray(A, dtype=float)
+    A = csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
     b = np.asarray(b, dtype=float)
     n, d = A.shape
     if b.shape != (n,):
         raise ValueError("b must have one entry per row of A")
-    rows, cols = np.nonzero(A)
-    if rows.size == 0:
+    if A.nnz == 0:
         raise ValueError("A has no nonzero entries")
-    counts = np.bincount(rows, minlength=n)
+    counts = np.diff(A.indptr)
     if np.any(counts == 0):
         raise ValueError(f"empty row {int(np.argmin(counts))}: b entry unreachable")
-    vals = A[rows, cols]
-    # np.nonzero is row-major, so (vals, cols) are already in CSR order
-    A_csr = csr_matrix((vals, cols, np.concatenate(([0], np.cumsum(counts)))),
-                       shape=(n, d))
+    # CSR order is row-major: the order of np.nonzero on the dense matrix
+    rows = np.repeat(np.arange(n), counts)
+    cols, vals = A.indices, A.data
     idx = np.stack([cols, d + rows], axis=1)
     comps = [_LadComponent(*args) for args in zip(
         idx, cols.tolist(), (d + rows).tolist(), vals.tolist(),
@@ -328,8 +331,7 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
         reference = _solve_lad_reference(A, b, quad)
     op = FiniteSumOperator(comps, d + n)
     return ProblemInstance("lad", geometry, op, LipschitzProfile(lam), weights,
-                           lpq, data={"A": A, "A_csr": A_csr, "b": b,
-                                      "quad": quad},
+                           lpq, data={"A": A, "b": b, "quad": quad},
                            reference=reference, ref_optimum=ref_optimum)
 
 
@@ -520,34 +522,70 @@ def generate_box_simplex(n, d, exponent, seed):
     return make_box_simplex(A, b)
 
 
-def _max_abs(A, axis):
-    """``np.abs(A).max(axis)`` without allocating |A|: the same values, NaN
-    propagating and an all-zero line giving 0 (-0.0 at worst)."""
-    return np.maximum(A.max(axis=axis), -A.min(axis=axis))
+def _lines_nonzero(A):
+    """Whether every row and every column of the CSR ``A`` holds an entry
+    with |a| > 0 and no entry is NaN: the decision of
+    ``np.abs(dense).max(axis).min() > 0`` on both axes, read off the stored
+    values alone."""
+    vals = A.data
+    if np.isnan(vals).any():
+        return False
+    live = vals != 0.0
+    n, d = A.shape
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    return bool(np.bincount(rows[live], minlength=n).all()
+                and np.bincount(A.indices[live], minlength=d).all())
+
+
+# Elements of an n x d array held at once: generate_lad draws its mask in
+# blocks of max(1, _CHUNK_ELEMENTS // d) rows (the draws of one n x d call,
+# in order) and computes b = A z* on dense blocks of about as many rows, so
+# no n x d array exists.
+_CHUNK_ELEMENTS = 2 ** 20
+# OpenBLAS's gemv sums the rows left over from its kernel's row group (4 on
+# x86-64) in another order than the rest, so b's blocks hold a multiple of
+# 16 rows: every row keeps its place in a group and b is bitwise what one
+# n x d gemv gives.
+_GEMV_ROWS = 16
 
 
 def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
                  solve_reference=False, max_retries=32):
     """Random LAD instance whose |A_ij| profile over the nonzeros follows the
     shape; b is consistent (b = A z*, planted at ``z_scale``), so the primal
-    optimum is 0."""
+    optimum is 0.  A is built as a CSR matrix straight from the draws."""
+    step = max(1, _CHUNK_ELEMENTS // d)
+    b_step = max(_GEMV_ROWS, step - step % _GEMV_ROWS)
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 303, attempt)))
-        mask = rng.random((n, d)) < density
+        rows, cols = [], []
+        for r0 in range(0, n, step):
+            r, c = np.nonzero(rng.random((min(step, n - r0), d)) < density)
+            rows.append(r + r0)
+            cols.append(c)
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
         # the draws fill empty rows first, then the columns still empty
-        for i in np.flatnonzero(~mask.any(axis=1)):
-            mask[i, rng.integers(d)] = True
-        for j in np.flatnonzero(~mask.any(axis=0)):
-            mask[rng.integers(n), j] = True
-        m = int(mask.sum())
+        fill_rows = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
+        fill_cols = np.array([rng.integers(d) for _ in fill_rows], dtype=np.intp)
+        col_counts = (np.bincount(cols, minlength=d)
+                      + np.bincount(fill_cols, minlength=d))
+        empty_cols = np.flatnonzero(col_counts == 0)
+        rows = np.concatenate([rows, fill_rows, np.array(
+            [rng.integers(n) for _ in empty_cols], dtype=np.intp)])
+        cols = np.concatenate([cols, fill_cols, empty_cols])
+        # every fill lands on a cell that was empty, so there are no
+        # duplicates; building the CSR from (row, col) pairs sorts them into
+        # row-major order, the order the values are drawn in
+        m = rows.size
+        A = csr_matrix((np.ones(m), (rows, cols)), shape=(n, d))
         magnitudes = rng.permutation(lipschitz_shape(m, exponent))
         signs = rng.choice([-1.0, 1.0], size=m)
-        A = np.zeros((n, d))
-        A[mask] = magnitudes * signs
-        if (_max_abs(A, axis=1).min() > 0.0
-                and _max_abs(A, axis=0).min() > 0.0):
+        A.data[:] = magnitudes * signs
+        if _lines_nonzero(A):
             z_star = z_scale * rng.uniform(-1.0, 1.0, size=d)
-            b = A @ z_star
+            b = np.concatenate([A[r0:r0 + b_step].toarray() @ z_star
+                                for r0 in range(0, n, b_step)])
             return make_lad(A, b, quad=quad, ref_optimum=0.0,
                             solve_reference=solve_reference)
     raise ValueError(f"failed to generate a valid LAD instance in {max_retries} tries")
@@ -656,14 +694,16 @@ def load_instance(basename):
         Phi = load_matrix_market(basename + ".phi.mtx")
         R = np.array([float(v) for v in meta["rewards"].split(",")])
         return make_policy_eval(P, Phi, R, float(meta["beta"]), float(meta["mu"]))
-    A = load_matrix_market(basename + ".mtx")
     if family == "matrix-game":
-        return make_matrix_game(A, mode=meta.get("mode", "two-sided"))
+        return make_matrix_game(load_matrix_market(basename + ".mtx"),
+                                mode=meta.get("mode", "two-sided"))
     b = np.array([float(v) for v in meta["b"].split(",")])
     if family == "box-simplex":
-        return make_box_simplex(A, b)
+        return make_box_simplex(load_matrix_market(basename + ".mtx"), b)
     if family == "lad":
+        # read as sparse: make_lad takes it without a dense n x d copy
         ref = meta.get("ref_optimum")
-        return make_lad(A, b, quad=float(meta.get("quad", "0.0")),
+        return make_lad(mmread(basename + ".mtx"), b,
+                        quad=float(meta.get("quad", "0.0")),
                         ref_optimum=None if ref is None else float(ref))
     raise ValueError(f"unknown family {family!r} in {basename}.meta")

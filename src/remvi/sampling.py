@@ -92,10 +92,6 @@ class RngStream:
         self._gen = np.random.Generator(bg)
         self.counter = counter
 
-    def numpy_generator(self):
-        """Underlying numpy Generator (advances the shared state)."""
-        return self._gen
-
 
 class SamplingPlan:
     """Distributions p (extrapolation index) and q (refresh index), with O(1)

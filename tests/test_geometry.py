@@ -223,3 +223,66 @@ def test_sample_domain_feasible():
     for geom in ALL_GEOMS:
         for _ in range(25):
             geom.validate_domain(geom.sample_domain(rng), tol=1e-12)
+
+
+def _validate_domain_all_coordinates(geom, x, tol):
+    """``validate_domain`` as it compared every Euclidean coordinate against
+    its bounds, infinite ones included (the reference)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point has non-finite entries")
+    if geom._eu_idx.size:
+        xe = x[geom._eu_idx]
+        if np.any(xe < geom._eu_lo - tol) or np.any(xe > geom._eu_hi + tol):
+            raise ValueError("point violates box bounds")
+    for b in geom._ent_blocks:
+        xb = x[b.idx]
+        if np.any(xb < -tol) or abs(xb.sum() - 1.0) > max(tol, 1e-8):
+            raise ValueError("point outside the probability simplex")
+
+
+def _domain_decision(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_domain_checks_only_bounded_coordinates():
+    # coordinates 0-3: one-sided, two-sided, infinite on both sides;
+    # 4-5 unbounded; 6-8 a simplex
+    geom = GeometryBundle([
+        euclidean_block(np.arange(4), lo=[-np.inf, -1.0, 0.5, -np.inf],
+                        hi=[2.0, np.inf, 3.0, np.inf]),
+        euclidean_block(np.arange(4, 6)),
+        simplex_block(np.arange(6, 9)),
+    ])
+    np.testing.assert_array_equal(geom._bounded_idx, [0, 1, 2])
+    inside = np.array([0.0, 0.0, 1.0, 0.0, 5.0, -5.0, 0.2, 0.3, 0.5])
+    cases = [inside]
+    for tol in (0.0, 1e-9, 1e-7, 0.5):
+        for i, edge in ((0, 2.0 + tol), (1, -1.0 - tol), (2, 0.5 - tol),
+                        (2, 3.0 + tol)):
+            toward = np.inf if edge > inside[i] else -np.inf
+            for v in (edge, np.nextafter(edge, toward),
+                      np.nextafter(edge, -toward)):
+                x = inside.copy()
+                x[i] = v
+                cases.append((x, tol))
+    for v in (np.nan, np.inf, -np.inf, 1e300, -1e300):
+        for i in (0, 1, 3, 4, 7):
+            x = inside.copy()
+            x[i] = v
+            cases.append(x)
+    decisions = set()
+    for case in cases:
+        x, tol = case if isinstance(case, tuple) else (case, 1e-9)
+        got = _domain_decision(geom.validate_domain, x, tol)
+        assert got == _domain_decision(_validate_domain_all_coordinates,
+                                       geom, x, tol)
+        decisions.add(got)
+    # the cases reach every outcome
+    assert decisions == {None, "point violates box bounds",
+                         "point has non-finite entries",
+                         "point outside the probability simplex"}

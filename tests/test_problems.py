@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, csr_matrix
 
+from remvi import problems
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
-from remvi.problems import (_max_abs, generate_instance, generate_lad,
+from remvi.problems import (_lines_nonzero, generate_instance, generate_lad,
                             load_instance, make_box_simplex, make_lad,
                             make_matrix_game, make_policy_eval, lipschitz_shape,
                             problem_instances_for_tests, save_instance,
@@ -219,13 +222,13 @@ class TestLad:
 
 def dense_lad_gap(inst, x):
     """The LAD sup-gap computed on the dense A (the reference formula)."""
-    A, b = inst.data["A"], inst.data["b"]
+    A, b = inst.data["A"].toarray(), inst.data["b"]
     return float(np.sum(np.abs(A @ x[:A.shape[1]] - b)) - inst.ref_optimum)
 
 
 class TestLadCsrMetric:
-    """The LAD sup-gap runs on a CSR copy of A; it must equal the dense
-    formula up to summation order."""
+    """The LAD sup-gap runs on the CSR A; it must equal the dense formula up
+    to summation order."""
 
     def check_points(self, inst, seed, count=20):
         rng = np.random.default_rng(seed)
@@ -235,8 +238,10 @@ class TestLadCsrMetric:
                 assert inst.sup_gap(x) == pytest.approx(dense_lad_gap(inst, x),
                                                         rel=1e-12)
 
-    def check_csr(self, inst):
-        A, A_csr = inst.data["A"], inst.data["A_csr"]
+    def check_csr(self, inst, A):
+        """``inst.data["A"]`` is the canonical CSR of the dense ``A``."""
+        A_csr = inst.data["A"]
+        assert isinstance(A_csr, csr_matrix)
         assert A_csr.shape == A.shape
         assert A_csr.nnz == np.count_nonzero(A)
         assert A_csr.has_canonical_format
@@ -249,7 +254,8 @@ class TestLadCsrMetric:
         (30, 20, 0.2, 0), (12, 40, 0.1, 1), (50, 50, 1.0, 2)])
     def test_generated_matches_dense(self, n, d, density, seed):
         inst = generate_lad(n, d, 1.0, seed, density=density)
-        self.check_csr(inst)
+        A, _, _ = _reference_generate_lad_arrays(n, d, 1.0, seed, density)
+        self.check_csr(inst, A)
         self.check_points(inst, seed)
 
     def test_handwritten_matches_dense(self):
@@ -258,9 +264,9 @@ class TestLadCsrMetric:
                       [-0.5, 7.0, 0.0, 1e-3]])
         b = np.array([0.3, -1.0, 2.0])
         inst = make_lad(A, b, ref_optimum=0.125)
-        self.check_csr(inst)
-        np.testing.assert_array_equal(inst.data["A_csr"].indptr, [0, 2, 3, 6])
-        np.testing.assert_array_equal(inst.data["A_csr"].indices,
+        self.check_csr(inst, A)
+        np.testing.assert_array_equal(inst.data["A"].indptr, [0, 2, 3, 6])
+        np.testing.assert_array_equal(inst.data["A"].indices,
                                       [0, 2, 3, 0, 1, 3])
         self.check_points(inst, 11)
         x = np.array([1.0, -1.0, 0.5, 2.0, 0.0, 0.0, 0.0])
@@ -273,8 +279,12 @@ class TestLadCsrMetric:
         base = str(tmp_path / "lad")
         save_instance(inst, base)
         loaded = load_instance(base)
-        self.check_csr(loaded)
-        np.testing.assert_array_equal(loaded.data["A"], inst.data["A"])
+        self.check_csr(loaded, inst.data["A"].toarray())
+        np.testing.assert_array_equal(loaded.data["A"].toarray(),
+                                      inst.data["A"].toarray())
+        for key in ("indptr", "indices", "data"):
+            assert (getattr(loaded.data["A"], key).tobytes()
+                    == getattr(inst.data["A"], key).tobytes())
         rng = np.random.default_rng(12)
         for _ in range(20):
             x = inst.sample_feasible(rng)
@@ -294,24 +304,29 @@ class TestLadCsrMetric:
 
 def _reference_generate_lad_arrays(n, d, exponent, seed, density, z_scale=1.0,
                                    max_retries=32):
-    """``generate_lad``'s draws with the validity check on an explicit |A|
-    copy, as the generator did before it compared max and -min instead."""
+    """``generate_lad`` as a dense generator (one n x d mask, a dense A, the
+    validity check on an explicit |A| copy and one n x d gemv for b), the
+    reference for the row-block CSR build.  Returns A, b and the accepted
+    attempt with its numbers of row and column fills."""
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 303, attempt)))
         mask = rng.random((n, d)) < density
-        for i in np.flatnonzero(~mask.any(axis=1)):
+        row_fills = np.flatnonzero(~mask.any(axis=1))
+        for i in row_fills:
             mask[i, rng.integers(d)] = True
-        for j in np.flatnonzero(~mask.any(axis=0)):
+        col_fills = np.flatnonzero(~mask.any(axis=0))
+        for j in col_fills:
             mask[rng.integers(n), j] = True
         m = int(mask.sum())
         magnitudes = rng.permutation(lipschitz_shape(m, exponent))
         signs = rng.choice([-1.0, 1.0], size=m)
         A = np.zeros((n, d))
         A[mask] = magnitudes * signs
-        absA = np.abs(A)
+        with np.errstate(invalid="ignore"):
+            absA = np.abs(A)
         if absA.max(axis=1).min() > 0.0 and absA.max(axis=0).min() > 0.0:
             z_star = z_scale * rng.uniform(-1.0, 1.0, size=d)
-            return A, A @ z_star
+            return A, A @ z_star, (attempt, row_fills.size, col_fills.size)
     raise ValueError("no valid instance")
 
 
@@ -347,29 +362,164 @@ class TestLadValidityCheck:
     @pytest.mark.parametrize("name,A,accepted", _validity_cases(),
                              ids=[c[0] for c in _validity_cases()])
     def test_max_abs_matches_abs_copy(self, name, A, accepted):
-        decisions = []
-        for axis in (0, 1):
-            with np.errstate(invalid="ignore"):
-                ref = np.abs(A).max(axis=axis)
-                got = _max_abs(A, axis)
-            # NaN compares equal here; +0.0 and -0.0 do too, and both fail > 0
-            np.testing.assert_array_equal(got, ref)
-            assert (got.min() > 0.0) == (ref.min() > 0.0)
-            decisions.append(got.min() > 0.0)
-        assert all(decisions) == accepted
+        # the check on CSR values takes the decision the row and column
+        # maxima of |A| take on the dense matrix
+        with np.errstate(invalid="ignore"):
+            ref = [np.abs(A).max(axis=axis).min() > 0.0 for axis in (0, 1)]
+        assert all(ref) == accepted
+        n, d = A.shape
+        rows, cols = np.nonzero(A)
+        # only the np.nonzero entries stored, then every cell (zeros too)
+        nonzero = csr_matrix((A[rows, cols], (rows, cols)), shape=A.shape)
+        every = csr_matrix((A.ravel(), (np.repeat(np.arange(n), d),
+                                        np.tile(np.arange(d), n))),
+                           shape=A.shape)
+        assert every.nnz == A.size
+        assert _lines_nonzero(nonzero) == accepted
+        assert _lines_nonzero(every) == accepted
 
     @pytest.mark.parametrize("n,d,density,seed", [
         (40, 30, 0.05, 0), (25, 60, 0.2, 7), (15, 15, 0.7, 123)])
     def test_generate_lad_unchanged(self, n, d, density, seed):
         inst = generate_lad(n, d, 1.0, seed, density=density)
-        A, b = _reference_generate_lad_arrays(n, d, 1.0, seed, density)
-        np.testing.assert_array_equal(inst.data["A"], A)
+        A, b, _ = _reference_generate_lad_arrays(n, d, 1.0, seed, density)
+        np.testing.assert_array_equal(inst.data["A"].toarray(), A)
         np.testing.assert_array_equal(inst.data["b"], b)
         rows, cols = np.nonzero(A)
         supports = np.stack([cols, d + rows], axis=1)
         for j, comp in enumerate(inst.operator.components):
             np.testing.assert_array_equal(comp.out_idx, supports[j])
             np.testing.assert_array_equal(comp.in_idx, supports[j])
+
+
+def _dense_lad_expectations(A):
+    """Supports, lam, weights and lpq that make_lad derives from the
+    np.nonzero entries of a dense A."""
+    n, d = A.shape
+    rows, cols = np.nonzero(A)
+    lam = np.abs(A[rows, cols])
+    return (np.stack([cols, d + rows], axis=1), lam, np.sqrt(lam),
+            float(np.sum(np.sqrt(lam)) ** 2))
+
+
+def _check_lad_matches_dense(inst, A):
+    supports, lam, weights, lpq = _dense_lad_expectations(A)
+    got = inst.data["A"]
+    assert got.has_canonical_format
+    dense = got.toarray()
+    np.testing.assert_array_equal(dense, A)
+    # a -0.0 of A is no entry, so it reads back as +0.0
+    assert np.array_equal(np.signbit(dense), np.signbit(A) & (A != 0.0))
+    assert inst.m == len(supports)
+    for j, comp in enumerate(inst.operator.components):
+        np.testing.assert_array_equal(comp.out_idx, supports[j])
+        np.testing.assert_array_equal(comp.in_idx, supports[j])
+    assert inst.profile.lam.tobytes() == lam.tobytes()
+    assert inst.plan_weights.tobytes() == weights.tobytes()
+    assert inst.plan_lpq == lpq
+
+
+# (n, d, exponent, seed, density) and what each exercises in the generator
+_CHUNK_CASES = {
+    "row-and-column-fills": (40, 30, 1.0, 0, 0.05),
+    "row-fills": (50, 3, 1.0, 2, 0.01),
+    "column-fills": (3, 50, 1.0, 2, 0.01),
+    "retry": (5, 4, 300.0, 18, 0.5),
+    "b-in-32-row-blocks": (100, 30, 2.0, 1, 0.03),
+}
+# rows per mask block, as a function of n
+_CHUNK_ROWS = {
+    "1-row": lambda n: 1,
+    "non-divisor": lambda n: n // 2 + 1,
+    "n-rows": lambda n: n,
+    "beyond-n": lambda n: 4 * n,
+    "37-rows": lambda n: 37,
+}
+
+
+class TestLadRowBlockGenerator:
+    """generate_lad draws its mask and computes b in row blocks and builds
+    the CSR straight from them; the instance must be bitwise the dense
+    generator's, whatever the block size."""
+
+    @pytest.mark.parametrize("rows", list(_CHUNK_ROWS))
+    @pytest.mark.parametrize("case", list(_CHUNK_CASES))
+    def test_equals_dense_generator(self, case, rows, monkeypatch):
+        n, d, exponent, seed, density = _CHUNK_CASES[case]
+        monkeypatch.setattr(problems, "_CHUNK_ELEMENTS",
+                            _CHUNK_ROWS[rows](n) * d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inst = generate_lad(n, d, exponent, seed, density=density)
+            A, b, (attempt, row_fills, col_fills) = \
+                _reference_generate_lad_arrays(n, d, exponent, seed, density)
+        # each case reaches the path it is named after
+        assert {"row-and-column-fills": row_fills and col_fills,
+                "row-fills": row_fills, "column-fills": col_fills,
+                "retry": attempt > 0, "b-in-32-row-blocks": n > 64}[case]
+        _check_lad_matches_dense(inst, A)
+        assert inst.data["b"].tobytes() == b.tobytes()
+
+    def test_input_forms_give_one_instance(self):
+        # dense, CSR with unsorted column indices, and COO in shuffled order
+        # with explicit zeros (+0.0 and -0.0) and a duplicate pair
+        A = np.array([[1.5, 0.0, -2.0, 0.0, 0.25],
+                      [0.0, -0.0, 0.0, 3.25, 0.0],
+                      [-0.5, 7.0, 0.0, 1e-3, 0.0],
+                      [0.0, 0.0, 4.0, 0.0, -1.0]])
+        b = np.array([0.3, -1.0, 2.0, 0.0])
+        rows, cols = np.nonzero(A)
+        counts = np.bincount(rows, minlength=4)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        perm = np.concatenate([np.arange(lo, hi)[::-1]
+                               for lo, hi in zip(indptr[:-1], indptr[1:])])
+        unsorted = csr_matrix((A[rows, cols][perm], cols[perm], indptr),
+                              shape=A.shape)
+        assert not unsorted.has_sorted_indices
+        coo_r = np.concatenate([rows, [1, 3, 2, 0, 0]])
+        coo_c = np.concatenate([cols, [1, 1, 4, 4, 4]])
+        coo_v = np.concatenate([A[rows, cols], [-0.0, 0.0, 0.0, -1.0, 1.0]])
+        order = np.random.default_rng(0).permutation(coo_v.size)
+        coo = coo_matrix((coo_v[order], (coo_r[order], coo_c[order])),
+                         shape=A.shape)
+        A[0, 4] = 0.25 - 1.0 + 1.0      # the duplicate pair sums to 0.25
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, 9)
+        ref = make_lad(A, b, quad=0.5, ref_optimum=0.1)
+        _check_lad_matches_dense(ref, A)
+        for form in (unsorted, coo):
+            inst = make_lad(form, b, quad=0.5, ref_optimum=0.1)
+            _check_lad_matches_dense(inst, A)
+            for key in ("indptr", "indices", "data"):
+                assert (getattr(inst.data["A"], key).tobytes()
+                        == getattr(ref.data["A"], key).tobytes())
+            assert (inst.operator.evaluate_full(x).tobytes()
+                    == ref.operator.evaluate_full(x).tobytes())
+            assert inst.sup_gap(x) == ref.sup_gap(x)
+        # the caller's matrix is left as it was
+        assert not unsorted.has_sorted_indices
+        assert coo.nnz == coo_v.size
+
+    def test_no_dense_n_by_d_allocation(self, tmp_path):
+        # generate, save/load and the sup-gap at 2000 x 2000, density 0.005
+        # (about 20k nonzeros): no step may hold half a dense float64 A
+        n = d = 2000
+        limit = n * d * 8 // 2
+        base = str(tmp_path / "lad")
+        tracemalloc.start()
+        try:
+            inst = generate_lad(n, d, 1.0, 0, density=0.005)
+            peaks = {"generate_lad": tracemalloc.get_traced_memory()[1]}
+            save_instance(inst, base)
+            for name, call in (("load_instance", lambda: load_instance(base)),
+                               ("sup_gap", lambda: inst.sup_gap(inst.x0))):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+                del out
+        finally:
+            tracemalloc.stop()
+        assert inst.m == pytest.approx(n * d * 0.005, rel=0.05)
+        assert max(peaks.values()) < limit, peaks
 
 
 class TestPolicyEval:
@@ -497,7 +647,8 @@ class TestGenerators:
     def test_reproducible(self):
         a = generate_instance("lad", 8, 6, 2.0, seed=5, density=0.5)
         b = generate_instance("lad", 8, 6, 2.0, seed=5, density=0.5)
-        np.testing.assert_array_equal(a.data["A"], b.data["A"])
+        np.testing.assert_array_equal(a.data["A"].toarray(),
+                                      b.data["A"].toarray())
         np.testing.assert_array_equal(a.data["b"], b.data["b"])
 
     def test_lad_rows_covered(self):

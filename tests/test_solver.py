@@ -372,7 +372,7 @@ class TestLazyCatchup:
 class TestLazySupportBookkeeping:
     def test_lad_touched_coordinates_bounded(self):
         inst = generate_instance("lad", 12, 9, 1.0, seed=2, density=0.3)
-        A = inst.data["A"]
+        A = inst.data["A"].toarray()
         bound = 2 * (np.count_nonzero(A, axis=1).max()
                      + np.count_nonzero(A, axis=0).max())
         op = inst.operator
