@@ -108,10 +108,10 @@ def _check_finite(v, what):
         raise ValueError(f"{what} must be finite")
 
 
-def _entropy_prox(anchor, z, log_anchor=None):
+def _entropy_prox(log_anchor, z):
     # Computed in log-space with max-subtraction: z accumulates over many
     # iterations and exp(-z) overflows otherwise.
-    logits = (np.log(anchor) if log_anchor is None else log_anchor) - z
+    logits = log_anchor - z
     logits -= logits.max()
     u = np.exp(logits)
     u /= u.sum()
@@ -173,9 +173,6 @@ class GeometryBundle:
             self._ent_sizes = sizes
         else:
             self._ent_idx = np.empty(0, dtype=np.intp)
-        self._coord_block = np.empty(d, dtype=np.intp)
-        for bi, b in enumerate(self.blocks):
-            self._coord_block[b.idx] = bi
         # The same parameters as full-length per-coordinate arrays, so that
         # prox_coords gathers an arbitrary coordinate set in one step each.
         # Entropy coordinates hold neutral values and are never read.
@@ -198,7 +195,7 @@ class GeometryBundle:
 
     # -- block-level operations -------------------------------------------
 
-    def prox_block(self, block, z_block, A, x0_block=None):
+    def prox_block(self, block, z_block, A):
         """argmin_u <z, u> + A g(u) + D(u, x0) over one block, in closed form."""
         b = self.blocks[block] if isinstance(block, (int, np.integer)) else block
         z_block = np.asarray(z_block, dtype=float)
@@ -206,29 +203,24 @@ class GeometryBundle:
         if A < 0.0:
             raise ValueError("step-size sum A must be >= 0")
         if b.kind == "entropy":
-            if x0_block is None:
-                return _entropy_prox(b.anchor, z_block, log_anchor=b.log_anchor)
-            x0 = np.asarray(x0_block, dtype=float)
-            if np.any(x0 <= 0.0):
-                raise ValueError("entropy prox anchor must be interior")
-            return _entropy_prox(x0, z_block)
-        x0 = b.anchor if x0_block is None else np.asarray(x0_block, dtype=float)
+            return _entropy_prox(b.log_anchor, z_block)
         w = b.weights if b.weights is not None else 1.0
-        u = (w * x0 - z_block) / (w + A * b.mu)
+        u = (w * b.anchor - z_block) / (w + A * b.mu)
         if b.lo is not None or b.hi is not None:
             lo = -np.inf if b.lo is None else b.lo
             hi = np.inf if b.hi is None else b.hi
             u = np.clip(u, lo, hi)
         return u
 
-    def prox_coords(self, idx, z_idx, A):
+    def prox_coords(self, idx, z_idx, A, check=True):
         """The prox on an arbitrary set of Euclidean coordinates ``idx``
         given z on them.  Euclidean blocks are separable, so this equals
         prox_block element by element on whatever blocks the coordinates
         belong to."""
-        _check_finite(z_idx, "prox input z")
-        if A < 0.0:
-            raise ValueError("step-size sum A must be >= 0")
+        if check:
+            _check_finite(z_idx, "prox input z")
+            if A < 0.0:
+                raise ValueError("step-size sum A must be >= 0")
         u = (self._wx0[idx] - z_idx) / (self._w[idx] + A * self._mu[idx])
         np.maximum(u, self._lo[idx], out=u)
         return np.minimum(u, self._hi[idx], out=u)
@@ -263,10 +255,23 @@ class GeometryBundle:
 
     # -- full-space operations --------------------------------------------
 
+    def prox_entropy(self, z_ent, log_anchor=None):
+        """The prox on all entropy coordinates, in ``_ent_idx`` order, given
+        z on them: one segmented pass over the blocks (each simplex needs
+        its own normalization).  ``log_anchor`` (same order) defaults to the
+        blocks' own anchors."""
+        la = self._ent_log_anchor if log_anchor is None else log_anchor
+        logits = la - z_ent
+        starts = self._ent_starts
+        logits -= np.repeat(np.maximum.reduceat(logits, starts), self._ent_sizes)
+        u = np.exp(logits)
+        u /= np.repeat(np.add.reduceat(u, starts), self._ent_sizes)
+        return u
+
     def prox_full(self, z, A, anchor=None, check=True):
         """Full-vector prox: one vectorized pass over all Euclidean
-        coordinates and one segmented pass over the entropy blocks (each
-        simplex needs its own normalization)."""
+        coordinates and one segmented pass over the entropy blocks
+        (``prox_entropy``)."""
         if check:
             _check_finite(z, "prox input z")
             if A < 0.0:
@@ -279,18 +284,13 @@ class GeometryBundle:
             np.clip(u, self._eu_lo, self._eu_hi, out=u)
             out[ei] = u
         if self._ent_idx.size:
-            if anchor is None:
-                logits = self._ent_log_anchor - z[self._ent_idx]
-            else:
+            log_anchor = None
+            if anchor is not None:
                 a = x0[self._ent_idx]
                 if np.any(a <= 0.0):
                     raise ValueError("entropy prox anchor must be interior")
-                logits = np.log(a) - z[self._ent_idx]
-            starts = self._ent_starts
-            logits -= np.repeat(np.maximum.reduceat(logits, starts), self._ent_sizes)
-            u = np.exp(logits)
-            u /= np.repeat(np.add.reduceat(u, starts), self._ent_sizes)
-            out[self._ent_idx] = u
+                log_anchor = np.log(a)
+            out[self._ent_idx] = self.prox_entropy(z[self._ent_idx], log_anchor)
         return out
 
     def bregman(self, x, y):
@@ -346,13 +346,6 @@ class GeometryBundle:
             xb = x[b.idx]
             if np.any(xb < -tol) or abs(xb.sum() - 1.0) > max(tol, 1e-8):
                 raise ValueError("point outside the probability simplex")
-
-    def feasible(self, x, tol=DOMAIN_TOL):
-        try:
-            self.validate_domain(x, tol=tol)
-        except ValueError:
-            return False
-        return True
 
     def sample_domain(self, rng, sharp=False):
         """Random feasible point: Dirichlet on simplexes, uniform on boxes,

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.io import mmread, mmwrite
 from scipy.optimize import minimize
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse.linalg import spsolve
 
 from .geometry import GeometryBundle, euclidean_block, simplex_block
 from .operators import (Component, FiniteSumOperator, LipschitzProfile,
@@ -335,10 +336,40 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
                            reference=reference, ref_optimum=ref_optimum)
 
 
+def _polish_lad_dual(A, b, quad, y, steps=10):
+    """Active-set Newton steps on the dual optimality condition
+    y = clip(t, -1, 1), t = -(A A^T y + quad b)/quad^2 (the KKT condition
+    y = clip((Az - b)/quad, -1, 1) at z = -A^T y / quad): y is fixed at the
+    bound where |t| >= 1 and solved exactly on the free rest F from
+    (quad^2 I + A_F A_F^T) y_F = -A_F A_B^T y_B - quad b_F, a sparse system.
+    A step is kept only while it lowers the KKT residual."""
+    q2 = quad * quad
+
+    def kkt(y):
+        t = -(A @ (A.T @ y) + quad * b) / q2
+        return t, np.max(np.abs(y - np.clip(t, -1.0, 1.0)))
+
+    t, res = kkt(y)
+    for _ in range(steps):
+        free = np.abs(t) < 1.0
+        y_new = np.clip(t, -1.0, 1.0)
+        if free.any():
+            A_F = A[free]
+            rhs = -(A_F @ (A[~free].T @ y_new[~free])) - quad * b[free]
+            M = A_F @ A_F.T + q2 * identity(A_F.shape[0], format="csr")
+            y_new[free] = spsolve(M.tocsc(), rhs)
+        t_new, res_new = kkt(y_new)
+        if not res_new < res:
+            break
+        y, t, res = y_new, t_new, res_new
+    return y
+
+
 def _solve_lad_reference(A, b, quad):
     """Saddle point of <Az-b, y> + quad/2 ||z||^2 - quad/2 ||y||^2 over
-    y in [-1,1]^n: maximize the (strongly concave) dual with L-BFGS-B, then
-    recover z from first-order optimality."""
+    y in [-1,1]^n: maximize the (strongly concave) dual with L-BFGS-B,
+    polish it with active-set Newton steps, then recover z from first-order
+    optimality."""
     n = A.shape[0]
 
     def negdual(y):
@@ -350,7 +381,7 @@ def _solve_lad_reference(A, b, quad):
     res = minimize(negdual, np.zeros(n), jac=True, method="L-BFGS-B",
                    bounds=[(-1.0, 1.0)] * n,
                    options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-14})
-    y = res.x
+    y = _polish_lad_dual(A, b, quad, res.x)
     z = -(A.T @ y) / quad
     return np.concatenate([z, y])
 

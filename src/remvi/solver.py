@@ -7,13 +7,16 @@ extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
 vector z.  ``run`` is the one loop; the dual state it drives decides how much
 of z and x an iteration touches.  The dense state updates all of them.  The
-lazy state defers dual accumulation on untouched coordinates: while a
-coordinate's aggregate entry is constant, its pending increments sum to
-(A_now - A_last) * aggregate_entry, so only the Euclidean coordinates and
-entropy blocks read or written by the two sampled components are
-materialized per iteration.  Both consume the same draw stream (j1 first,
-then j2) and produce trajectories that agree to floating-point accumulation
-order.
+lazy state defers dual accumulation on untouched Euclidean coordinates:
+while a coordinate's aggregate entry is constant, its pending increments sum
+to (A_now - A_last) * aggregate_entry, so only the Euclidean coordinates read
+or written by the two sampled components are materialized per iteration.
+Entropy (simplex) coordinates are not deferred: a simplex prox renormalises
+its whole block, so the lazy state steps them every iteration exactly as the
+dense state does.  Both consume the same draw stream (j1 first, then j2) and
+produce trajectories that agree to floating-point accumulation order; on an
+all-entropy geometry (matrix games) nothing is deferred and they are equal
+bit for bit.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -39,11 +42,12 @@ SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
 
 class DivergenceError(RuntimeError):
-    """Iterate norm exceeded the configured bound (mis-specified constants)."""
+    """The iterate's norm exceeded the configured bound, or the dual vector
+    overflowed (mis-specified constants)."""
 
-    def __init__(self, iteration, norm, bound):
+    def __init__(self, iteration, norm, bound, what="iterate"):
         super().__init__(
-            f"iterate inf-norm {norm:.3e} exceeded bound {bound:.3e} "
+            f"{what} inf-norm {norm:.3e} exceeded bound {bound:.3e} "
             f"at iteration {iteration}")
         self.iteration = iteration
         self.norm = norm
@@ -269,7 +273,7 @@ class _DenseDual:
             self.z[self.comps[j].out_idx] += corr
         self.x = self.geom.prox_full(self.z, A, check=False)
 
-    def at(self, A):
+    def at(self, A, k):
         return self.x
 
 
@@ -279,41 +283,38 @@ SETTLE_TOL = 1e-15
 
 
 class _LazyDual:
-    """The dual vector z and iterate x of a lazy run, caught up on demand.
+    """The dual vector z and iterate x of a lazy run: Euclidean coordinates
+    are caught up on demand, entropy coordinates are stepped every iteration.
 
-    Between touches the pending dual increments of coordinate i sum to
-    (A_now - A_last[i]) * S[i], because the aggregate S only changes where a
-    table refresh writes, and those coordinates are settled first.  Euclidean
-    coordinates are separable, so they are settled and re-proxed one
-    coordinate at a time, in one gather-and-prox pass per call, a
-    component's read and write sets being its ``in_idx`` and ``out_idx``.
-    Each entropy block (one normalisation per
-    simplex) is settled and re-proxed as a whole.  The invariant is
-    x[i] = prox(z[i], A_last[i]) on every coordinate.
+    Between touches the pending dual increments of Euclidean coordinate i sum
+    to (A_now - A_last[i]) * S[i], because the aggregate S only changes where
+    a table refresh writes, and those coordinates are settled first.
+    Euclidean coordinates are separable, so they are settled and re-proxed
+    one coordinate at a time, in one gather-and-prox pass per call, a
+    component's read and write sets being the Euclidean parts of its
+    ``in_idx`` and ``out_idx``.  A simplex prox renormalises its whole block,
+    so deferring one saves nothing: the entropy coordinates take the same
+    step, correction and segmented prox as in ``_DenseDual``.  The invariant
+    is x[i] = prox(z[i], A_last[i]) on every Euclidean coordinate.  A settled
+    z that is not finite raises DivergenceError with its iteration.
     """
 
-    def __init__(self, geom, op, S):
+    def __init__(self, geom, op, S, bound):
         self.geom = geom
         self.comps = op.components
         self.S = S
+        self.bound = bound
         self.z = np.zeros(op.d)
         self.x = geom.x0.copy()
         self.A_last = np.zeros(op.d)            # per Euclidean coordinate
-        self.A_block = np.zeros(len(geom.blocks))   # per entropy block
-        self.entropy = [(bi, b.idx) for bi, b in enumerate(geom.blocks)
-                        if b.kind == "entropy"]
-        comps = op.components
-        self.on_eu = np.ones(op.d, dtype=bool)
-        self.on_eu[geom._ent_idx] = False
-        if self.entropy:
-            self.read_coords, self.read_blocks = _split_supports(
-                geom, self.on_eu, [c.in_idx for c in comps])
-            self.write_coords, self.write_blocks = _split_supports(
-                geom, self.on_eu, [c.out_idx for c in comps])
-        else:
-            self.read_coords = [c.in_idx for c in comps]
-            self.write_coords = [c.out_idx for c in comps]
-            self.read_blocks = self.write_blocks = [()] * op.m
+        self.ent = geom._ent_idx
+        self.reads = [c.in_idx for c in self.comps]
+        self.writes = [c.out_idx for c in self.comps]
+        if self.ent.size:
+            self.on_eu = np.ones(op.d, dtype=bool)
+            self.on_eu[self.ent] = False
+            self.reads = [s[self.on_eu[s]] for s in self.reads]
+            self.writes = [s[self.on_eu[s]] for s in self.writes]
 
     def read(self, j, A_target, k, refresh=False):
         """Catch up what component j reads; with ``refresh`` also what its
@@ -322,33 +323,29 @@ class _LazyDual:
         and policy-evaluation one, needs no concatenation)."""
         if A_target == 0.0:
             return      # nothing has accumulated yet: x is still x0
-        if refresh:
-            rc, wc = self.read_coords[j], self.write_coords[j]
-            self.catch_up(rc if rc is wc else np.concatenate((rc, wc)),
-                          (*self.read_blocks[j], *self.write_blocks[j]),
-                          A_target, k)
-        else:
-            self.catch_up(self.read_coords[j], self.read_blocks[j],
-                          A_target, k)
+        rc = self.reads[j]
+        if refresh and rc is not self.writes[j]:
+            rc = np.concatenate((rc, self.writes[j]))
+        self.settle_coords(rc, A_target, k)
 
     def step(self, j, corr, a, A, k):
-        """Settle j's write set to A, add the correction, re-prox it."""
-        idx, blocks = self.write_coords[j], self.write_blocks[j]
-        if len(blocks) == 0:
-            # all of out_idx is Euclidean, and idx is out_idx
+        """Settle j's Euclidean write set to A with its part of the
+        correction; step the entropy coordinates as the dense state does."""
+        idx = self.writes[j]
+        if not self.ent.size:
             self.settle_coords(idx, A, k, corr)
             return
         out = self.comps[j].out_idx
-        eu = self.on_eu[out]
-        self.settle_coords(idx, A, k, None if corr is None else corr[eu])
-        self.settle_blocks(blocks, A, k)
+        if idx.size:        # j writes Euclidean coordinates too: split corr
+            eu = self.on_eu[out]
+            self.settle_coords(idx, A, k, None if corr is None else corr[eu])
+            out = out[~eu]
+            corr = None if corr is None else corr[~eu]
+        ent = self.ent
+        self.z[ent] += a * self.S[ent]
         if corr is not None:
-            self.z[out[~eu]] += corr[~eu]
-        self.prox_blocks(blocks, A)
-
-    def catch_up(self, idx, blocks, A_target, k):
-        self.settle_coords(idx, A_target, k)
-        self.prox_blocks(self.settle_blocks(blocks, A_target, k), A_target)
+            self.z[out] += corr
+        self.x[ent] = self.geom.prox_entropy(self.z[ent])
 
     def settle_coords(self, idx, A_target, k, corr=None):
         """Bring z up to A_target on the Euclidean coordinates ``idx``, add
@@ -370,33 +367,15 @@ class _LazyDual:
             z += corr
         self.z[idx] = z
         self.A_last[idx] = A_target
-        self.x[idx] = self.geom.prox_coords(idx, z, A_target)
+        self.x[idx] = self._prox(idx, z, A_target, k)
 
-    def settle_blocks(self, blocks, A_target, k):
-        """Bring z up to A_target on the entropy blocks ``blocks``; returns
-        the ones that were behind."""
-        stale = []
-        for b in blocks:
-            dA = A_target - self.A_block[b]
-            if dA < -SETTLE_TOL:
-                raise RuntimeError(
-                    f"lazy catch-up at iteration {k}: block {int(b)} has "
-                    f"A_last={float(self.A_block[b])!r} above the target "
-                    f"{float(A_target)!r}")
-            if dA != 0.0:
-                bidx = self.geom.blocks[b].idx
-                self.z[bidx] += dA * self.S[bidx]
-                self.A_block[b] = A_target
-                stale.append(b)
-        return stale
+    def _prox(self, idx, z, A, k):
+        if not np.isfinite(z).all():
+            raise DivergenceError(k, float(np.max(np.abs(z))), self.bound,
+                                  what="dual vector z")
+        return self.geom.prox_coords(idx, z, A, check=False)
 
-    def prox_blocks(self, blocks, A):
-        """Re-solve x = prox(z, A) on the entropy blocks."""
-        for b in blocks:
-            bidx = self.geom.blocks[b].idx
-            self.x[bidx] = self.geom.prox_block(b, self.z[bidx], A)
-
-    def at(self, A_now):
+    def at(self, A_now, k):
         """The iterate at A_now on every coordinate (a flush), leaving z as
         it is."""
         snap = self.x.copy()
@@ -405,31 +384,10 @@ class _LazyDual:
         behind = A_prev != A_now
         idx = eu[behind]
         if idx.size:
-            snap[idx] = self.geom.prox_coords(
-                idx, self.z[idx] + (A_now - A_prev[behind]) * self.S[idx], A_now)
-        for b, bidx in self.entropy:
-            dA = A_now - self.A_block[b]
-            if dA != 0.0:
-                snap[bidx] = self.geom.prox_block(
-                    b, self.z[bidx] + dA * self.S[bidx], A_now)
+            snap[idx] = self._prox(
+                idx, self.z[idx] + (A_now - A_prev[behind]) * self.S[idx],
+                A_now, k)
         return snap
-
-
-def _split_supports(geom, on_eu, supports):
-    """Split each coordinate array into its Euclidean coordinates (those
-    ``on_eu`` marks) and the sorted ids of the entropy blocks it touches, in
-    one vectorized pass."""
-    m = len(supports)
-    flat = np.concatenate(supports)
-    owner = np.repeat(np.arange(m), [s.size for s in supports])
-    eu = on_eu[flat]
-    on_ent = ~eu
-    coords = np.split(flat[eu],
-                      np.cumsum(np.bincount(owner[eu], minlength=m))[:-1])
-    nb = len(geom.blocks)
-    pairs = np.unique(owner[on_ent] * nb + geom._coord_block[flat[on_ent]])
-    blocks = np.split(pairs % nb, np.searchsorted(pairs // nb, np.arange(1, m)))
-    return coords, blocks
 
 
 def run(problem, plan, config):
@@ -448,8 +406,11 @@ def run(problem, plan, config):
     t0 = time.perf_counter_ns()
     table = ComponentTable(op, geom.x0)
     calls = op.m
-    Dual = _DenseDual if config.mode == "dense" else _LazyDual
-    dual = Dual(geom, op, table.aggregate)   # S: the table updates it in place
+    # S: the table updates its aggregate in place
+    if config.mode == "dense":
+        dual = _DenseDual(geom, op, table.aggregate)
+    else:
+        dual = _LazyDual(geom, op, table.aggregate, config.divergence_bound)
     trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
                   iterations=K, a_seq=a_seq,
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
@@ -482,15 +443,15 @@ def run(problem, plan, config):
         calls += 1
         table.refresh(j2, v2, k)
         if avg.wants(k):
-            avg.add(k, a, dual.at(A))
+            avg.add(k, a, dual.at(A, k))
         if k % stride == 0 or k == K:
-            x = dual.at(A)
+            x = dual.at(A, k)
             _check_divergence(x, k, config.divergence_bound)
             x_eval = avg.wsum / A if config.eval_point == "average" else x
             _record(problem, x_eval, metrics, config.comparator, k, calls,
                     t0, trace.records)
     trace.A_final = A_list[-1]
-    trace.final_x = dual.at(trace.A_final)
+    trace.final_x = dual.at(trace.A_final, K)
     trace.x_bar = avg.result(trace.A_final)
     trace.oracle_calls = calls
     if fhat_last is not None:
@@ -511,10 +472,11 @@ def run_dense(problem, plan, config):
 
 
 def run_lazy(problem, plan, config):
-    """Lazy implementation: per iteration only the coordinates (Euclidean)
-    and blocks (entropy) read or written by the two sampled components are
-    caught up and re-proxed (see ``_LazyDual``).  With the same seed the
-    metric trace matches run_dense.
+    """Lazy implementation: per iteration only the Euclidean coordinates
+    read or written by the two sampled components are caught up and
+    re-proxed; entropy (simplex) coordinates are stepped every iteration as
+    in run_dense (see ``_LazyDual``).  With the same seed the metric trace
+    matches run_dense, bit for bit when every block is a simplex.
     """
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")

@@ -93,15 +93,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(run_cfg(tmp_path, seeds=()))
 
-    def test_divergence_flagged_partial_failure(self, tmp_path):
+    @pytest.mark.parametrize("lpq", [1e-8, 1e-300])
+    @pytest.mark.parametrize("solver", ["rem-dense", "rem-lazy"])
+    def test_divergence_flagged_partial_failure(self, tmp_path, solver, lpq):
         from remvi.problems import make_lad, save_instance
         inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([3.0, -3.0]))
         base = str(tmp_path / "drift")
         save_instance(inst, base)
         # grossly understated step constant: dual averaging accumulates an
-        # unbounded primal drift, which the guard must flag per seed
-        cfg = run_cfg(tmp_path, problem=base, solver="rem-dense",
-                      iterations=4000, lpq=1e-8, eval_stride=100,
+        # unbounded primal drift (at lpq = 1e-300 the dual vector overflows),
+        # which both modes must flag per seed as a divergence
+        cfg = run_cfg(tmp_path, problem=base, solver=solver,
+                      iterations=4000, lpq=lpq, eval_stride=100,
                       averaging="sampled-index-set", eval_point="iterate",
                       divergence_bound=1e3)
         summary, code = run_experiment(cfg)

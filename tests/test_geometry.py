@@ -40,7 +40,7 @@ ALL_GEOMS = [euclid_quad(), euclid_box(), entropy(3), weighted([4.0, 1.0]),
 class TestProxClosedForms:
     def test_quadratic(self):
         geom = euclid_quad(mu=1.0)
-        out = geom.prox_block(0, np.array([1.0, -1.0]), 1.0, np.array([0.0, 0.0]))
+        out = geom.prox_block(0, np.array([1.0, -1.0]), 1.0)
         np.testing.assert_allclose(out, [-0.5, 0.5])
 
     def test_entropy_simplex(self):
@@ -69,9 +69,11 @@ class TestProxClosedForms:
             euclid_quad().prox_block(0, np.array([np.nan, 0.0]), 1.0)
 
     def test_rejects_boundary_entropy_anchor(self):
-        geom = entropy(2, anchor=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            geom.prox_block(0, np.zeros(2), 1.0, x0_block=np.array([1.0, 0.0]))
+        geom = mixed_bundle()
+        anchor = geom.x0.copy()
+        anchor[2:5] = [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="interior"):
+            geom.prox_full(np.zeros(geom.d), 1.0, anchor=anchor)
 
 
 class TestBregman:

@@ -190,6 +190,17 @@ class TestLad:
         np.testing.assert_allclose(y, np.clip((A @ z - b) / quad, -1, 1), atol=1e-8)
         assert inst.gamma == quad
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, d, density, quad", [
+        (20, 20, 0.3, 0.5), (50, 40, 0.1, 0.1), (8, 8, 0.5, 1.0)])
+    def test_generated_reference_kkt_tight(self, n, d, density, quad, seed):
+        # the saddle point the linear-rate checks measure against is exact
+        # to rounding, not to the dual solver's stopping tolerance
+        inst = generate_lad(n, d, 1.0, seed, density=density, quad=quad,
+                            solve_reference=True)
+        A, b = inst.data["A"], inst.data["b"]
+        z, y = inst.reference[:d], inst.reference[d:]
+        assert np.max(np.abs(y - np.clip((A @ z - b) / quad, -1, 1))) <= 1e-13
 
     @pytest.mark.parametrize("quad", [0.0, 0.3])
     def test_two_block_geometry_equals_singletons(self, quad):

@@ -282,6 +282,28 @@ class TestDenseLazyEquivalence:
                 else:
                     assert abs(dv - lv) <= 1e-9 * max(abs(dv), abs(lv), 1e-9)
 
+    @pytest.mark.parametrize("mode", ["two-sided", "row-sided"])
+    def test_games_bitwise_equal(self, mode):
+        # every block of a game is a simplex, which lazy mode steps exactly
+        # as dense mode does: nothing is deferred, so the runs are equal
+        inst = generate_instance("matrix-game", 12, 9, 1.5, seed=2, mode=mode)
+        plan = problem_plan(inst)
+        args = dict(iterations=1000, seed=7, eval_stride=50)
+        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+
+        def records(trace):
+            return [{k: v for k, v in vars(r).items() if k != "elapsed_ns"}
+                    for r in trace.records]
+
+        assert records(tl) == records(td)
+        np.testing.assert_array_equal(tl.final_x, td.final_x)
+        np.testing.assert_array_equal(tl.x_bar, td.x_bar)
+        np.testing.assert_array_equal(tl.info["fhat_last"],
+                                      td.info["fhat_last"])
+        for vl, vd in zip(tl.info["table_values"], td.info["table_values"]):
+            np.testing.assert_array_equal(vl, vd)
+
     def test_flushed_final_iterate_matches(self):
         inst = problem_instances_for_tests()[2]
         plan = problem_plan(inst)
@@ -348,25 +370,32 @@ class TestLazyCatchup:
     def test_target_below_last_settle_raises(self):
         # raised, not asserted: the check holds under python -O too
         inst = mixed_instance()
-        lazy = _LazyDual(inst.geometry, inst.operator, np.ones(inst.d))
-        lazy.catch_up(np.array([1, 2]), [1], 2.0, 6)
+        lazy = _LazyDual(inst.geometry, inst.operator, np.ones(inst.d), 1e9)
+        lazy.settle_coords(np.array([1, 2]), 2.0, 6)
         z = lazy.z.copy()
         with pytest.raises(RuntimeError, match=r"iteration 7: coordinate 2 "
                            r"has A_last=2\.0 above the target 1\.5"):
-            lazy.catch_up(np.array([0, 2]), [], 1.5, 7)
-        with pytest.raises(RuntimeError, match=r"iteration 8: block 1 "
-                           r"has A_last=2\.0 above the target 1\.0"):
-            lazy.catch_up(np.array([], dtype=np.intp), [1], 1.0, 8)
+            lazy.settle_coords(np.array([0, 2]), 1.5, 7)
         np.testing.assert_array_equal(lazy.z, z)
 
-    def test_lad_long_horizon_drift(self):
-        inst = generate_instance("lad", 30, 30, 1.0, seed=0)
+    @staticmethod
+    def _long_horizon_drift(inst):
         plan = problem_plan(inst)
         K = 100_000
         args = dict(iterations=K, seed=0, eval_stride=K, eval_metrics=())
         td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-        assert np.max(np.abs(td.final_x - tl.final_x)) <= 1e-9
+        return np.max(np.abs(td.final_x - tl.final_x))
+
+    def test_lad_long_horizon_drift(self):
+        inst = generate_instance("lad", 30, 30, 1.0, seed=0)
+        assert self._long_horizon_drift(inst) <= 1e-9
+
+    @pytest.mark.parametrize("family", ["box-simplex", "policy-eval"])
+    def test_long_horizon_drift(self, family):
+        inst = next(i for i in problem_instances_for_tests()
+                    if i.family == family)
+        assert self._long_horizon_drift(inst) <= 1e-9
 
 
 class TestLazySupportBookkeeping:
@@ -376,7 +405,9 @@ class TestLazySupportBookkeeping:
         bound = 2 * (np.count_nonzero(A, axis=1).max()
                      + np.count_nonzero(A, axis=0).max())
         op = inst.operator
-        coord_block = inst.geometry._coord_block
+        coord_block = np.empty(inst.d, dtype=np.intp)
+        for bi, b in enumerate(inst.geometry.blocks):
+            coord_block[b.idx] = bi
         for c in op.components:
             touched = set(coord_block[c.in_idx]) | set(coord_block[c.out_idx])
             assert 2 * len(touched) <= bound
