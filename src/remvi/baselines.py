@@ -17,7 +17,10 @@ import numpy as np
 
 from .metrics import default_metrics
 from .operators import empirical_full_lipschitz
-from .solver import Trace, _check_divergence, _record
+from .solver import Trace, _check_divergence, _check_finite, _record
+
+# Sampled pairs in the empirical Lipschitz estimate behind the default eta.
+LIPSCHITZ_TRIALS = 200
 
 
 @dataclass
@@ -31,7 +34,6 @@ class BaselineConfig:
     eval_point: str = "average"
     comparator: np.ndarray | None = None
     divergence_bound: float = 1e9
-    lipschitz_trials: int = 200
 
     def __post_init__(self):
         if self.method not in ("mirror-prox", "popov"):
@@ -53,9 +55,18 @@ def _setup(problem, config):
     if eta is None:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 77)))
         L = empirical_full_lipschitz(problem.operator, problem.geometry,
-                                     config.lipschitz_trials, rng)
+                                     LIPSCHITZ_TRIALS, rng)
         eta = 1.0 / L if config.method == "mirror-prox" else 1.0 / (2.0 * L)
     return stride, tuple(metrics), eta
+
+
+def _prox(geom, u, eta, anchor, k, bound):
+    """``prox_full`` of u at ``anchor``; a prox input or iterate that is not
+    finite raises DivergenceError with iteration k."""
+    _check_finite(u, k, bound, "prox input")
+    x = geom.prox_full(u, eta, anchor=anchor, check=False)
+    _check_finite(x, k, bound, "iterate")
+    return x
 
 
 def mirror_prox_run(problem, config):
@@ -77,10 +88,10 @@ def mirror_prox_run(problem, config):
     for k in range(1, K + 1):
         v = op.evaluate_full(x)
         calls += op.m
-        w = geom.prox_full(eta * v, eta, anchor=x)
+        w = _prox(geom, eta * v, eta, x, k, config.divergence_bound)
         v_half = op.evaluate_full(w)
         calls += op.m
-        x = geom.prox_full(eta * v_half, eta, anchor=x)
+        x = _prox(geom, eta * v_half, eta, x, k, config.divergence_bound)
         wsum += w
         if k % stride == 0 or k == K:
             _check_divergence(x, k, config.divergence_bound)
@@ -114,7 +125,7 @@ def popov_run(problem, config):
         v = op.evaluate_full(x)
         calls += op.m
         u = v if v_prev is None else 2.0 * v - v_prev
-        x = geom.prox_full(eta * u, eta, anchor=x)
+        x = _prox(geom, eta * u, eta, x, k, config.divergence_bound)
         v_prev = v
         xsum += x
         if k % stride == 0 or k == K:

@@ -62,13 +62,6 @@ class FiniteSumOperator:
                                   or self.out_all.max() >= self.d):
             raise ValueError("component output support out of range")
 
-    def evaluate_component(self, j, x):
-        """Value of F_j at x as (out_idx, values); costs O(|support|)."""
-        if not 0 <= j < self.m:
-            raise IndexError(f"component index {j} out of range [0, {self.m})")
-        c = self.components[j]
-        return c.out_idx, c.evaluate(x)
-
     def scatter_sum(self, values):
         """Dense sum of per-component values aligned with each ``out_idx``."""
         return np.bincount(self.out_all, weights=np.concatenate(values),

@@ -7,10 +7,11 @@ extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
 vector z.  ``run`` is the one loop; the dual state it drives decides how much
 of z and x an iteration touches.  The dense state updates all of them.  The
-lazy state defers dual accumulation on untouched Euclidean coordinates:
-while a coordinate's aggregate entry is constant, its pending increments sum
-to (A_now - A_last) * aggregate_entry, so only the Euclidean coordinates read
-or written by the two sampled components are materialized per iteration.
+lazy state defers dual accumulation on Euclidean coordinates: a coordinate's
+aggregate entry changes only when a table refresh writes it, so its dual
+value at step-size sum A is base + A * aggregate_entry, and a refresh shifts
+the base instead.  Per iteration only the Euclidean coordinates the two
+sampled components read are proxed, and only those they write are updated.
 Entropy (simplex) coordinates are not deferred: a simplex prox renormalises
 its whole block, so the lazy state steps them every iteration exactly as the
 dense state does.  Both consume the same draw stream (j1 first, then j2) and
@@ -253,51 +254,15 @@ def _check_divergence(x, k, bound):
         raise DivergenceError(k, norm, bound)
 
 
+def _check_finite(v, k, bound, what="dual vector z"):
+    if not np.isfinite(v).all():
+        raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
+
+
 class _DenseDual:
     """The dual vector z and iterate x of a dense run: every step adds a_k
-    times the whole aggregate S to z and re-proxes all of x."""
-
-    def __init__(self, geom, op, S):
-        self.geom = geom
-        self.comps = op.components
-        self.S = S
-        self.z = np.zeros(op.d)
-        self.x = geom.x0.copy()
-
-    def read(self, j, A_target, k, refresh=False):
-        """Nothing to catch up: x is current after every step."""
-
-    def step(self, j, corr, a, A, k):
-        self.z += a * self.S
-        if corr is not None:
-            self.z[self.comps[j].out_idx] += corr
-        self.x = self.geom.prox_full(self.z, A, check=False)
-
-    def at(self, A, k):
-        return self.x
-
-
-# A lazy catch-up target may sit this far below a coordinate's last settled
-# step-size sum (rounding); anything lower means a read without catch-up.
-SETTLE_TOL = 1e-15
-
-
-class _LazyDual:
-    """The dual vector z and iterate x of a lazy run: Euclidean coordinates
-    are caught up on demand, entropy coordinates are stepped every iteration.
-
-    Between touches the pending dual increments of Euclidean coordinate i sum
-    to (A_now - A_last[i]) * S[i], because the aggregate S only changes where
-    a table refresh writes, and those coordinates are settled first.
-    Euclidean coordinates are separable, so they are settled and re-proxed
-    one coordinate at a time, in one gather-and-prox pass per call, a
-    component's read and write sets being the Euclidean parts of its
-    ``in_idx`` and ``out_idx``.  A simplex prox renormalises its whole block,
-    so deferring one saves nothing: the entropy coordinates take the same
-    step, correction and segmented prox as in ``_DenseDual``.  The invariant
-    is x[i] = prox(z[i], A_last[i]) on every Euclidean coordinate.  A settled
-    z that is not finite raises DivergenceError with its iteration.
-    """
+    times the whole aggregate S to z and re-proxes all of x.  A z that is
+    not finite raises DivergenceError with its iteration."""
 
     def __init__(self, geom, op, S, bound):
         self.geom = geom
@@ -306,87 +271,104 @@ class _LazyDual:
         self.bound = bound
         self.z = np.zeros(op.d)
         self.x = geom.x0.copy()
-        self.A_last = np.zeros(op.d)            # per Euclidean coordinate
+
+    def read(self, j, A, k):
+        """Nothing to catch up: x is current after every step."""
+
+    def step(self, j, corr, a, A, k):
+        self.z += a * self.S
+        if corr is not None:
+            self.z[self.comps[j].out_idx] += corr
+        # z.z is finite only when z is, and is the cheapest full reduction
+        if not math.isfinite(self.z.dot(self.z)):
+            _check_finite(self.z, k, self.bound)
+        self.x = self.geom.prox_full(self.z, A, check=False)
+
+    def refresh(self, table, j, v, k, A):
+        table.refresh(j, v, k)
+
+    def at(self, A, k):
+        return self.x
+
+
+class _LazyDual:
+    """The dual vector z and iterate x of a lazy run: Euclidean coordinates
+    are proxed on demand, entropy coordinates are stepped every iteration.
+
+    On a Euclidean coordinate the aggregate S changes only when a table
+    refresh writes it, so between refreshes the true dual vector at
+    step-size sum A is ``z + A*S``: z holds that base, and a refresh that
+    moves S[i] at sum A shifts z[i] by -A times the change, which leaves
+    the true value where it was.  A step then only adds the correction to
+    z, and reading a coordinate is one prox of ``z + A*S`` there, a
+    component's read and write sets being the Euclidean parts of its
+    ``in_idx`` and ``out_idx``.  A simplex prox renormalises its whole
+    block, so deferring one saves nothing: on entropy coordinates z is the
+    true dual vector, which takes the same step, correction and segmented
+    prox as in ``_DenseDual``.  A prox input that is not finite raises
+    DivergenceError with its iteration.
+    """
+
+    def __init__(self, geom, op, S, bound):
+        self.geom = geom
+        self.comps = op.components
+        self.S = S
+        self.bound = bound
+        self.z = np.zeros(op.d)     # the base on Euclidean coordinates
+        self.x = geom.x0.copy()
         self.ent = geom._ent_idx
         self.reads = [c.in_idx for c in self.comps]
         self.writes = [c.out_idx for c in self.comps]
         if self.ent.size:
-            self.on_eu = np.ones(op.d, dtype=bool)
-            self.on_eu[self.ent] = False
-            self.reads = [s[self.on_eu[s]] for s in self.reads]
-            self.writes = [s[self.on_eu[s]] for s in self.writes]
+            on_eu = np.ones(op.d, dtype=bool)
+            on_eu[self.ent] = False
+            self.reads = [s[on_eu[s]] for s in self.reads]
+            self.writes = [s[on_eu[s]] for s in self.writes]
 
-    def read(self, j, A_target, k, refresh=False):
-        """Catch up what component j reads; with ``refresh`` also what its
-        table refresh will change in S, in one call (duplicates are
-        harmless; a component whose read set is its write set, as every LAD
-        and policy-evaluation one, needs no concatenation)."""
-        if A_target == 0.0:
-            return      # nothing has accumulated yet: x is still x0
-        rc = self.reads[j]
-        if refresh and rc is not self.writes[j]:
-            rc = np.concatenate((rc, self.writes[j]))
-        self.settle_coords(rc, A_target, k)
+    def read(self, j, A, k):
+        """Prox what component j reads at step-size sum A."""
+        idx = self.reads[j]
+        if A == 0.0 or not idx.size:
+            return      # at A = 0 nothing has accumulated: x is still x0
+        self.x[idx] = self._prox(idx, A, k)
 
     def step(self, j, corr, a, A, k):
-        """Settle j's Euclidean write set to A with its part of the
-        correction; step the entropy coordinates as the dense state does."""
-        idx = self.writes[j]
-        if not self.ent.size:
-            self.settle_coords(idx, A, k, corr)
-            return
-        out = self.comps[j].out_idx
-        if idx.size:        # j writes Euclidean coordinates too: split corr
-            eu = self.on_eu[out]
-            self.settle_coords(idx, A, k, None if corr is None else corr[eu])
-            out = out[~eu]
-            corr = None if corr is None else corr[~eu]
+        """Step the entropy coordinates as the dense state does, then add
+        the correction: to the true z on entropy coordinates, to the base
+        on Euclidean ones (their a*S is implied by the new A)."""
         ent = self.ent
-        self.z[ent] += a * self.S[ent]
+        if ent.size:
+            self.z[ent] += a * self.S[ent]
         if corr is not None:
-            self.z[out] += corr
-        self.x[ent] = self.geom.prox_entropy(self.z[ent])
+            self.z[self.comps[j].out_idx] += corr
+        if ent.size:
+            self.x[ent] = self.geom.prox_entropy(self.z[ent])
 
-    def settle_coords(self, idx, A_target, k, corr=None):
-        """Bring z up to A_target on the Euclidean coordinates ``idx``, add
-        ``corr`` (aligned with idx) and re-prox them, in one pass.  A
-        coordinate already at A_target gets z + 0*S = z and the x it has
-        (z is never -0.0: it starts at +0.0 and only ever has numbers added)."""
-        if not idx.size:
+    def refresh(self, table, j, v, k, A):
+        """Refresh slot j at step-size sum A, shifting the base on j's
+        Euclidean write set so that z + A*S stays where it was.  Every
+        RESUM_PERIOD refreshes the table re-sums S everywhere, which moves
+        z + A*S on the other coordinates by A times the rounding drift the
+        re-sum corrects."""
+        w = self.writes[j]
+        if not w.size:
+            table.refresh(j, v, k)
             return
-        A_prev = self.A_last[idx]
-        dA = A_target - A_prev
-        if (dA < -SETTLE_TOL).any():
-            i = int(np.argmin(dA))
-            raise RuntimeError(
-                f"lazy catch-up at iteration {k}: coordinate {int(idx[i])} has "
-                f"A_last={float(A_prev[i])!r} above the target "
-                f"{float(A_target)!r}")
-        z = self.z[idx] + dA * self.S[idx]
-        if corr is not None:
-            z += corr
-        self.z[idx] = z
-        self.A_last[idx] = A_target
-        self.x[idx] = self._prox(idx, z, A_target, k)
+        old = self.S[w]
+        table.refresh(j, v, k)
+        self.z[w] -= A * (self.S[w] - old)
 
-    def _prox(self, idx, z, A, k):
-        if not np.isfinite(z).all():
-            raise DivergenceError(k, float(np.max(np.abs(z))), self.bound,
-                                  what="dual vector z")
+    def _prox(self, idx, A, k):
+        z = self.z[idx] + A * self.S[idx]
+        _check_finite(z, k, self.bound)
         return self.geom.prox_coords(idx, z, A, check=False)
 
-    def at(self, A_now, k):
-        """The iterate at A_now on every coordinate (a flush), leaving z as
-        it is."""
+    def at(self, A, k):
+        """The iterate at A on every coordinate, leaving z as it is."""
         snap = self.x.copy()
         eu = self.geom._eu_idx
-        A_prev = self.A_last[eu]
-        behind = A_prev != A_now
-        idx = eu[behind]
-        if idx.size:
-            snap[idx] = self._prox(
-                idx, self.z[idx] + (A_now - A_prev[behind]) * self.S[idx],
-                A_now, k)
+        if A != 0.0 and eu.size:
+            snap[eu] = self._prox(eu, A, k)
         return snap
 
 
@@ -407,10 +389,8 @@ def run(problem, plan, config):
     table = ComponentTable(op, geom.x0)
     calls = op.m
     # S: the table updates its aggregate in place
-    if config.mode == "dense":
-        dual = _DenseDual(geom, op, table.aggregate)
-    else:
-        dual = _LazyDual(geom, op, table.aggregate, config.divergence_bound)
+    state = _DenseDual if config.mode == "dense" else _LazyDual
+    dual = state(geom, op, table.aggregate, config.divergence_bound)
     trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
                   iterations=K, a_seq=a_seq,
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
@@ -438,10 +418,10 @@ def run(problem, plan, config):
             fhat_last = extrapolate(table, j1, v1, a_prev, a, p[j1], k)
         dual.step(j1, corr, a, A, k)
         j2 = plan.sample_q(draw)
-        dual.read(j2, A, k, refresh=True)
+        dual.read(j2, A, k)
         v2 = comps[j2].evaluate(dual.x)
         calls += 1
-        table.refresh(j2, v2, k)
+        dual.refresh(table, j2, v2, k, A)
         if avg.wants(k):
             avg.add(k, a, dual.at(A, k))
         if k % stride == 0 or k == K:
@@ -472,11 +452,12 @@ def run_dense(problem, plan, config):
 
 
 def run_lazy(problem, plan, config):
-    """Lazy implementation: per iteration only the Euclidean coordinates
-    read or written by the two sampled components are caught up and
-    re-proxed; entropy (simplex) coordinates are stepped every iteration as
-    in run_dense (see ``_LazyDual``).  With the same seed the metric trace
-    matches run_dense, bit for bit when every block is a simplex.
+    """Lazy implementation: each Euclidean coordinate keeps its dual value
+    as base + A * aggregate, so per iteration only the Euclidean coordinates
+    the two sampled components read are proxed and only those they write
+    are updated; entropy (simplex) coordinates are stepped every iteration
+    as in run_dense (see ``_LazyDual``).  With the same seed the metric
+    trace matches run_dense, bit for bit when every block is a simplex.
     """
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")

@@ -111,6 +111,22 @@ class TestRunExperiment:
         assert code == 3
         assert summary.diverged == [0]
 
+    @pytest.mark.parametrize("solver", ["mirror-prox", "popov"])
+    def test_baseline_overflow_flagged(self, tmp_path, solver):
+        from remvi.problems import make_lad, save_instance
+        inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([3.0, -3.0]))
+        base = str(tmp_path / "drift")
+        save_instance(inst, base)
+        # eta = 1e300 overflows the first prox input: a divergence of the
+        # seed (exit 3 and a summary), not an invalid config (exit 2)
+        cfg = run_cfg(tmp_path, problem=base, solver=solver, iterations=50,
+                      eta=1e300, eval_stride=10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, code = run_experiment(cfg)
+        assert code == 3
+        assert summary.diverged == [0]
+        assert os.path.exists(os.path.join(cfg.out_dir, "summary.json"))
+
 
 class TestSummary:
     def test_requires_records(self, tmp_path):

@@ -15,7 +15,8 @@ class TestComponentEvaluation:
     def test_lad_single_entry(self):
         inst = make_lad(np.array([[2.0]]), np.array([3.0]))
         x = np.array([1.0, 0.5])  # z=1, y=0.5
-        idx, vals = inst.operator.evaluate_component(0, x)
+        c = inst.operator.components[0]
+        idx, vals = c.out_idx, c.evaluate(x)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(vals, [1.0, 1.0])
 
@@ -23,20 +24,15 @@ class TestComponentEvaluation:
         comp = CallableComponent(np.arange(3), np.arange(3), lambda x: 2.0 * x)
         op = FiniteSumOperator([comp], 3)
         x = np.array([1.0, -2.0, 0.5])
-        idx, vals = op.evaluate_component(0, x)
+        idx, vals = comp.out_idx, op.components[0].evaluate(x)
         full = op.evaluate_full(x)
         np.testing.assert_array_equal(full[idx], vals)
 
     def test_game_row_component_zero_dual(self):
         inst = make_matrix_game(np.array([[1.0, 2.0], [3.0, 4.0]]))
         x = np.array([0.5, 0.5, 0.0, 1.0])  # y_0 = 0
-        _, vals = inst.operator.evaluate_component(0, x)
+        vals = inst.operator.components[0].evaluate(x)
         np.testing.assert_array_equal(vals, np.zeros(2))
-
-    def test_out_of_range_rejected(self):
-        inst = make_lad(np.array([[2.0]]), np.array([3.0]))
-        with pytest.raises(IndexError):
-            inst.operator.evaluate_component(1, np.zeros(2))
 
     def test_full_matrix_game(self):
         # F = (A'y, -Az) at z = y = (1/2, 1/2), hand matrix-vector products
@@ -59,9 +55,8 @@ class TestComponentEvaluation:
         for _ in range(1000 // 4):
             x = inst.sample_feasible(rng)
             total = np.zeros(op.d)
-            for j in range(op.m):
-                idx, vals = op.evaluate_component(j, x)
-                np.add.at(total, idx, vals)
+            for c in op.components:
+                np.add.at(total, c.out_idx, c.evaluate(x))
             full = op.evaluate_full(x)
             scale = max(1.0, np.max(np.abs(full)))
             np.testing.assert_allclose(total, full, rtol=0, atol=1e-10 * scale)

@@ -98,7 +98,8 @@ class TestBoxSimplex:
         inst = make_box_simplex(np.array([[1.0]]), np.array([0.0]))
         assert inst.m == 1
         x = np.array([0.7, 1.0])  # z = 0.7, y = 1
-        idx, vals = inst.operator.evaluate_component(0, x)
+        c = inst.operator.components[0]
+        idx, vals = c.out_idx, c.evaluate(x)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(vals, [1.0, -0.7])
 
@@ -136,7 +137,7 @@ class TestLad:
     def test_single_entry(self):
         inst = make_lad(np.array([[2.0]]), np.array([3.0]))
         assert inst.m == 1
-        _, vals = inst.operator.evaluate_component(0, np.array([1.0, 0.5]))
+        vals = inst.operator.components[0].evaluate(np.array([1.0, 0.5]))
         np.testing.assert_allclose(vals, [1.0, 1.0])
 
     def test_lambda_profile(self):

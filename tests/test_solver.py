@@ -250,6 +250,27 @@ class TestRunDense:
             at[mode] = exc.value.iteration
         assert at["lazy"] == at["dense"] > 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dual_overflow_named_below_stride(self, seed):
+        # at lpq = 1e-300 z overflows within a few iterations: both modes
+        # name an iteration there, not the next metric record.  The lazy
+        # base overflows when A*S does, which can be an iteration before or
+        # (read later) after the dense z
+        inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]),
+                        np.array([3.0, -3.0]))
+        plan = problem_plan(inst)
+        at = {}
+        for mode, run in (("dense", run_dense), ("lazy", run_lazy)):
+            cfg = SolverConfig(iterations=4000, seed=seed, mode=mode,
+                               lpq=1e-300, eval_stride=100, eval_metrics=(),
+                               divergence_bound=1e3)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError, match="dual vector z") as exc:
+                run(inst, plan, cfg)
+            at[mode] = exc.value.iteration
+        assert at["dense"] < 100 and at["lazy"] < 100
+        assert abs(at["dense"] - at["lazy"]) <= 1
+
     def test_cert_violations_zero_on_runs(self):
         for inst in problem_instances_for_tests():
             plan = problem_plan(inst)
@@ -367,16 +388,31 @@ class TestLazyCatchup:
         np.testing.assert_allclose(tl.info["fhat_last"], td.info["fhat_last"],
                                    rtol=0, atol=1e-9)
 
-    def test_target_below_last_settle_raises(self):
-        # raised, not asserted: the check holds under python -O too
+    def test_refresh_keeps_euclidean_dual_value(self):
+        # a refresh at step-size sum A moves S on j's Euclidean write set
+        # and shifts the base z there, so z + A*S (the dual value) stays
         inst = mixed_instance()
-        lazy = _LazyDual(inst.geometry, inst.operator, np.ones(inst.d), 1e9)
-        lazy.settle_coords(np.array([1, 2]), 2.0, 6)
-        z = lazy.z.copy()
-        with pytest.raises(RuntimeError, match=r"iteration 7: coordinate 2 "
-                           r"has A_last=2\.0 above the target 1\.5"):
-            lazy.settle_coords(np.array([0, 2]), 1.5, 7)
-        np.testing.assert_array_equal(lazy.z, z)
+        op = inst.operator
+        table = ComponentTable(op, inst.x0)
+        lazy = _LazyDual(inst.geometry, op, table.aggregate, 1e9)
+        rng = np.random.default_rng(3)
+        lazy.z[:] = rng.normal(size=inst.d)
+        A = 2.7
+        for k, j in enumerate((2, 3, 4, 0), start=1):
+            w = lazy.writes[j]
+            assert w.size
+            z_old, S_old = lazy.z.copy(), lazy.S.copy()
+            v = table.values[j] + rng.normal(size=table.values[j].size)
+            lazy.refresh(table, j, v, k, A)
+            assert np.all(lazy.S[w] != S_old[w])
+            before = z_old[w] + A * S_old[w]
+            after = lazy.z[w] + A * lazy.S[w]
+            scale = (np.abs(z_old[w]) + A * np.abs(S_old[w])
+                     + A * np.abs(lazy.S[w]))
+            assert np.all(np.abs(after - before) <= 4 * np.finfo(float).eps
+                          * scale)
+            rest = np.setdiff1d(np.arange(inst.d), w)
+            np.testing.assert_array_equal(lazy.z[rest], z_old[rest])
 
     @staticmethod
     def _long_horizon_drift(inst):
@@ -411,12 +447,6 @@ class TestLazySupportBookkeeping:
         for c in op.components:
             touched = set(coord_block[c.in_idx]) | set(coord_block[c.out_idx])
             assert 2 * len(touched) <= bound
-
-    def test_internal_block_assertion(self):
-        # settle() must never see a target below the block's last touch
-        inst = problem_instances_for_tests()[2]
-        plan = problem_plan(inst)
-        run_lazy(inst, plan, SolverConfig(iterations=500, seed=1, mode="lazy"))
 
 
 class TestAveraging:
