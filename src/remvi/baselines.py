@@ -5,7 +5,9 @@ component-oracle-call units.
 
 Default step sizes use an empirical full-operator Lipschitz estimate: the
 classical guarantees fix only the constant's order, and the sampled estimate
-keeps both baselines honestly tuned on every instance.
+keeps both baselines honestly tuned on every instance.  The estimate runs on
+the operator's linear part, one matvec per sampled pair; a custom operator
+without one falls back to two full evaluations per pair.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.io import mmread
+from scipy.sparse import issparse
 
 # Aggregate re-summed exactly on this period: incremental updates accumulate
 # floating drift over millions of refreshes.
@@ -46,14 +47,33 @@ class CallableComponent(Component):
 
 
 class FiniteSumOperator:
-    """F(x) = sum_j F_j(x) over sparse-support components."""
+    """F(x) = sum_j F_j(x) over sparse-support components.
 
-    def __init__(self, components, d):
+    ``linear`` is the d x d matrix M = sum_j M_j of an affine operator
+    F(x) = Mx + c, as a ``scipy.sparse`` matrix or an ndarray, or None when
+    F is not known to be affine.  It only serves estimates that need F's
+    differences, F(x) - F(y) = M(x - y); every counted oracle call still
+    goes through the components.
+    """
+
+    def __init__(self, components, d, linear=None):
         if not components:
             raise ValueError("need at least one component")
         self.components = list(components)
         self.m = len(self.components)
         self.d = int(d)
+        if linear is not None:
+            if issparse(linear):
+                linear = linear.tocsr()
+                vals = linear.data
+            else:
+                linear = vals = np.asarray(linear, dtype=float)
+            if linear.shape != (self.d, self.d):
+                raise ValueError(f"linear part has shape {linear.shape}, "
+                                 f"expected ({self.d}, {self.d})")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("linear part holds non-finite values")
+        self.linear = linear
         # Every component's output coordinates, concatenated in component
         # order: one scatter-add over them sums m component values in the
         # same order as m separate per-component adds would.
@@ -125,56 +145,60 @@ def lpq_bound(profile, p, q):
     return float(np.sqrt(np.sum(np.square(lam) / (p * q * q))))
 
 
+def _max_pair_ratio(geom, trials, rng, numer):
+    """Largest sqrt(numer(x, y) / ||x - y||^2) over ``trials`` random
+    feasible pairs from the geometry's domain, interior and sharp draws in
+    turn; pairs with x == y are skipped."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    best = -np.inf
+    for t in range(trials):
+        sharp = bool(t % 2)
+        x = geom.sample_domain(rng, sharp=sharp)
+        y = geom.sample_domain(rng, sharp=sharp)
+        nrm = geom.norm_sq(x - y)
+        if nrm <= 0.0:
+            continue
+        best = max(best, np.sqrt(numer(x, y) / nrm))
+    if not np.isfinite(best):
+        raise ValueError("all sampled pairs were degenerate (x == y)")
+    return float(best)
+
+
 def lpq_empirical(op, geom, p, q, trials, rng):
     """Empirical lower estimate of the sampling-weighted Lipschitz constant.
 
     Maximizes sqrt(sum_j ||F_j(x)-F_j(y)||_*^2 / (p_j q_j^2)) / ||x-y|| over
     ``trials`` random feasible pairs drawn from the geometry's domain.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     p = _check_distribution(p, op.m, "p")
     q = _check_distribution(q, op.m, "q")
     weight = 1.0 / (p * q * q)
-    best = -np.inf
-    degenerate = 0
-    for t in range(trials):
-        sharp = bool(t % 2)
-        x = geom.sample_domain(rng, sharp=sharp)
-        y = geom.sample_domain(rng, sharp=sharp)
-        nrm = geom.norm_sq(x - y)
-        if nrm <= 0.0:
-            degenerate += 1
-            continue
+
+    def numer(x, y):
         total = 0.0
         for j, c in enumerate(op.components):
             diff = np.zeros(op.d)
             diff[c.out_idx] = c.evaluate(x)
             np.subtract.at(diff, c.out_idx, c.evaluate(y))
             total += weight[j] * geom.dual_norm_sq(diff)
-        best = max(best, np.sqrt(total / nrm))
-    if not np.isfinite(best):
-        raise ValueError("all sampled pairs were degenerate (x == y)")
-    return float(best)
+        return total
+
+    return _max_pair_ratio(geom, trials, rng, numer)
 
 
 def empirical_full_lipschitz(op, geom, trials, rng):
-    """Empirical estimate of the full-operator Lipschitz constant."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    best = -np.inf
-    for t in range(trials):
-        sharp = bool(t % 2)
-        x = geom.sample_domain(rng, sharp=sharp)
-        y = geom.sample_domain(rng, sharp=sharp)
-        nrm = geom.norm_sq(x - y)
-        if nrm <= 0.0:
-            continue
-        diff = op.evaluate_full(x) - op.evaluate_full(y)
-        best = max(best, np.sqrt(geom.dual_norm_sq(diff) / nrm))
-    if not np.isfinite(best):
-        raise ValueError("all sampled pairs were degenerate (x == y)")
-    return float(best)
+    """Empirical estimate of the full-operator Lipschitz constant.
+
+    With the operator's linear part M set, each pair costs one matvec
+    M(x - y); otherwise two ``evaluate_full`` calls (2m component calls).
+    """
+    def numer(x, y):
+        if op.linear is not None:
+            return geom.dual_norm_sq(op.linear @ (x - y))
+        return geom.dual_norm_sq(op.evaluate_full(x) - op.evaluate_full(y))
+
+    return _max_pair_ratio(geom, trials, rng, numer)
 
 
 class ComponentTable:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.io import mmread, mmwrite
 from scipy.optimize import minimize
-from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse import bmat, coo_matrix, csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from .geometry import GeometryBundle, euclidean_block, simplex_block
@@ -94,6 +94,12 @@ def make_custom(components, geometry, lam, family="custom", plan_weights=None,
     op = FiniteSumOperator(components, geometry.d)
     return ProblemInstance(family, geometry, op, LipschitzProfile(lam),
                            plan_weights, plan_lpq, data=data, reference=reference)
+
+
+def _bilinear_part(A):
+    """M = [[0, A^T], [-A, 0]] as CSR: the linear part of the bilinear
+    families' operators F(z, y) = (A^T y, -Az) + constant."""
+    return bmat([[None, A.T], [-A, None]], format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,7 @@ def make_matrix_game(A, mode="two-sided"):
         lpq = float(np.sum(np.sqrt(rho)) ** 2)
     else:
         raise ValueError(f"unknown matrix-game mode {mode!r}")
-    op = FiniteSumOperator(comps, d + n)
+    op = FiniteSumOperator(comps, d + n, linear=_bilinear_part(A))
     return ProblemInstance("matrix-game", geometry, op, LipschitzProfile(lam),
                            weights, lpq, data={"A": A, "mode": mode})
 
@@ -253,7 +259,7 @@ def make_box_simplex(A, b):
         col_pos = np.searchsorted(base_idx, col_rows) + 1
         comps.append(_BoxSimplexComponent(j, col_rows, A[col_rows, j],
                                           base_idx, base_vals, col_pos, d))
-    op = FiniteSumOperator(comps, d + n)
+    op = FiniteSumOperator(comps, d + n, linear=_bilinear_part(A))
     lam = sigma / np.sqrt(p)
     return ProblemInstance("box-simplex", geometry, op, LipschitzProfile(lam),
                            weights, lpq, data={"A": A, "b": b})
@@ -330,7 +336,7 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
         if quad <= 0.0:
             raise ValueError("reference solve needs a strongly monotone instance")
         reference = _solve_lad_reference(A, b, quad)
-    op = FiniteSumOperator(comps, d + n)
+    op = FiniteSumOperator(comps, d + n, linear=_bilinear_part(A))
     return ProblemInstance("lad", geometry, op, LipschitzProfile(lam), weights,
                            lpq, data={"A": A, "b": b, "quad": quad},
                            reference=reference, ref_optimum=ref_optimum)
@@ -473,6 +479,7 @@ def make_policy_eval(P, Phi, R, beta, mu):
     comps = []
     lam = []
     lam_printed = []
+    linear = np.zeros((dim, dim))
     for s in range(n):
         for sp in np.flatnonzero(P[s]):
             weight = pi[s] * P[s, sp]
@@ -480,11 +487,12 @@ def make_policy_eval(P, Phi, R, beta, mu):
                 continue
             w = Phi[s] - beta * Phi[sp]
             mat = np.outer(Phi[s], w) - mu * np.eye(dim)
+            linear += weight * mat
             lam.append(weight * float(np.linalg.norm(mat, 2)))
             lam_printed.append(weight * (np.linalg.norm(Phi[s]) * np.linalg.norm(w) - mu))
             comps.append(_PolicyEvalComponent(weight, Phi[s].copy(), w, R[s], mu, dim))
     geometry = GeometryBundle([euclidean_block(np.arange(dim), mu=mu)])
-    op = FiniteSumOperator(comps, dim)
+    op = FiniteSumOperator(comps, dim, linear=linear)
     reference = None
     try:
         reference = solve_policy_eval_direct(P, Phi, R, beta)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import (CallableComponent, ComponentTable,
                              FiniteSumOperator, LipschitzProfile,
                              empirical_full_lipschitz, load_matrix_market,
                              lpq_bound, lpq_empirical)
-from remvi.problems import (generate_instance, make_lad, make_matrix_game,
-                            problem_instances_for_tests)
+from remvi.problems import (generate_box_simplex, generate_instance,
+                            generate_lad, generate_matrix_game,
+                            generate_policy_eval, load_instance, make_custom,
+                            make_lad, make_matrix_game,
+                            problem_instances_for_tests, save_instance)
 from remvi.sampling import problem_plan
 
 
@@ -105,6 +109,94 @@ class TestEvaluateFull:
         with pytest.raises(ValueError, match="out of range"):
             FiniteSumOperator([ok, wrong], 3)
         FiniteSumOperator([ok], 3)
+
+
+def linear_cases():
+    """One instance per built-in constructor path, keyed by a test id."""
+    rng = np.random.default_rng(30)
+    A = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.6)
+    A[np.arange(5), np.arange(5)] = 1.5
+    A[5:, 0] = -0.5
+    b = rng.normal(size=7)
+    return {
+        "game-two-sided": generate_matrix_game(6, 4, 1.0, seed=1),
+        "game-row-sided": generate_matrix_game(6, 4, 1.0, seed=1,
+                                               mode="row-sided"),
+        "box-simplex": generate_box_simplex(5, 6, 1.0, seed=2),
+        "lad-dense": make_lad(A, b),
+        "lad-sparse": make_lad(csr_matrix(A), b),
+        "lad-quad": generate_lad(8, 6, 1.0, seed=3, density=0.5, quad=0.3),
+        "policy-eval": generate_policy_eval(6, 3, seed=4),
+    }
+
+
+LINEAR_CASES = linear_cases()
+
+
+def assert_linear_exact(inst, seed):
+    """M(x - y) equals F(x) - F(y) to 1e-12 of the values' magnitude at
+    random feasible pairs, interior and sharp."""
+    op, geom = inst.operator, inst.geometry
+    rng = np.random.default_rng(seed)
+    for sharp in (False, True) * 10:
+        x = geom.sample_domain(rng, sharp=sharp)
+        y = geom.sample_domain(rng, sharp=sharp)
+        fx, fy = op.evaluate_full(x), op.evaluate_full(y)
+        scale = max(np.max(np.abs(fx)), np.max(np.abs(fy)))
+        np.testing.assert_allclose(op.linear @ (x - y), fx - fy,
+                                   rtol=0, atol=1e-12 * scale)
+
+
+class TestLinearPart:
+    @pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+    def test_differences_are_matvecs(self, name):
+        assert_linear_exact(LINEAR_CASES[name], 31)
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+    def test_survives_save_and_load(self, name, tmp_path):
+        inst = LINEAR_CASES[name]
+        base = str(tmp_path / "inst")
+        save_instance(inst, base)
+        loaded = load_instance(base)
+        assert loaded.operator.linear is not None
+        assert_linear_exact(loaded, 32)
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+    def test_estimate_equals_fallback(self, name):
+        # the same instance without its linear part takes the evaluate_full
+        # path, over the same pairs
+        inst = LINEAR_CASES[name]
+        op, geom = inst.operator, inst.geometry
+        plain = FiniteSumOperator(op.components, op.d)
+        assert plain.linear is None
+        via_m = empirical_full_lipschitz(op, geom, 200,
+                                         np.random.default_rng(33))
+        fallback = empirical_full_lipschitz(plain, geom, 200,
+                                            np.random.default_rng(33))
+        assert via_m == pytest.approx(fallback, rel=1e-12, abs=0)
+
+    def test_custom_operator_has_none(self):
+        geom = GeometryBundle([euclidean_block(np.arange(2))])
+        comp = CallableComponent([0, 1], [0, 1], lambda x: 2.0 * x)
+        assert make_custom([comp], geom, [2.0]).operator.linear is None
+
+    @pytest.mark.parametrize("linear", [np.zeros((3, 2)), np.zeros((2, 2)),
+                                        np.zeros(3), csr_matrix((3, 4))],
+                             ids=["3x2", "2x2", "vector", "sparse-3x4"])
+    def test_wrong_shape_rejected(self, linear):
+        comp = CallableComponent([0], [0], lambda x: x[:1])
+        with pytest.raises(ValueError, match="shape"):
+            FiniteSumOperator([comp], 3, linear=linear)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        comp = CallableComponent([0], [0], lambda x: x[:1])
+        dense = np.eye(3)
+        dense[1, 2] = bad
+        for linear in (dense, csr_matrix(dense)):
+            with pytest.raises(ValueError, match="non-finite"):
+                FiniteSumOperator([comp], 3, linear=linear)
+        FiniteSumOperator([comp], 3, linear=csr_matrix(np.eye(3)))
 
 
 class TestLipschitzProfile:
