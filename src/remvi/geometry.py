@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerance for domain-membership validation; lazy catch-up accumulates
-# floating error of roughly this order over long runs.
+# Tolerance for domain-membership validation: a prox output sits on its
+# box or simplex only up to rounding, and long runs accumulate error of
+# roughly this order in it.
 DOMAIN_TOL = 1e-9
 
 
@@ -108,23 +109,32 @@ def _check_finite(v, what):
         raise ValueError(f"{what} must be finite")
 
 
-def _entropy_prox(log_anchor, z):
-    # Computed in log-space with max-subtraction: z accumulates over many
-    # iterations and exp(-z) overflows otherwise.
+def _check_prox_input(z, A):
+    _check_finite(z, "prox input z")
+    if A < 0.0:
+        raise ValueError("step-size sum A must be >= 0")
+
+
+def _entropy_prox_segments(log_anchor, z, starts, sizes):
+    """The entropy prox on consecutive simplex segments (each needs its own
+    normalization), in log-space with max-subtraction: z accumulates over
+    many iterations and exp(-z) overflows otherwise."""
     logits = log_anchor - z
-    logits -= logits.max()
+    logits -= np.repeat(np.maximum.reduceat(logits, starts), sizes)
     u = np.exp(logits)
-    u /= u.sum()
+    u /= np.repeat(np.add.reduceat(u, starts), sizes)
     return u
 
 
-def _kl(x, y):
-    pos = x > 0.0
-    return float(np.sum(x[pos] * np.log(x[pos] / y[pos])))
-
-
 class GeometryBundle:
-    """A full-space geometry assembled from disjoint blocks covering 0..d-1."""
+    """A full-space geometry assembled from disjoint blocks covering 0..d-1.
+
+    The Euclidean parameters live in full-length per-coordinate arrays
+    (``_w``, ``_mu``, ``_lo``, ``_hi``, ``_wx0``), read at ``_eu_idx``;
+    entropy coordinates hold neutral values there and are never read.  The
+    entropy blocks are the segments ``_ent_starts``/``_ent_sizes`` of
+    ``_ent_idx``.
+    """
 
     def __init__(self, blocks, d=None):
         if not blocks:
@@ -146,71 +156,58 @@ class GeometryBundle:
         self.gamma = min(b.mu for b in self.blocks)
 
         self.x0 = np.zeros(d)
-        for b in self.blocks:
-            self.x0[b.idx] = b.anchor
-
-        # Vectorized full-space parameter arrays for the Euclidean coordinates.
-        eu = [b for b in self.blocks if b.kind == "euclidean"]
-        if eu:
-            self._eu_idx = np.concatenate([b.idx for b in eu])
-            self._eu_w = np.concatenate(
-                [b.weights if b.weights is not None else np.ones(b.size) for b in eu])
-            self._eu_mu = np.concatenate([np.full(b.size, b.mu) for b in eu])
-            self._eu_lo = np.concatenate(
-                [b.lo if b.lo is not None else np.full(b.size, -np.inf) for b in eu])
-            self._eu_hi = np.concatenate(
-                [b.hi if b.hi is not None else np.full(b.size, np.inf) for b in eu])
-        else:
-            self._eu_idx = np.empty(0, dtype=np.intp)
-            self._eu_w = self._eu_mu = self._eu_lo = self._eu_hi = np.empty(0)
-        self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
-        if self._ent_blocks:
-            self._ent_idx = np.concatenate([b.idx for b in self._ent_blocks])
-            self._ent_log_anchor = np.concatenate(
-                [b.log_anchor for b in self._ent_blocks])
-            sizes = np.array([b.size for b in self._ent_blocks])
-            self._ent_starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            self._ent_sizes = sizes
-        else:
-            self._ent_idx = np.empty(0, dtype=np.intp)
-        # The same parameters as full-length per-coordinate arrays, so that
-        # prox_coords gathers an arbitrary coordinate set in one step each.
-        # Entropy coordinates hold neutral values and are never read.
         self._w = np.ones(d)
         self._mu = np.zeros(d)
         self._lo = np.full(d, -np.inf)
         self._hi = np.full(d, np.inf)
-        ei = self._eu_idx
-        self._w[ei] = self._eu_w
-        self._mu[ei] = self._eu_mu
-        self._lo[ei] = self._eu_lo
-        self._hi[ei] = self._eu_hi
+        for b in self.blocks:
+            self.x0[b.idx] = b.anchor
+            if b.kind == "euclidean":
+                if b.weights is not None:
+                    self._w[b.idx] = b.weights
+                self._mu[b.idx] = b.mu
+                if b.lo is not None:
+                    self._lo[b.idx] = b.lo
+                if b.hi is not None:
+                    self._hi[b.idx] = b.hi
         self._wx0 = self._w * self.x0
+        self._eu_idx = np.concatenate(
+            [b.idx for b in self.blocks if b.kind == "euclidean"]
+            + [np.empty(0, dtype=np.intp)])
+        # Full-space passes read the Euclidean coordinates through _eu_sel:
+        # a slice (views, no gathers) when they are 0..d-1 in order.
+        self._eu_sel = (slice(None) if np.array_equal(self._eu_idx, np.arange(d))
+                        else self._eu_idx)
         # validate_domain compares only the coordinates with a finite bound
         # on some side: a finite x never violates -inf or +inf
         self._bounded_idx = np.flatnonzero((self._lo > -np.inf)
                                            | (self._hi < np.inf))
-        self._bounded_lo = self._lo[self._bounded_idx]
-        self._bounded_hi = self._hi[self._bounded_idx]
+        self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
+        ent = self._ent_blocks
+        self._ent_idx = np.concatenate(
+            [b.idx for b in ent] + [np.empty(0, dtype=np.intp)])
+        self._ent_log_anchor = np.concatenate([b.log_anchor for b in ent]
+                                              + [np.empty(0)])
+        self._ent_sizes = np.array([b.size for b in ent], dtype=np.intp)
+        self._ent_starts = np.cumsum(self._ent_sizes) - self._ent_sizes
+
+    def _prox_euclidean(self, idx, wx0, z, A):
+        """The Euclidean prox on coordinates ``idx`` given w*x0 and z there."""
+        u = (wx0 - z) / (self._w[idx] + A * self._mu[idx])
+        np.maximum(u, self._lo[idx], out=u)
+        return np.minimum(u, self._hi[idx], out=u)
 
     # -- block-level operations -------------------------------------------
 
     def prox_block(self, block, z_block, A):
-        """argmin_u <z, u> + A g(u) + D(u, x0) over one block, in closed form."""
+        """argmin_u <z, u> + A g(u) + D(u, x0) over one block, in closed form;
+        ``block`` is an index into ``blocks`` or one of them."""
         b = self.blocks[block] if isinstance(block, (int, np.integer)) else block
         z_block = np.asarray(z_block, dtype=float)
-        _check_finite(z_block, "prox input z")
-        if A < 0.0:
-            raise ValueError("step-size sum A must be >= 0")
+        _check_prox_input(z_block, A)
         if b.kind == "entropy":
-            return _entropy_prox(b.log_anchor, z_block)
-        w = b.weights if b.weights is not None else 1.0
-        u = (w * b.anchor - z_block) / (w + A * b.mu)
-        if b.lo is not None or b.hi is not None:
-            lo = -np.inf if b.lo is None else b.lo
-            hi = np.inf if b.hi is None else b.hi
-            u = np.clip(u, lo, hi)
-        return u
+            return _entropy_prox_segments(b.log_anchor, z_block, [0], [b.size])
+        return self._prox_euclidean(b.idx, self._wx0[b.idx], z_block, A)
 
     def prox_coords(self, idx, z_idx, A, check=True):
         """The prox on an arbitrary set of Euclidean coordinates ``idx``
@@ -218,75 +215,33 @@ class GeometryBundle:
         prox_block element by element on whatever blocks the coordinates
         belong to."""
         if check:
-            _check_finite(z_idx, "prox input z")
-            if A < 0.0:
-                raise ValueError("step-size sum A must be >= 0")
-        u = (self._wx0[idx] - z_idx) / (self._w[idx] + A * self._mu[idx])
-        np.maximum(u, self._lo[idx], out=u)
-        return np.minimum(u, self._hi[idx], out=u)
-
-    def block_norm_sq(self, block, x_block):
-        b = self.blocks[block] if isinstance(block, (int, np.integer)) else block
-        if b.kind == "entropy":
-            return float(np.sum(np.abs(x_block))) ** 2
-        w = b.weights if b.weights is not None else 1.0
-        return float(np.sum(w * np.square(x_block)))
-
-    def block_dual_norm_sq(self, block, v_block):
-        b = self.blocks[block] if isinstance(block, (int, np.integer)) else block
-        if b.kind == "entropy":
-            return float(np.max(np.abs(v_block))) ** 2 if len(v_block) else 0.0
-        w = b.weights if b.weights is not None else 1.0
-        return float(np.sum(np.square(v_block) / w))
-
-    def block_bregman(self, block, x_block, y_block):
-        b = self.blocks[block] if isinstance(block, (int, np.integer)) else block
-        if b.kind == "entropy":
-            x_block = np.asarray(x_block, dtype=float)
-            y_block = np.asarray(y_block, dtype=float)
-            if np.any(x_block < -DOMAIN_TOL) or abs(x_block.sum() - 1.0) > 1e-6:
-                raise ValueError("first argument outside the simplex")
-            if np.any(y_block <= 0.0):
-                raise ValueError("entropy divergence needs interior second argument")
-            return _kl(np.maximum(x_block, 0.0), y_block)
-        w = b.weights if b.weights is not None else 1.0
-        diff = np.asarray(x_block, dtype=float) - np.asarray(y_block, dtype=float)
-        return 0.5 * float(np.sum(w * np.square(diff)))
+            _check_prox_input(z_idx, A)
+        return self._prox_euclidean(idx, self._wx0[idx], z_idx, A)
 
     # -- full-space operations --------------------------------------------
 
     def prox_entropy(self, z_ent, log_anchor=None):
         """The prox on all entropy coordinates, in ``_ent_idx`` order, given
-        z on them: one segmented pass over the blocks (each simplex needs
-        its own normalization).  ``log_anchor`` (same order) defaults to the
-        blocks' own anchors."""
+        z on them: one segmented pass over the blocks.  ``log_anchor`` (same
+        order) defaults to the blocks' own anchors."""
         la = self._ent_log_anchor if log_anchor is None else log_anchor
-        logits = la - z_ent
-        starts = self._ent_starts
-        logits -= np.repeat(np.maximum.reduceat(logits, starts), self._ent_sizes)
-        u = np.exp(logits)
-        u /= np.repeat(np.add.reduceat(u, starts), self._ent_sizes)
-        return u
+        return _entropy_prox_segments(la, z_ent, self._ent_starts,
+                                      self._ent_sizes)
 
     def prox_full(self, z, A, anchor=None, check=True):
         """Full-vector prox: one vectorized pass over all Euclidean
-        coordinates and one segmented pass over the entropy blocks
-        (``prox_entropy``)."""
+        coordinates and one segmented pass over the entropy blocks."""
         if check:
-            _check_finite(z, "prox input z")
-            if A < 0.0:
-                raise ValueError("step-size sum A must be >= 0")
-        x0 = self.x0 if anchor is None else anchor
+            _check_prox_input(z, A)
         out = np.empty(self.d)
         if self._eu_idx.size:
-            ei = self._eu_idx
-            u = (self._eu_w * x0[ei] - z[ei]) / (self._eu_w + A * self._eu_mu)
-            np.clip(u, self._eu_lo, self._eu_hi, out=u)
-            out[ei] = u
+            ei = self._eu_sel
+            wx0 = self._wx0[ei] if anchor is None else self._w[ei] * anchor[ei]
+            out[ei] = self._prox_euclidean(ei, wx0, z[ei], A)
         if self._ent_idx.size:
             log_anchor = None
             if anchor is not None:
-                a = x0[self._ent_idx]
+                a = anchor[self._ent_idx]
                 if np.any(a <= 0.0):
                     raise ValueError("entropy prox anchor must be interior")
                 log_anchor = np.log(a)
@@ -299,27 +254,29 @@ class GeometryBundle:
         y = np.asarray(y, dtype=float)
         _check_finite(x, "bregman x")
         _check_finite(y, "bregman y")
-        total = 0.0
-        if self._eu_idx.size:
-            ei = self._eu_idx
-            total += 0.5 * float(np.sum(self._eu_w * np.square(x[ei] - y[ei])))
+        ei = self._eu_sel
+        total = 0.5 * float(np.sum(self._w[ei] * np.square(x[ei] - y[ei])))
         for b in self._ent_blocks:
-            total += self.block_bregman(b, x[b.idx], y[b.idx])
+            xb, yb = x[b.idx], y[b.idx]
+            if np.any(xb < -DOMAIN_TOL) or abs(xb.sum() - 1.0) > 1e-6:
+                raise ValueError("first argument outside the simplex")
+            if np.any(yb <= 0.0):
+                raise ValueError("entropy divergence needs interior second argument")
+            pos = xb > 0.0      # 0 log 0 = 0
+            total += float(np.sum(xb[pos] * np.log(xb[pos] / yb[pos])))
         return total
 
     def norm_sq(self, x):
-        total = 0.0
-        if self._eu_idx.size:
-            total += float(np.sum(self._eu_w * np.square(x[self._eu_idx])))
+        ei = self._eu_sel
+        total = float(np.sum(self._w[ei] * np.square(x[ei])))
         for b in self._ent_blocks:
             total += float(np.sum(np.abs(x[b.idx]))) ** 2
         return total
 
     def dual_norm_sq(self, v):
         _check_finite(v, "dual norm input")
-        total = 0.0
-        if self._eu_idx.size:
-            total += float(np.sum(np.square(v[self._eu_idx]) / self._eu_w))
+        ei = self._eu_sel
+        total = float(np.sum(np.square(v[ei]) / self._w[ei]))
         for b in self._ent_blocks:
             total += float(np.max(np.abs(v[b.idx]))) ** 2 if b.size else 0.0
         return total
@@ -329,18 +286,16 @@ class GeometryBundle:
         the domain.  Raises on domain violations when ``check`` is set."""
         if check:
             self.validate_domain(x)
-        total = 0.0
-        if self._eu_idx.size:
-            total += 0.5 * float(np.sum(self._eu_mu * np.square(x[self._eu_idx])))
-        return total
+        ei = self._eu_sel
+        return 0.5 * float(np.sum(self._mu[ei] * np.square(x[ei])))
 
     def validate_domain(self, x, tol=DOMAIN_TOL):
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite entries")
-        xb = x[self._bounded_idx]
-        if (np.any(xb < self._bounded_lo - tol)
-                or np.any(xb > self._bounded_hi + tol)):
+        bi = self._bounded_idx
+        xb = x[bi]
+        if np.any(xb < self._lo[bi] - tol) or np.any(xb > self._hi[bi] + tol):
             raise ValueError("point violates box bounds")
         for b in self._ent_blocks:
             xb = x[b.idx]
@@ -356,14 +311,15 @@ class GeometryBundle:
         needs such pairs to approach the worst case.
         """
         x = np.empty(self.d)
-        if self._eu_idx.size:
-            ei = self._eu_idx
-            lo, hi = self._eu_lo, self._eu_hi
+        ei = self._eu_idx
+        if ei.size:
+            lo, hi, x0 = self._lo[ei], self._hi[ei], self.x0[ei]
             bounded = np.isfinite(lo) & np.isfinite(hi)
-            vals = self.x0[ei] + rng.standard_normal(ei.size)
+            noise = rng.standard_normal(ei.size)
+            vals = x0 + noise
             if sharp:
                 mask = rng.random(ei.size) < max(2.0 / ei.size, 0.05)
-                vals = np.where(mask, vals * 3.0, self.x0[ei])
+                vals = np.where(mask, x0 + 3.0 * noise, x0)
             if bounded.any():
                 if sharp:
                     corner = np.where(rng.random(ei.size) < 0.5, lo, hi)
@@ -374,10 +330,8 @@ class GeometryBundle:
                     lo_b = np.where(bounded, lo, 0.0)
                     span = np.where(bounded, hi - lo, 0.0)
                     vals = np.where(bounded, lo_b + u * span, vals)
-            vals = np.clip(vals, lo, hi)
-            x[ei] = vals
+            x[ei] = np.clip(vals, lo, hi)
         alpha = 0.07 if sharp else 1.0
         for b in self._ent_blocks:
             x[b.idx] = np.maximum(rng.dirichlet(np.full(b.size, alpha)), 1e-300)
         return x
-

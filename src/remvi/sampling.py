@@ -121,7 +121,7 @@ class SamplingPlan:
         self._alias_q = (self._alias_p if np.array_equal(p, q)
                          else AliasTable(q))
         if mode == "importance" and self.q_min < 1.0 / (2.0 * self.m) - 1e-12:
-            raise AssertionError("importance plan violated q_min >= 1/(2m)")
+            raise ValueError("importance plan violated q_min >= 1/(2m)")
 
     def sample_p(self, rng):
         return self._alias_p.sample(rng.uniform())

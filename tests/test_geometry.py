@@ -169,7 +169,8 @@ def _objective_gradient(geom, z, A, u):
     grad = z.copy()
     ei = geom._eu_idx
     if ei.size:
-        grad[ei] += A * geom._eu_mu * u[ei] + geom._eu_w * (u[ei] - geom.x0[ei])
+        grad[ei] += (A * geom._mu[ei] * u[ei]
+                     + geom._w[ei] * (u[ei] - geom.x0[ei]))
     for b in geom._ent_blocks:
         ub = np.maximum(u[b.idx], 1e-300)
         grad[b.idx] += np.log(ub / b.anchor) + 1.0
@@ -182,8 +183,8 @@ def test_full_prox_matches_blockwise():
     z = rng.standard_normal(geom.d)
     full = geom.prox_full(z, 2.5)
     for bi, b in enumerate(geom.blocks):
-        np.testing.assert_allclose(full[b.idx], geom.prox_block(bi, z[b.idx], 2.5),
-                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(full[b.idx],
+                                      geom.prox_block(bi, z[b.idx], 2.5))
 
 
 def test_coordinate_prox_equals_blockwise_bitwise():
@@ -213,10 +214,18 @@ def test_composite_norms_sum_over_blocks():
     geom = mixed_bundle()
     rng = np.random.default_rng(4)
     v = rng.standard_normal(geom.d)
-    total = sum(geom.block_norm_sq(bi, v[b.idx]) for bi, b in enumerate(geom.blocks))
+    total = dual_total = 0.0
+    for b in geom.blocks:
+        vb = v[b.idx]
+        if b.kind == "entropy":
+            # ||.||_1 and its dual ||.||_inf
+            total += np.sum(np.abs(vb)) ** 2
+            dual_total += np.max(np.abs(vb)) ** 2
+        else:
+            w = b.weights if b.weights is not None else 1.0
+            total += np.sum(w * vb ** 2)
+            dual_total += np.sum(vb ** 2 / w)
     assert abs(geom.norm_sq(v) - total) < 1e-12
-    dual_total = sum(geom.block_dual_norm_sq(bi, v[b.idx])
-                     for bi, b in enumerate(geom.blocks))
     assert abs(geom.dual_norm_sq(v) - dual_total) < 1e-12
 
 
@@ -227,15 +236,57 @@ def test_sample_domain_feasible():
             geom.validate_domain(geom.sample_domain(rng), tol=1e-12)
 
 
+def test_block_order_does_not_change_results():
+    # Euclidean coordinates out of order are gathered, in order they are
+    # read as slices: both give the same prox bit for bit and the same norms
+    blocks = [euclidean_block(np.arange(3), anchor=[0.3, -0.7, 0.1],
+                              weights=[0.5, 2.0, 3.0], mu=0.25),
+              euclidean_block(np.array([3, 4]), lo=-0.5, hi=[0.5, 2.0]),
+              euclidean_block(np.array([5]), mu=1.5, lo=0.0)]
+    in_order = GeometryBundle(blocks)
+    permuted = GeometryBundle(blocks[::-1])
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        z = 3.0 * rng.standard_normal(6)
+        x = in_order.sample_domain(rng)
+        anchor = in_order.sample_domain(rng)
+        for A in (0.0, 1.7):
+            np.testing.assert_array_equal(in_order.prox_full(z, A),
+                                          permuted.prox_full(z, A))
+            np.testing.assert_array_equal(
+                in_order.prox_full(z, A, anchor=anchor),
+                permuted.prox_full(z, A, anchor=anchor))
+        for f in ("norm_sq", "dual_norm_sq", "g_value"):
+            assert getattr(in_order, f)(x) == pytest.approx(
+                getattr(permuted, f)(x), rel=1e-14, abs=1e-15)
+        assert in_order.bregman(x, anchor) == pytest.approx(
+            permuted.bregman(x, anchor), rel=1e-14, abs=1e-15)
+
+
+def test_sharp_draws_center_on_a_nonzero_anchor():
+    # sharp draws are the anchor plus three times the noise on a few
+    # coordinates and the anchor itself elsewhere
+    geom = GeometryBundle([euclidean_block(np.arange(40), anchor=np.full(40, 100.0))])
+    rng = np.random.default_rng(13)
+    draws = np.array([geom.sample_domain(rng, sharp=True) for _ in range(200)])
+    moved = draws[draws != 100.0]
+    assert moved.size > 100
+    assert abs(moved.mean() - 100.0) < 1.0
+    assert np.max(np.abs(draws - 100.0)) < 30.0
+    plain = np.array([geom.sample_domain(rng) for _ in range(200)])
+    assert abs(plain.mean() - 100.0) < 0.1
+
+
 def _validate_domain_all_coordinates(geom, x, tol):
     """``validate_domain`` as it compared every Euclidean coordinate against
     its bounds, infinite ones included (the reference)."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("point has non-finite entries")
-    if geom._eu_idx.size:
-        xe = x[geom._eu_idx]
-        if np.any(xe < geom._eu_lo - tol) or np.any(xe > geom._eu_hi + tol):
+    ei = geom._eu_idx
+    if ei.size:
+        xe = x[ei]
+        if np.any(xe < geom._lo[ei] - tol) or np.any(xe > geom._hi[ei] + tol):
             raise ValueError("point violates box bounds")
     for b in geom._ent_blocks:
         xb = x[b.idx]

@@ -153,6 +153,11 @@ class TestImportanceGuarantees:
             lhs = np.sum(np.maximum(root, root.mean()))
             assert lhs <= 2.0 * np.sum(root) * (1 + 1e-15)
 
+    def test_plan_below_floor_raises_value_error(self):
+        # q_min = 0.1 < 1/(2m) = 0.125; a ValueError maps to bench exit code 2
+        with pytest.raises(ValueError, match="q_min"):
+            SamplingPlan(np.full(4, .25), [.1, .3, .3, .3], 1.0, mode="importance")
+
 
 class TestProblemPlans:
     def test_box_simplex_exponent(self):
