@@ -1,8 +1,7 @@
 """Solving a simplex-simplex matrix game with the randomized extrapolated
-method, and checking the dense reference against the lazy implementation.
-Every block of a game is a simplex, which the lazy mode steps every
-iteration as the dense mode does, so the two trajectories are equal and the
-last line prints a difference of 0.
+method, and checking the dense mode against the lazy one.  Both modes
+compute every prox from the same dual state, so the two trajectories are
+equal and the last line prints a difference of 0.
 
 The game min_z max_y <Az, y> is solved over entropy geometry; progress is
 measured by the exact duality gap max_i (Az)_i - min_j (A'y)_j of the

@@ -46,6 +46,8 @@ class BaselineConfig:
             raise ValueError("step size eta must be positive")
         if self.eval_point not in ("iterate", "average"):
             raise ValueError("eval_point must be 'iterate' or 'average'")
+        if self.eval_stride is not None and self.eval_stride < 1:
+            raise ValueError("eval_stride must be >= 1")
 
 
 def _setup(problem, config):

@@ -194,8 +194,10 @@ class GeometryBundle:
     def _prox_euclidean(self, idx, wx0, z, A):
         """The Euclidean prox on coordinates ``idx`` given w*x0 and z there."""
         u = (wx0 - z) / (self._w[idx] + A * self._mu[idx])
-        np.maximum(u, self._lo[idx], out=u)
-        return np.minimum(u, self._hi[idx], out=u)
+        if self._bounded_idx.size:      # else the clamp leaves u as it is
+            np.maximum(u, self._lo[idx], out=u)
+            np.minimum(u, self._hi[idx], out=u)
+        return u
 
     # -- block-level operations -------------------------------------------
 

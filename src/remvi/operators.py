@@ -225,7 +225,8 @@ class ComponentTable:
         return self.values[j]
 
     def refresh(self, j, vals, k):
-        """Overwrite slot j with F_j evaluated at iteration k's iterate."""
+        """Overwrite slot j with F_j evaluated at iteration k's iterate;
+        True when this refresh also re-summed the aggregate."""
         old = self.values[j]
         self._shadow_iter = k
         self._shadow_j = j
@@ -239,6 +240,8 @@ class ComponentTable:
         self._refreshes += 1
         if self._refreshes % RESUM_PERIOD == 0:
             self.resum()
+            return True
+        return False
 
     def resolve_prev(self, j, k):
         """Stored value of component j as of the end of iteration k-2."""

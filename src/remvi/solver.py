@@ -1,23 +1,14 @@
 """Randomized extrapolated method for generalized Minty variational
-inequalities: one iteration loop over a dense or a lazy dual state.
+inequalities: one iteration loop over one dual state, dense or lazy.
 
 Each iteration draws two independent component indices: j1 (from p) picks the
 single component whose fresh evaluation corrects the table aggregate into the
 extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
-vector z.  ``run`` is the one loop; the dual state it drives decides how much
-of z and x an iteration touches.  The dense state updates all of them.  The
-lazy state defers dual accumulation on Euclidean coordinates: a coordinate's
-aggregate entry changes only when a table refresh writes it, so its dual
-value at step-size sum A is base + A * aggregate_entry, and a refresh shifts
-the base instead.  Per iteration only the Euclidean coordinates the two
-sampled components read are proxed, and only those they write are updated.
-Entropy (simplex) coordinates are not deferred: a simplex prox renormalises
-its whole block, so the lazy state steps them every iteration exactly as the
-dense state does.  Both consume the same draw stream (j1 first, then j2) and
-produce trajectories that agree to floating-point accumulation order; on an
-all-entropy geometry (matrix games) nothing is deferred and they are equal
-bit for bit.
+vector z, which ``_Dual`` keeps: lazy mode proxes only the Euclidean
+coordinates the two sampled components read, dense mode all of them after
+every step.  Both consume the same draw stream (j1 first, then j2) and
+compute each prox from the same state, so their runs are equal bit for bit.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -91,6 +82,10 @@ class SolverConfig:
             raise ValueError("eval_point must be 'iterate' or 'average'")
         if self.gamma is not None and self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
+        if self.eval_stride is not None and self.eval_stride < 1:
+            raise ValueError("eval_stride must be >= 1")
+        if self.avg_samples is not None and self.avg_samples < 1:
+            raise ValueError("avg_samples must be >= 1")
         if self.mode == "lazy" and self.averaging == "weighted-full":
             raise ValueError("weighted-full averaging needs dense iterates; "
                              "use sampled-index-set in lazy mode")
@@ -128,7 +123,7 @@ def next_step_size(a_prev, A_prev, k, gamma, lpq, q_star):
     afterwards min of the geometric branch sqrt(1 + q*/5) a_prev and the cap
     (A_prev gamma + 1)/(10 lpq).
     """
-    if lpq <= 0.0 or not np.isfinite(lpq):
+    if lpq <= 0.0 or not math.isfinite(lpq):
         raise ValueError("lpq must be positive and finite")
     base = SQRT_2_3 / (10.0 * lpq)
     if gamma == 0.0 or k <= 1:
@@ -255,68 +250,40 @@ def _check_divergence(x, k, bound):
 
 
 def _check_finite(v, k, bound, what="dual vector z"):
-    if not np.isfinite(v).all():
+    # v.v is finite only when v is, and is the cheapest full reduction; it
+    # also overflows on a large finite v, so the exact check decides
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
 
 
-class _DenseDual:
-    """The dual vector z and iterate x of a dense run: every step adds a_k
-    times the whole aggregate S to z and re-proxes all of x.  A z that is
-    not finite raises DivergenceError with its iteration."""
-
-    def __init__(self, geom, op, S, bound):
-        self.geom = geom
-        self.comps = op.components
-        self.S = S
-        self.bound = bound
-        self.z = np.zeros(op.d)
-        self.x = geom.x0.copy()
-
-    def read(self, j, A, k):
-        """Nothing to catch up: x is current after every step."""
-
-    def step(self, j, corr, a, A, k):
-        self.z += a * self.S
-        if corr is not None:
-            self.z[self.comps[j].out_idx] += corr
-        # z.z is finite only when z is, and is the cheapest full reduction
-        if not math.isfinite(self.z.dot(self.z)):
-            _check_finite(self.z, k, self.bound)
-        self.x = self.geom.prox_full(self.z, A, check=False)
-
-    def refresh(self, table, j, v, k, A):
-        table.refresh(j, v, k)
-
-    def at(self, A, k):
-        return self.x
-
-
-class _LazyDual:
-    """The dual vector z and iterate x of a lazy run: Euclidean coordinates
-    are proxed on demand, entropy coordinates are stepped every iteration.
+class _Dual:
+    """The dual vector z and iterate x of a run, in either mode.
 
     On a Euclidean coordinate the aggregate S changes only when a table
-    refresh writes it, so between refreshes the true dual vector at
-    step-size sum A is ``z + A*S``: z holds that base, and a refresh that
-    moves S[i] at sum A shifts z[i] by -A times the change, which leaves
-    the true value where it was.  A step then only adds the correction to
-    z, and reading a coordinate is one prox of ``z + A*S`` there, a
-    component's read and write sets being the Euclidean parts of its
-    ``in_idx`` and ``out_idx``.  A simplex prox renormalises its whole
-    block, so deferring one saves nothing: on entropy coordinates z is the
-    true dual vector, which takes the same step, correction and segmented
-    prox as in ``_DenseDual``.  A prox input that is not finite raises
-    DivergenceError with its iteration.
+    refresh writes it, so between refreshes the dual value at step-size sum
+    A is ``z + A*S``: z holds that base, a step adds only the correction to
+    it, and a refresh that moves S[i] at sum A shifts z[i] by -A times the
+    change (the just-in-time update of sparse SAGA).  The iterate there is
+    the prox of ``z + A*S``.  A simplex prox renormalises its whole block,
+    so deferring one saves nothing: on entropy coordinates z is the true
+    dual vector, stepped and proxed every iteration.
+
+    Lazy mode proxes the Euclidean part of a component's ``in_idx`` when it
+    is read.  Dense mode proxes every Euclidean coordinate after a step and
+    what a refresh moved after it, so x is always current.  A base or prox
+    input that is not finite raises DivergenceError with its iteration.
     """
 
-    def __init__(self, geom, op, S, bound):
+    def __init__(self, geom, op, S, bound, dense):
         self.geom = geom
         self.comps = op.components
         self.S = S
         self.bound = bound
+        self.dense = dense
         self.z = np.zeros(op.d)     # the base on Euclidean coordinates
         self.x = geom.x0.copy()
         self.ent = geom._ent_idx
+        self.eu = geom._eu_sel if geom._eu_idx.size else None
         self.reads = [c.in_idx for c in self.comps]
         self.writes = [c.out_idx for c in self.comps]
         if self.ent.size:
@@ -326,23 +293,27 @@ class _LazyDual:
             self.writes = [s[on_eu[s]] for s in self.writes]
 
     def read(self, j, A, k):
-        """Prox what component j reads at step-size sum A."""
+        """Lazy mode: prox what component j reads at step-size sum A."""
         idx = self.reads[j]
-        if A == 0.0 or not idx.size:
+        if self.dense or A == 0.0 or not idx.size:
             return      # at A = 0 nothing has accumulated: x is still x0
         self.x[idx] = self._prox(idx, A, k)
 
     def step(self, j, corr, a, A, k):
-        """Step the entropy coordinates as the dense state does, then add
-        the correction: to the true z on entropy coordinates, to the base
-        on Euclidean ones (their a*S is implied by the new A)."""
+        """Step the entropy coordinates and add the correction: to the true
+        z on entropy coordinates, to the base on Euclidean ones (their a*S
+        is implied by the new A)."""
         ent = self.ent
         if ent.size:
             self.z[ent] += a * self.S[ent]
         if corr is not None:
             self.z[self.comps[j].out_idx] += corr
         if ent.size:
-            self.x[ent] = self.geom.prox_entropy(self.z[ent])
+            z_ent = self.z[ent]
+            _check_finite(z_ent, k, self.bound)
+            self.x[ent] = self.geom.prox_entropy(z_ent)
+        if self.dense:
+            self._prox_all(A, k)
 
     def refresh(self, table, j, v, k, A):
         """Refresh slot j at step-size sum A, shifting the base on j's
@@ -352,31 +323,49 @@ class _LazyDual:
         re-sum corrects."""
         w = self.writes[j]
         if not w.size:
-            table.refresh(j, v, k)
+            if table.refresh(j, v, k) and self.dense:
+                self._prox_all(A, k)
             return
         old = self.S[w]
-        table.refresh(j, v, k)
-        self.z[w] -= A * (self.S[w] - old)
+        resummed = table.refresh(j, v, k)
+        new = self.S[w]
+        base = self.z[w] - A * (new - old)
+        self.z[w] = base
+        if not self.dense:
+            _check_finite(base, k, self.bound)
+        elif resummed:
+            self._prox_all(A, k)
+        else:   # a base that is not finite makes this prox input so too
+            self.x[w] = self._prox(w, A, k, base + A * new)
 
-    def _prox(self, idx, A, k):
-        z = self.z[idx] + A * self.S[idx]
+    def _prox(self, idx, A, k, z=None):
+        """The iterate on Euclidean coordinates idx at step-size sum A, from
+        their dual value ``z + A*S`` (passed as ``z`` when at hand)."""
+        if z is None:
+            z = self.z[idx] + A * self.S[idx]
         _check_finite(z, k, self.bound)
         return self.geom.prox_coords(idx, z, A, check=False)
 
+    def _prox_all(self, A, k):
+        if self.eu is not None:
+            self.x[self.eu] = self._prox(self.eu, A, k)
+
     def at(self, A, k):
         """The iterate at A on every coordinate, leaving z as it is."""
+        if self.dense:
+            return self.x
         snap = self.x.copy()
-        eu = self.geom._eu_idx
-        if A != 0.0 and eu.size:
-            snap[eu] = self._prox(eu, A, k)
+        if A != 0.0 and self.eu is not None:
+            snap[self.eu] = self._prox(self.eu, A, k)
         return snap
 
 
 def run(problem, plan, config):
     """The randomized extrapolated method in ``config.mode``: one loop over
-    a dense (``_DenseDual``) or lazy (``_LazyDual``) dual state.  With the
-    same seed both modes draw the same components and agree to
-    floating-point accumulation order."""
+    the dual state ``_Dual``, which proxes every Euclidean coordinate in
+    dense mode and only those the sampled components read in lazy mode.
+    With the same seed both modes draw the same components and their runs
+    are equal bit for bit."""
     gamma, lpq, stride, metrics = _resolve(problem, plan, config)
     geom, op = problem.geometry, problem.operator
     K = config.iterations
@@ -389,8 +378,8 @@ def run(problem, plan, config):
     table = ComponentTable(op, geom.x0)
     calls = op.m
     # S: the table updates its aggregate in place
-    state = _DenseDual if config.mode == "dense" else _LazyDual
-    dual = state(geom, op, table.aggregate, config.divergence_bound)
+    dual = _Dual(geom, op, table.aggregate, config.divergence_bound,
+                 dense=config.mode == "dense")
     trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
                   iterations=K, a_seq=a_seq,
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
@@ -444,20 +433,19 @@ def run(problem, plan, config):
 
 
 def run_dense(problem, plan, config):
-    """Reference full-vector implementation of the randomized extrapolated
-    method; every iteration updates the whole dual vector and iterate."""
+    """Dense mode: the whole iterate is current after every iteration, which
+    weighted-full averaging needs.  Every Euclidean coordinate is proxed
+    each step and a refresh's write set again after it."""
     if config.mode != "dense":
         raise ValueError("config.mode must be 'dense'")
     return run(problem, plan, config)
 
 
 def run_lazy(problem, plan, config):
-    """Lazy implementation: each Euclidean coordinate keeps its dual value
-    as base + A * aggregate, so per iteration only the Euclidean coordinates
-    the two sampled components read are proxed and only those they write
-    are updated; entropy (simplex) coordinates are stepped every iteration
-    as in run_dense (see ``_LazyDual``).  With the same seed the metric
-    trace matches run_dense, bit for bit when every block is a simplex.
+    """Lazy mode: per iteration only the Euclidean coordinates the two
+    sampled components read are proxed and only those they write are
+    updated; entropy (simplex) coordinates are stepped every iteration (see
+    ``_Dual``).  With the same seed the run equals run_dense bit for bit.
     """
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")

@@ -226,6 +226,17 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "summary.json"))
         assert os.path.exists(os.path.join(out, "seed_1.csv"))
 
+    @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense",
+                                        "mirror-prox", "popov"])
+    @pytest.mark.parametrize("stride", ["0", "-5"])
+    def test_non_positive_stride_exit_two(self, tmp_path, capsys, solver,
+                                          stride):
+        code = main(["run", "--problem", "matrix-game", "--solver", solver,
+                     "--iters", "10", "--stride", stride, "--n", "3",
+                     "--d", "3", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "eval_stride must be >= 1" in capsys.readouterr().err
+
     def test_generate_subcommand(self, tmp_path):
         out = str(tmp_path / "gen")
         assert main(["generate", "--family", "lad", "--n", "4", "--d", "4",

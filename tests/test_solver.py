@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from remvi import operators
+from remvi.baselines import BaselineConfig
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 from remvi.operators import CallableComponent, ComponentTable, FiniteSumOperator
 from remvi.problems import (generate_instance, make_custom, make_lad,
                             problem_instances_for_tests)
 from remvi.sampling import RngStream, SamplingPlan, build_plan, problem_plan
-from remvi.solver import (DivergenceError, SolverConfig, _LazyDual,
+from remvi.solver import (DivergenceError, SolverConfig, _Dual,
                           average_output, extrapolate, next_step_size,
                           run_dense, run_lazy, step_condition_violations,
                           step_schedule)
@@ -250,12 +252,14 @@ class TestRunDense:
             at[mode] = exc.value.iteration
         assert at["lazy"] == at["dense"] > 1
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(10))
     def test_dual_overflow_named_below_stride(self, seed):
         # at lpq = 1e-300 z overflows within a few iterations: both modes
-        # name an iteration there, not the next metric record.  The lazy
-        # base overflows when A*S does, which can be an iteration before or
-        # (read later) after the dense z
+        # name an iteration there, not the next metric record.  Both check
+        # the base a refresh writes and every prox input they compute; dense
+        # mode proxes, and so checks, every Euclidean coordinate, which on
+        # this instance (every coordinate read or written each iteration)
+        # names the same iteration as lazy mode
         inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]),
                         np.array([3.0, -3.0]))
         plan = problem_plan(inst)
@@ -268,8 +272,8 @@ class TestRunDense:
                     pytest.raises(DivergenceError, match="dual vector z") as exc:
                 run(inst, plan, cfg)
             at[mode] = exc.value.iteration
-        assert at["dense"] < 100 and at["lazy"] < 100
-        assert abs(at["dense"] - at["lazy"]) <= 1
+        assert at["dense"] < 100
+        assert at["lazy"] == at["dense"]
 
     def test_cert_violations_zero_on_runs(self):
         for inst in problem_instances_for_tests():
@@ -280,6 +284,49 @@ class TestRunDense:
             assert step_condition_violations(trace.a_seq, trace.info["gamma"],
                                              trace.info["lpq"],
                                              trace.info["q_star"]) == 0
+
+
+def assert_runs_bitwise_equal(t1, t2):
+    """Records (bar the clock), final iterate, averaged output, last
+    extrapolated estimate and table are equal bit for bit."""
+    def records(trace):
+        return [{k: v for k, v in vars(r).items() if k != "elapsed_ns"}
+                for r in trace.records]
+
+    assert records(t1) == records(t2)
+    np.testing.assert_array_equal(t1.final_x, t2.final_x)
+    assert (t1.x_bar is None) == (t2.x_bar is None)
+    if t1.x_bar is not None:
+        np.testing.assert_array_equal(t1.x_bar, t2.x_bar)
+    np.testing.assert_array_equal(t1.info["fhat_last"], t2.info["fhat_last"])
+    np.testing.assert_array_equal(t1.info["table_eval_iter"],
+                                  t2.info["table_eval_iter"])
+    for v1, v2 in zip(t1.info["table_values"], t2.info["table_values"],
+                      strict=True):
+        np.testing.assert_array_equal(v1, v2)
+
+
+def _test_instance(family):
+    return next(i for i in problem_instances_for_tests() if i.family == family)
+
+
+# every family, and the geometries that exercise each part of the dual state
+BITWISE_CASES = {
+    "two-sided": lambda: generate_instance("matrix-game", 12, 9, 1.5, seed=2,
+                                           mode="two-sided"),
+    "row-sided": lambda: generate_instance("matrix-game", 12, 9, 1.5, seed=2,
+                                           mode="row-sided"),
+    "matrix-game": lambda: _test_instance("matrix-game"),
+    "box-simplex": lambda: _test_instance("box-simplex"),
+    "lad": lambda: _test_instance("lad"),
+    "policy-eval": lambda: _test_instance("policy-eval"),
+    "mixed": lambda: mixed_instance(),
+    "lad-quad": lambda: generate_instance("lad", 8, 7, 1.0, seed=5,
+                                          density=0.5, quad=0.5),
+    "policy-eval-mu0.1": lambda: generate_instance(
+        "policy-eval", 10, 5, 0.0, seed=1, out_degree=2, beta=0.3,
+        sym_margin=1.5, reward_scale=0.2, mu=0.1),
+}
 
 
 class TestDenseLazyEquivalence:
@@ -303,27 +350,16 @@ class TestDenseLazyEquivalence:
                 else:
                     assert abs(dv - lv) <= 1e-9 * max(abs(dv), abs(lv), 1e-9)
 
-    @pytest.mark.parametrize("mode", ["two-sided", "row-sided"])
-    def test_games_bitwise_equal(self, mode):
-        # every block of a game is a simplex, which lazy mode steps exactly
-        # as dense mode does: nothing is deferred, so the runs are equal
-        inst = generate_instance("matrix-game", 12, 9, 1.5, seed=2, mode=mode)
+    @pytest.mark.parametrize("name", BITWISE_CASES)
+    def test_modes_bitwise_equal(self, name):
+        # both modes prox the same base z + A*S with the same arithmetic;
+        # dense mode only does it for every coordinate, so the runs are equal
+        inst = BITWISE_CASES[name]()
         plan = problem_plan(inst)
         args = dict(iterations=1000, seed=7, eval_stride=50)
         td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-
-        def records(trace):
-            return [{k: v for k, v in vars(r).items() if k != "elapsed_ns"}
-                    for r in trace.records]
-
-        assert records(tl) == records(td)
-        np.testing.assert_array_equal(tl.final_x, td.final_x)
-        np.testing.assert_array_equal(tl.x_bar, td.x_bar)
-        np.testing.assert_array_equal(tl.info["fhat_last"],
-                                      td.info["fhat_last"])
-        for vl, vd in zip(tl.info["table_values"], td.info["table_values"]):
-            np.testing.assert_array_equal(vl, vd)
+        assert_runs_bitwise_equal(tl, td)
 
     def test_flushed_final_iterate_matches(self):
         inst = problem_instances_for_tests()[2]
@@ -394,7 +430,7 @@ class TestLazyCatchup:
         inst = mixed_instance()
         op = inst.operator
         table = ComponentTable(op, inst.x0)
-        lazy = _LazyDual(inst.geometry, op, table.aggregate, 1e9)
+        lazy = _Dual(inst.geometry, op, table.aggregate, 1e9, dense=False)
         rng = np.random.default_rng(3)
         lazy.z[:] = rng.normal(size=inst.d)
         A = 2.7
@@ -415,23 +451,57 @@ class TestLazyCatchup:
             np.testing.assert_array_equal(lazy.z[rest], z_old[rest])
 
     @staticmethod
-    def _long_horizon_drift(inst):
+    def _long_horizon_equal(inst, K, monkeypatch):
+        """Dense and lazy runs of K iterations are equal bit for bit;
+        returns the number of aggregate re-sums the two made."""
+        resums = []
+        resum = ComponentTable.resum
+        monkeypatch.setattr(ComponentTable, "resum",
+                            lambda table: resums.append(1) or resum(table))
         plan = problem_plan(inst)
-        K = 100_000
         args = dict(iterations=K, seed=0, eval_stride=K, eval_metrics=())
         td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-        return np.max(np.abs(td.final_x - tl.final_x))
+        assert_runs_bitwise_equal(tl, td)
+        return len(resums)
 
-    def test_lad_long_horizon_drift(self):
+    def test_lad_long_horizon_drift(self, monkeypatch):
+        # 1e5 iterations cross a re-sum at the shipped RESUM_PERIOD
         inst = generate_instance("lad", 30, 30, 1.0, seed=0)
-        assert self._long_horizon_drift(inst) <= 1e-9
+        assert self._long_horizon_equal(inst, 100_000, monkeypatch) == 2
 
     @pytest.mark.parametrize("family", ["box-simplex", "policy-eval"])
-    def test_long_horizon_drift(self, family):
-        inst = next(i for i in problem_instances_for_tests()
-                    if i.family == family)
-        assert self._long_horizon_drift(inst) <= 1e-9
+    def test_long_horizon_drift(self, family, monkeypatch):
+        # a shorter horizon with the re-sum period cut to 256, so that each
+        # run crosses 15 re-sums
+        monkeypatch.setattr(operators, "RESUM_PERIOD", 256)
+        inst = _test_instance(family)
+        assert self._long_horizon_equal(inst, 4000, monkeypatch) == 30
+
+    @pytest.mark.parametrize("resum", [False, True])
+    def test_dense_iterate_current_after_refresh(self, resum, monkeypatch):
+        # after a refresh the dense iterate is the prox of z + A*S on every
+        # Euclidean coordinate: re-proxed on the write set, and everywhere
+        # when the refresh re-summed an aggregate that had drifted
+        if resum:
+            monkeypatch.setattr(operators, "RESUM_PERIOD", 1)
+        inst = mixed_instance()
+        op, geom = inst.operator, inst.geometry
+        table = ComponentTable(op, inst.x0)
+        dense = _Dual(geom, op, table.aggregate, 1e9, dense=True)
+        rng = np.random.default_rng(8)
+        dense.z[:] = rng.normal(size=inst.d)
+        eu = geom._eu_idx
+        table.aggregate[eu] += rng.normal(size=eu.size)     # the drift
+        A = 1.9
+        dense.step(0, None, 0.3, A, 1)
+        x_step = dense.x.copy()
+        dense.refresh(table, 2, table.values[2] + 1.0, 1, A)
+        expect = geom.prox_coords(eu, dense.z[eu] + A * dense.S[eu], A)
+        np.testing.assert_array_equal(dense.x[eu], expect)
+        # off j's write set only a re-sum, which removes the drift, moves x
+        off_w = ~np.isin(eu, dense.writes[2])
+        assert np.all(dense.x[eu][off_w] != x_step[eu][off_w]) == resum
 
 
 class TestLazySupportBookkeeping:
@@ -487,6 +557,18 @@ class TestAveraging:
         with pytest.raises(ValueError, match="weighted-full"):
             SolverConfig(iterations=5, mode="lazy", averaging="weighted-full")
 
+    def test_non_positive_stride_and_samples_rejected(self):
+        # a zero stride divided by zero in the loop; a negative one was
+        # accepted and recorded at its absolute value
+        for kw in (dict(eval_stride=0), dict(eval_stride=-5),
+                   dict(avg_samples=0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                SolverConfig(iterations=5, **kw)
+        for stride in (0, -5):
+            with pytest.raises(ValueError, match="eval_stride must be >= 1"):
+                BaselineConfig(method="popov", iterations=5,
+                               eval_stride=stride)
+
     def test_average_point_needs_weighted_full(self):
         for mode in ("dense", "lazy"):
             with pytest.raises(ValueError, match="averaged-point"):
@@ -532,30 +614,28 @@ def _replay_rotation(inst, a_seq, K):
     return xs
 
 
-def test_table_freshness_exact_replay():
-    """Reconstruct a dense run step by step from the public pieces (stream,
-    plan, step sizes, table, prox) and check that every table slot holds the
-    component evaluated exactly at the iterate of its recorded refresh."""
-    inst = problem_instances_for_tests()[0]
-    plan = problem_plan(inst)
+def _replay_dense(inst, plan, trace, seed):
+    """Reference dense run from the public pieces (stream, plan, step sizes,
+    table, full prox), independent of the solver's dual state: each step
+    adds a*S and the correction to the true dual vector z and proxes all
+    of it.  Returns the iterates by iteration, the last extrapolated
+    estimate, the a-weighted average and the table."""
     op, geom = inst.operator, inst.geometry
-    K = 60
-    tr = run_dense(inst, plan, SolverConfig(iterations=K, seed=13,
-                                            mode="dense", eval_metrics=()))
-    draw = RngStream(13, stream=0)
+    K = trace.iterations
+    draw = RngStream(seed, stream=0)
     table = ComponentTable(op, geom.x0)
     z = np.zeros(op.d)
     x = geom.x0.copy()
-    iterates = {0: x.copy()}
+    iterates = {0: x}
+    wsum = np.zeros(op.d)
     a = A = 0.0
-    gamma, lpq, q_star = (tr.info[k] for k in ("gamma", "lpq", "q_star"))
+    gamma, lpq, q_star = (trace.info[k] for k in ("gamma", "lpq", "q_star"))
     for k in range(1, K + 1):
         a_prev = a
         a = next_step_size(a_prev, A, k, gamma, lpq, q_star)
         A += a
         j1 = plan.sample_p(draw)
         v1 = op.components[j1].evaluate(x)
-        # mirrors the solver's in-place split of the extrapolated estimate
         z += a * table.aggregate
         if a_prev != 0.0:
             z[op.components[j1].out_idx] += (a_prev / plan.p[j1]) * (
@@ -563,10 +643,26 @@ def test_table_freshness_exact_replay():
         if k == K:
             fhat_last = extrapolate(table, j1, v1, a_prev, a, plan.p[j1], k)
         x = geom.prox_full(z, A)
-        iterates[k] = x.copy()
+        iterates[k] = x
+        wsum += a * x
         j2 = plan.sample_q(draw)
         table.refresh(j2, op.components[j2].evaluate(x), k)
-    np.testing.assert_array_equal(x, tr.final_x)
+    return iterates, fhat_last, wsum / A, table
+
+
+def test_table_freshness_exact_replay():
+    """Replay a dense run on a matrix game and check that every table slot
+    holds the component evaluated exactly at the iterate of its recorded
+    refresh.  A game has only simplex blocks, whose z the solver also keeps
+    as the true dual vector, so the replay is equal bit for bit."""
+    inst = problem_instances_for_tests()[0]
+    plan = problem_plan(inst)
+    op = inst.operator
+    K = 60
+    tr = run_dense(inst, plan, SolverConfig(iterations=K, seed=13,
+                                            mode="dense", eval_metrics=()))
+    iterates, fhat_last, _, table = _replay_dense(inst, plan, tr, 13)
+    np.testing.assert_array_equal(iterates[K], tr.final_x)
     np.testing.assert_array_equal(fhat_last, tr.info["fhat_last"])
     np.testing.assert_array_equal(tr.info["table_eval_iter"], table.eval_iter)
     for j in range(op.m):
@@ -576,10 +672,28 @@ def test_table_freshness_exact_replay():
             op.components[j].evaluate(iterates[ki]))
 
 
+@pytest.mark.parametrize("name", BITWISE_CASES)
+def test_dense_run_matches_reference_replay(name):
+    """On Euclidean coordinates the solver keeps z as base + A*S, which
+    rounds differently from the replay's running sum: the two agree to
+    1e-9 of the iterate's scale."""
+    inst = BITWISE_CASES[name]()
+    plan = problem_plan(inst)
+    K = 500
+    tr = run_dense(inst, plan, SolverConfig(iterations=K, seed=3, mode="dense",
+                                            averaging="weighted-full",
+                                            eval_metrics=()))
+    iterates, fhat_last, x_bar, _ = _replay_dense(inst, plan, tr, 3)
+    for got, want in ((tr.final_x, iterates[K]), (tr.x_bar, x_bar),
+                      (tr.info["fhat_last"], fhat_last)):
+        scale = max(1.0, np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+
+
 def test_m1_rem_matches_popov_trajectory():
     """With one component and unit probabilities, the dense run reproduces
     the past-gradient (Popov) recursion exactly on the rotation instance."""
-    from remvi.baselines import BaselineConfig, popov_run
+    from remvi.baselines import popov_run
     lpq = 2.0
     inst = rotation_instance(lpq)
     plan = SamplingPlan(np.ones(1), np.ones(1), lpq=lpq)
