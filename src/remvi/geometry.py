@@ -182,10 +182,14 @@ class GeometryBundle:
         # on some side: a finite x never violates -inf or +inf
         self._bounded_idx = np.flatnonzero((self._lo > -np.inf)
                                            | (self._hi < np.inf))
+        self._clamp = bool(self._bounded_idx.size)
+        self._scalar = None
         self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
         ent = self._ent_blocks
         self._ent_idx = np.concatenate(
             [b.idx for b in ent] + [np.empty(0, dtype=np.intp)])
+        self._ent_sel = (slice(None) if np.array_equal(self._ent_idx, np.arange(d))
+                         else self._ent_idx)     # as _eu_sel
         self._ent_log_anchor = np.concatenate([b.log_anchor for b in ent]
                                               + [np.empty(0)])
         self._ent_sizes = np.array([b.size for b in ent], dtype=np.intp)
@@ -194,7 +198,7 @@ class GeometryBundle:
     def _prox_euclidean(self, idx, wx0, z, A):
         """The Euclidean prox on coordinates ``idx`` given w*x0 and z there."""
         u = (wx0 - z) / (self._w[idx] + A * self._mu[idx])
-        if self._bounded_idx.size:      # else the clamp leaves u as it is
+        if self._clamp:     # else every bound is infinite
             np.maximum(u, self._lo[idx], out=u)
             np.minimum(u, self._hi[idx], out=u)
         return u
@@ -219,6 +223,17 @@ class GeometryBundle:
         if check:
             _check_prox_input(z_idx, A)
         return self._prox_euclidean(idx, self._wx0[idx], z_idx, A)
+
+    def prox_one(self, i, z_i, A):
+        """prox_coords on the single coordinate i, in Python floats: the same
+        IEEE operations, and the same clamp, as the array version."""
+        if self._scalar is None:    # built on first use
+            self._scalar = list(zip(self._wx0.tolist(), self._w.tolist(),
+                                    self._mu.tolist(), self._lo.tolist(),
+                                    self._hi.tolist()))
+        wx0, w, mu, lo, hi = self._scalar[i]
+        u = (wx0 - z_i) / (w + A * mu)
+        return lo if u < lo else hi if u > hi else u
 
     # -- full-space operations --------------------------------------------
 

@@ -49,9 +49,9 @@ class AliasTable:
         """Map one uniform in [0,1) to an index with the table's distribution."""
         scaled = u * self.m
         i = int(scaled)
-        if scaled - i < self.prob[i]:
+        if scaled - i < self.prob.item(i):
             return i
-        return int(self.alias[i])
+        return self.alias.item(i)
 
     def sample_many(self, u):
         """Vectorized ``sample`` over an array of uniforms (same mapping)."""

@@ -250,10 +250,13 @@ def _check_divergence(x, k, bound):
 
 
 def _check_finite(v, k, bound, what="dual vector z"):
-    # v.v is finite only when v is, and is the cheapest full reduction; it
-    # also overflows on a large finite v, so the exact check decides
-    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+    if not np.isfinite(v).all():
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
+
+
+# Write sets of up to this many Euclidean coordinates are updated in Python
+# floats: the same IEEE operations as numpy's, without its per-call cost.
+SCALAR_WRITES = 8
 
 
 class _Dual:
@@ -269,9 +272,11 @@ class _Dual:
     dual vector, stepped and proxed every iteration.
 
     Lazy mode proxes the Euclidean part of a component's ``in_idx`` when it
-    is read.  Dense mode proxes every Euclidean coordinate after a step and
-    what a refresh moved after it, so x is always current.  A base or prox
-    input that is not finite raises DivergenceError with its iteration.
+    is read.  Dense mode keeps x current instead: it proxes every Euclidean
+    coordinate after a step, and what a refresh moved after it.  Both prox
+    each coordinate from the same z, S and A, so their runs are equal bit
+    for bit.  A base or prox input that is not finite raises DivergenceError
+    with its iteration.
     """
 
     def __init__(self, geom, op, S, bound, dense):
@@ -282,20 +287,23 @@ class _Dual:
         self.dense = dense
         self.z = np.zeros(op.d)     # the base on Euclidean coordinates
         self.x = geom.x0.copy()
-        self.ent = geom._ent_idx
+        # the coordinates of each kind, None when there are none
+        self.ent = geom._ent_sel if geom._ent_idx.size else None
         self.eu = geom._eu_sel if geom._eu_idx.size else None
-        self.reads = [c.in_idx for c in self.comps]
-        self.writes = [c.out_idx for c in self.comps]
-        if self.ent.size:
+        reads = [c.in_idx for c in self.comps]
+        writes = [c.out_idx for c in self.comps]
+        if self.ent is not None:
             on_eu = np.ones(op.d, dtype=bool)
             on_eu[self.ent] = False
-            self.reads = [s[on_eu[s]] for s in self.reads]
-            self.writes = [s[on_eu[s]] for s in self.writes]
+            reads = [s[on_eu[s]] for s in reads]
+            writes = [s[on_eu[s]] for s in writes]
+        self.reads = [None] * op.m if dense else reads  # dense: x is current
+        self.writes = writes
 
     def read(self, j, A, k):
         """Lazy mode: prox what component j reads at step-size sum A."""
         idx = self.reads[j]
-        if self.dense or A == 0.0 or not idx.size:
+        if A == 0.0 or idx is None or not idx.size:
             return      # at A = 0 nothing has accumulated: x is still x0
         self.x[idx] = self._prox(idx, A, k)
 
@@ -304,16 +312,17 @@ class _Dual:
         z on entropy coordinates, to the base on Euclidean ones (their a*S
         is implied by the new A)."""
         ent = self.ent
-        if ent.size:
+        if ent is not None:
             self.z[ent] += a * self.S[ent]
         if corr is not None:
             self.z[self.comps[j].out_idx] += corr
-        if ent.size:
+        if ent is not None:
             z_ent = self.z[ent]
-            _check_finite(z_ent, k, self.bound)
+            if not math.isfinite(z_ent.dot(z_ent)):
+                _check_finite(z_ent, k, self.bound)
             self.x[ent] = self.geom.prox_entropy(z_ent)
-        if self.dense:
-            self._prox_all(A, k)
+        if self.dense and self.eu is not None:
+            self.x[self.eu] = self._prox(self.eu, A, k)
 
     def refresh(self, table, j, v, k, A):
         """Refresh slot j at step-size sum A, shifting the base on j's
@@ -321,42 +330,47 @@ class _Dual:
         RESUM_PERIOD refreshes the table re-sums S everywhere, which moves
         z + A*S on the other coordinates by A times the rounding drift the
         re-sum corrects."""
-        w = self.writes[j]
-        if not w.size:
-            if table.refresh(j, v, k) and self.dense:
-                self._prox_all(A, k)
-            return
-        old = self.S[w]
-        resummed = table.refresh(j, v, k)
-        new = self.S[w]
-        base = self.z[w] - A * (new - old)
-        self.z[w] = base
-        if not self.dense:
+        w, S, z, x, dense = self.writes[j], self.S, self.z, self.x, self.dense
+        if type(w) is not list and w.size <= SCALAR_WRITES:
+            w = self.writes[j] = w.tolist()     # converted on first use
+        if type(w) is not list:
+            old = S[w]
+            table.refresh(j, v, k)
+            z[w] = base = z[w] - A * (S[w] - old)
             _check_finite(base, k, self.bound)
-        elif resummed:
-            self._prox_all(A, k)
-        else:   # a base that is not finite makes this prox input so too
-            self.x[w] = self._prox(w, A, k, base + A * new)
+            redo_all = True     # dense mode re-proxes a large set whole
+        elif not w:             # nothing Euclidean to shift
+            redo_all = table.refresh(j, v, k)
+        else:
+            prox_one = self.geom.prox_one
+            old = list(map(S.item, w))
+            redo_all = table.refresh(j, v, k)     # True after a re-sum
+            for i, o, s in zip(w, old, map(S.item, w)):
+                z[i] = b = z.item(i) - A * (s - o)
+                u = b + A * s if dense else b     # dense: the prox input
+                if not math.isfinite(u):
+                    raise DivergenceError(k, abs(u), self.bound,
+                                          what="dual vector z")
+                if dense:
+                    x[i] = prox_one(i, u, A)
+        if dense and redo_all and self.eu is not None:
+            x[self.eu] = self._prox(self.eu, A, k)
 
-    def _prox(self, idx, A, k, z=None):
-        """The iterate on Euclidean coordinates idx at step-size sum A, from
-        their dual value ``z + A*S`` (passed as ``z`` when at hand)."""
-        if z is None:
-            z = self.z[idx] + A * self.S[idx]
-        _check_finite(z, k, self.bound)
+    def _prox(self, idx, A, k):
+        z = A * self.S[idx]
+        z += self.z[idx]
+        # z.z is finite only when z is, and is the cheapest full reduction;
+        # it also overflows on a large finite z, so the exact check decides
+        if not math.isfinite(z.dot(z)):
+            _check_finite(z, k, self.bound)
         return self.geom.prox_coords(idx, z, A, check=False)
-
-    def _prox_all(self, A, k):
-        if self.eu is not None:
-            self.x[self.eu] = self._prox(self.eu, A, k)
 
     def at(self, A, k):
         """The iterate at A on every coordinate, leaving z as it is."""
-        if self.dense:
-            return self.x
+        if self.dense or A == 0.0 or self.eu is None:
+            return self.x   # current
         snap = self.x.copy()
-        if A != 0.0 and self.eu is not None:
-            snap[self.eu] = self._prox(self.eu, A, k)
+        snap[self.eu] = self._prox(self.eu, A, k)
         return snap
 
 
@@ -402,7 +416,7 @@ def run(problem, plan, config):
         # the step adds a_k * F_hat to z: a_k * aggregate plus this correction
         corr = None
         if a_prev != 0.0:
-            corr = (a_prev / p[j1]) * (v1 - table.resolve_prev(j1, k))
+            corr = (a_prev / p.item(j1)) * (v1 - table.resolve_prev(j1, k))
         if k == K:
             fhat_last = extrapolate(table, j1, v1, a_prev, a, p[j1], k)
         dual.step(j1, corr, a, A, k)

@@ -210,6 +210,28 @@ def test_coordinate_prox_equals_blockwise_bitwise():
         geom.prox_coords(idx[:2], np.zeros(2), -1.0)
 
 
+def test_scalar_prox_equals_array_prox_bitwise():
+    # prox_one is prox_coords in Python floats: the same bits on every
+    # Euclidean coordinate, inside the box and clamped to either side
+    geom = GeometryBundle([
+        euclidean_block(np.arange(3), anchor=np.array([0.3, -0.7, 0.1]),
+                        weights=np.array([0.5, 2.0, 3.0]), mu=0.25),
+        simplex_block(np.arange(3, 5)),
+        euclidean_block(np.array([5, 6]), lo=-0.5, hi=[0.5, 2.0]),
+        euclidean_block(np.array([7]), mu=1.5, lo=0.0),
+    ])
+    eu = geom._eu_idx
+    rng = np.random.default_rng(11)
+    for A in (0.0, 1e-3, 1.7, 40.0):
+        for scale in (1e-3, 1.0, 1e3):
+            z = scale * rng.standard_normal(eu.size)
+            want = geom.prox_coords(eu, z, A)
+            got = [geom.prox_one(i, zi, A)
+                   for i, zi in zip(eu.tolist(), z.tolist())]
+            np.testing.assert_array_equal(got, want)
+            assert all(type(g) is float for g in got)
+
+
 def test_composite_norms_sum_over_blocks():
     geom = mixed_bundle()
     rng = np.random.default_rng(4)

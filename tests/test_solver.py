@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from remvi import operators
+from remvi import operators, solver
 from remvi.baselines import BaselineConfig
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 from remvi.operators import CallableComponent, ComponentTable, FiniteSumOperator
@@ -361,6 +361,20 @@ class TestDenseLazyEquivalence:
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         assert_runs_bitwise_equal(tl, td)
 
+    @pytest.mark.parametrize("name", BITWISE_CASES)
+    def test_array_writes_bitwise_equal(self, name, monkeypatch):
+        # write sets above SCALAR_WRITES take the numpy path, which must give
+        # the same bits as the Python-float path in both modes
+        inst = BITWISE_CASES[name]()
+        plan = problem_plan(inst)
+        args = dict(iterations=1000, seed=7, eval_stride=50)
+        ts = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        monkeypatch.setattr(solver, "SCALAR_WRITES", 0)
+        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+        assert_runs_bitwise_equal(td, ts)
+        assert_runs_bitwise_equal(tl, ts)
+
     def test_flushed_final_iterate_matches(self):
         inst = problem_instances_for_tests()[2]
         plan = problem_plan(inst)
@@ -424,9 +438,16 @@ class TestLazyCatchup:
         np.testing.assert_allclose(tl.info["fhat_last"], td.info["fhat_last"],
                                    rtol=0, atol=1e-9)
 
-    def test_refresh_keeps_euclidean_dual_value(self):
+    def test_refresh_keeps_euclidean_dual_value(self, monkeypatch):
         # a refresh at step-size sum A moves S on j's Euclidean write set
-        # and shifts the base z there, so z + A*S (the dual value) stays
+        # and shifts the base z there, so z + A*S (the dual value) stays;
+        # on both paths: Python floats, and numpy when SCALAR_WRITES is 0
+        for scalar_writes in (solver.SCALAR_WRITES, 0):
+            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+            self._check_refresh_keeps_dual_value(scalar_writes > 0)
+
+    @staticmethod
+    def _check_refresh_keeps_dual_value(scalar):
         inst = mixed_instance()
         op = inst.operator
         table = ComponentTable(op, inst.x0)
@@ -435,11 +456,13 @@ class TestLazyCatchup:
         lazy.z[:] = rng.normal(size=inst.d)
         A = 2.7
         for k, j in enumerate((2, 3, 4, 0), start=1):
-            w = lazy.writes[j]
+            w = np.asarray(lazy.writes[j])
             assert w.size
             z_old, S_old = lazy.z.copy(), lazy.S.copy()
             v = table.values[j] + rng.normal(size=table.values[j].size)
             lazy.refresh(table, j, v, k, A)
+            # the path taken: Python floats keep the write set as a list
+            assert isinstance(lazy.writes[j], list) == scalar
             assert np.all(lazy.S[w] != S_old[w])
             before = z_old[w] + A * S_old[w]
             after = lazy.z[w] + A * lazy.S[w]
@@ -478,11 +501,15 @@ class TestLazyCatchup:
         inst = _test_instance(family)
         assert self._long_horizon_equal(inst, 4000, monkeypatch) == 30
 
+    @pytest.mark.parametrize("scalar_writes", [solver.SCALAR_WRITES, 0],
+                             ids=["scalar", "array"])
     @pytest.mark.parametrize("resum", [False, True])
-    def test_dense_iterate_current_after_refresh(self, resum, monkeypatch):
+    def test_dense_iterate_current_after_refresh(self, resum, scalar_writes,
+                                                 monkeypatch):
         # after a refresh the dense iterate is the prox of z + A*S on every
         # Euclidean coordinate: re-proxed on the write set, and everywhere
         # when the refresh re-summed an aggregate that had drifted
+        monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
         if resum:
             monkeypatch.setattr(operators, "RESUM_PERIOD", 1)
         inst = mixed_instance()
@@ -501,7 +528,11 @@ class TestLazyCatchup:
         np.testing.assert_array_equal(dense.x[eu], expect)
         # off j's write set only a re-sum, which removes the drift, moves x
         off_w = ~np.isin(eu, dense.writes[2])
-        assert np.all(dense.x[eu][off_w] != x_step[eu][off_w]) == resum
+        if resum:
+            assert np.all(dense.x[eu][off_w] != x_step[eu][off_w])
+        else:
+            np.testing.assert_array_equal(dense.x[eu][off_w],
+                                          x_step[eu][off_w])
 
 
 class TestLazySupportBookkeeping:
