@@ -42,8 +42,10 @@ class BaselineConfig:
             raise ValueError("method must be 'mirror-prox' or 'popov'")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.eta is not None and self.eta <= 0.0:
+        if self.eta is not None and not self.eta > 0.0:
             raise ValueError("step size eta must be positive")
+        if not self.divergence_bound > 0.0:
+            raise ValueError("divergence_bound must be positive")
         if self.eval_point not in ("iterate", "average"):
             raise ValueError("eval_point must be 'iterate' or 'average'")
         if self.eval_stride is not None and self.eval_stride < 1:

@@ -122,9 +122,7 @@ def load_config(path):
                 continue
             if key == "seeds":
                 kwargs[key] = tuple(int(v) for v in raw.split(","))
-            elif key in ("iterations", "n", "d", "instance_seed"):
-                kwargs[key] = int(raw)
-            elif key == "eval_stride":
+            elif key in ("iterations", "n", "d", "instance_seed", "eval_stride"):
                 kwargs[key] = int(raw)
             elif key in ("gamma", "exponent", "density", "quad", "eta", "lpq",
                          "divergence_bound"):

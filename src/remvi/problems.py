@@ -273,8 +273,9 @@ class _LadComponent(Component):
     """F_ij = (A_ij y_i e_j, -(A_ij z_j - b_i/c_i) e_i), c_i = row nonzero count.
 
     b_i is split across row i's components so that the sum telescopes to
-    -(Az - b) exactly.  ``idx`` is the pair (j, d + i), a row view of the
-    instance's shared index array; it is both the read and the write set.
+    -(Az - b) exactly.  ``idx``, the read and write set, is the pair
+    (j, d + i) (distinct, so Component's repeat check is skipped), a row
+    view of the instance's shared index array.
     """
 
     __slots__ = ("zpos", "ypos", "a", "bshare")

@@ -80,8 +80,10 @@ class SolverConfig:
             raise ValueError("unknown averaging mode")
         if self.eval_point not in ("iterate", "average"):
             raise ValueError("eval_point must be 'iterate' or 'average'")
-        if self.gamma is not None and self.gamma < 0.0:
+        if self.gamma is not None and not self.gamma >= 0.0:
             raise ValueError("gamma must be >= 0")
+        if not self.divergence_bound > 0.0:
+            raise ValueError("divergence_bound must be positive")
         if self.eval_stride is not None and self.eval_stride < 1:
             raise ValueError("eval_stride must be >= 1")
         if self.avg_samples is not None and self.avg_samples < 1:
@@ -148,20 +150,20 @@ def step_schedule(K, gamma, lpq, q_star):
 
 
 def step_condition_violations(a_seq, gamma, lpq, q_star, rel=1e-12):
-    """Count violations of the three step-size certificate inequalities,
-    checked at every iteration k (the last two from k = 2 on)."""
+    """Count violations (a NaN comparison is one) of the three step-size
+    certificate inequalities, at every k (the last two from k = 2 on)."""
     a = np.asarray(a_seq, dtype=float)
     A = np.concatenate([[0.0], np.cumsum(a)])
     tol = 1.0 + rel
     bad = 0
     if gamma == 0.0:
-        bad += np.count_nonzero(75.0 * lpq * lpq * a * a / 2.0 > 0.25 * tol)
+        bad += np.count_nonzero(~(75.0 * lpq * lpq * a * a / 2.0 <= 0.25 * tol))
     a_k, a_km1 = a[1:], a[:-1]
     lhs = a_k * a_k / (A[2:] * gamma + 1.0)
     rhs = (1.0 + q_star / 5.0) * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
-    bad += np.count_nonzero(lhs > rhs * tol)
+    bad += np.count_nonzero(~(lhs <= rhs * tol))
     lhs2 = 25.0 * lpq * lpq * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
-    bad += np.count_nonzero(lhs2 > (A[:-2] * gamma + 1.0) / 4.0 * tol)
+    bad += np.count_nonzero(~(lhs2 <= (A[:-2] * gamma + 1.0) / 4.0 * tol))
     return int(bad)
 
 
@@ -254,9 +256,17 @@ def _check_finite(v, k, bound, what="dual vector z"):
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
 
 
-# Write sets of up to this many Euclidean coordinates are updated in Python
-# floats: the same IEEE operations as numpy's, without its per-call cost.
-SCALAR_WRITES = 8
+# Sets of up to this many Euclidean coordinates are handled in Python floats:
+# the same IEEE operations as numpy's, without its per-call cost.
+SCALAR_WRITES = 16
+
+
+def _listed(sets, j):
+    """sets[j], made a list on first use if it has <= SCALAR_WRITES entries."""
+    idx = sets[j]
+    if type(idx) is np.ndarray and idx.size <= SCALAR_WRITES:
+        idx = sets[j] = idx.tolist()
+    return idx
 
 
 class _Dual:
@@ -266,17 +276,16 @@ class _Dual:
     refresh writes it, so between refreshes the dual value at step-size sum
     A is ``z + A*S``: z holds that base, a step adds only the correction to
     it, and a refresh that moves S[i] at sum A shifts z[i] by -A times the
-    change (the just-in-time update of sparse SAGA).  The iterate there is
-    the prox of ``z + A*S``.  A simplex prox renormalises its whole block,
-    so deferring one saves nothing: on entropy coordinates z is the true
-    dual vector, stepped and proxed every iteration.
+    change (the just-in-time update of sparse SAGA).  ``_settle`` writes
+    the iterate there, the prox of ``z + A*S``, into x.  A simplex prox
+    renormalises its whole block, so deferring one saves nothing: entropy
+    coordinates keep the true dual vector in z, stepped every iteration.
 
-    Lazy mode proxes the Euclidean part of a component's ``in_idx`` when it
-    is read.  Dense mode keeps x current instead: it proxes every Euclidean
-    coordinate after a step, and what a refresh moved after it.  Both prox
-    each coordinate from the same z, S and A, so their runs are equal bit
-    for bit.  A base or prox input that is not finite raises DivergenceError
-    with its iteration.
+    Lazy mode settles the Euclidean part of a component's ``in_idx`` when it
+    is read; dense mode settles every Euclidean coordinate after a step and
+    a refresh's write set after it.  Both settle from the same z, S and A,
+    so their runs are equal bit for bit.  A non-finite base or prox input
+    raises DivergenceError.
     """
 
     def __init__(self, geom, op, S, bound, dense):
@@ -287,25 +296,23 @@ class _Dual:
         self.dense = dense
         self.z = np.zeros(op.d)     # the base on Euclidean coordinates
         self.x = geom.x0.copy()
-        # the coordinates of each kind, None when there are none
+        # the coordinates of each kind (every Euclidean one as one set, a
+        # list or _eu_sel), None when there are none
         self.ent = geom._ent_sel if geom._ent_idx.size else None
-        self.eu = geom._eu_sel if geom._eu_idx.size else None
-        reads = [c.in_idx for c in self.comps]
-        writes = [c.out_idx for c in self.comps]
+        every = _listed([geom._eu_idx], 0) if geom._eu_idx.size else None
+        self.every = geom._eu_sel if type(every) is np.ndarray else every
+        self.reads = [c.in_idx for c in self.comps]
+        self.writes = [c.out_idx for c in self.comps]
         if self.ent is not None:
             on_eu = np.ones(op.d, dtype=bool)
             on_eu[self.ent] = False
-            reads = [s[on_eu[s]] for s in reads]
-            writes = [s[on_eu[s]] for s in writes]
-        self.reads = [None] * op.m if dense else reads  # dense: x is current
-        self.writes = writes
+            self.reads = [s[on_eu[s]] for s in self.reads]
+            self.writes = [s[on_eu[s]] for s in self.writes]
 
     def read(self, j, A, k):
-        """Lazy mode: prox what component j reads at step-size sum A."""
-        idx = self.reads[j]
-        if A == 0.0 or idx is None or not idx.size:
-            return      # at A = 0 nothing has accumulated: x is still x0
-        self.x[idx] = self._prox(idx, A, k)
+        """Settle what component j reads at sum A (dense mode: nothing)."""
+        if A != 0.0 and not self.dense:     # at A = 0 x is still x0
+            self._settle(_listed(self.reads, j), A, k)
 
     def step(self, j, corr, a, A, k):
         """Step the entropy coordinates and add the correction: to the true
@@ -321,57 +328,59 @@ class _Dual:
             if not math.isfinite(z_ent.dot(z_ent)):
                 _check_finite(z_ent, k, self.bound)
             self.x[ent] = self.geom.prox_entropy(z_ent)
-        if self.dense and self.eu is not None:
-            self.x[self.eu] = self._prox(self.eu, A, k)
+        if self.dense and self.every is not None:
+            self._settle(self.every, A, k)
 
     def refresh(self, table, j, v, k, A):
         """Refresh slot j at step-size sum A, shifting the base on j's
-        Euclidean write set so that z + A*S stays where it was.  Every
-        RESUM_PERIOD refreshes the table re-sums S everywhere, which moves
-        z + A*S on the other coordinates by A times the rounding drift the
-        re-sum corrects."""
-        w, S, z, x, dense = self.writes[j], self.S, self.z, self.x, self.dense
-        if type(w) is not list and w.size <= SCALAR_WRITES:
-            w = self.writes[j] = w.tolist()     # converted on first use
+        Euclidean write set so that z + A*S stays where it was; dense mode
+        then settles the set."""
+        w, S, z = _listed(self.writes, j), self.S, self.z
         if type(w) is not list:
             old = S[w]
             table.refresh(j, v, k)
             z[w] = base = z[w] - A * (S[w] - old)
             _check_finite(base, k, self.bound)
-            redo_all = True     # dense mode re-proxes a large set whole
-        elif not w:             # nothing Euclidean to shift
-            redo_all = table.refresh(j, v, k)
-        else:
-            prox_one = self.geom.prox_one
+        elif w:
             old = list(map(S.item, w))
-            redo_all = table.refresh(j, v, k)     # True after a re-sum
+            table.refresh(j, v, k)
             for i, o, s in zip(w, old, map(S.item, w)):
                 z[i] = b = z.item(i) - A * (s - o)
-                u = b + A * s if dense else b     # dense: the prox input
+                if not math.isfinite(b):
+                    raise DivergenceError(k, abs(b), self.bound,
+                                          what="dual vector z")
+        else:   # nothing Euclidean to shift or settle
+            table.refresh(j, v, k)
+            return
+        if self.dense:
+            self._settle(w, A, k)
+
+    def _settle(self, idx, A, k):
+        """Prox the Euclidean coordinates idx from z + A*S into x: in Python
+        floats for a list (see ``_listed``), in numpy otherwise."""
+        S, z, x = self.S, self.z, self.x
+        if type(idx) is list:
+            prox_one = self.geom.prox_one
+            for i in idx:
+                u = z.item(i) + A * S.item(i)
                 if not math.isfinite(u):
                     raise DivergenceError(k, abs(u), self.bound,
                                           what="dual vector z")
-                if dense:
-                    x[i] = prox_one(i, u, A)
-        if dense and redo_all and self.eu is not None:
-            x[self.eu] = self._prox(self.eu, A, k)
-
-    def _prox(self, idx, A, k):
-        z = A * self.S[idx]
-        z += self.z[idx]
-        # z.z is finite only when z is, and is the cheapest full reduction;
-        # it also overflows on a large finite z, so the exact check decides
-        if not math.isfinite(z.dot(z)):
-            _check_finite(z, k, self.bound)
-        return self.geom.prox_coords(idx, z, A, check=False)
+                x[i] = prox_one(i, u, A)
+            return
+        u = A * S[idx]
+        u += z[idx]
+        # u.u is finite only when u is, and is the cheapest full reduction;
+        # it also overflows on a large finite u, so the exact check decides
+        if not math.isfinite(u.dot(u)):
+            _check_finite(u, k, self.bound)
+        x[idx] = self.geom.prox_coords(idx, u, A, check=False)
 
     def at(self, A, k):
-        """The iterate at A on every coordinate, leaving z as it is."""
-        if self.dense or A == 0.0 or self.eu is None:
-            return self.x   # current
-        snap = self.x.copy()
-        snap[self.eu] = self._prox(self.eu, A, k)
-        return snap
+        """The iterate at A on every coordinate."""
+        if not self.dense and A != 0.0 and self.every is not None:
+            self._settle(self.every, A, k)
+        return self.x
 
 
 def run(problem, plan, config):
@@ -448,8 +457,7 @@ def run(problem, plan, config):
 
 def run_dense(problem, plan, config):
     """Dense mode: the whole iterate is current after every iteration, which
-    weighted-full averaging needs.  Every Euclidean coordinate is proxed
-    each step and a refresh's write set again after it."""
+    weighted-full averaging needs."""
     if config.mode != "dense":
         raise ValueError("config.mode must be 'dense'")
     return run(problem, plan, config)
@@ -457,10 +465,8 @@ def run_dense(problem, plan, config):
 
 def run_lazy(problem, plan, config):
     """Lazy mode: per iteration only the Euclidean coordinates the two
-    sampled components read are proxed and only those they write are
-    updated; entropy (simplex) coordinates are stepped every iteration (see
-    ``_Dual``).  With the same seed the run equals run_dense bit for bit.
-    """
+    sampled components read are proxed (see ``_Dual``).  With the same seed
+    the run equals run_dense bit for bit."""
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")
     return run(problem, plan, config)

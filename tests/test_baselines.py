@@ -141,3 +141,11 @@ def test_config_validation():
         BaselineConfig(method="unknown", iterations=5)
     with pytest.raises(ValueError):
         BaselineConfig(method="popov", iterations=5, eta=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eta", math.nan), ("eta", 0.0), ("divergence_bound", 0.0),
+    ("divergence_bound", -1.0), ("divergence_bound", math.nan)])
+def test_nan_and_non_positive_values_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        BaselineConfig(method="popov", iterations=5, **{field: value})

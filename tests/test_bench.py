@@ -107,7 +107,8 @@ class TestRunExperiment:
                       iterations=4000, lpq=lpq, eval_stride=100,
                       averaging="sampled-index-set", eval_point="iterate",
                       divergence_bound=1e3)
-        summary, code = run_experiment(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, code = run_experiment(cfg)
         assert code == 3
         assert summary.diverged == [0]
 
@@ -236,6 +237,29 @@ class TestCli:
                      "--d", "3", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "eval_stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,flag,value", [
+        ("rem-lazy", "--gamma", "nan"), ("rem-dense", "--gamma", "-1"),
+        ("popov", "--eta", "nan"), ("mirror-prox", "--eta", "0")])
+    def test_nan_and_non_positive_values_exit_two(self, tmp_path, capsys,
+                                                  solver, flag, value):
+        code = main(["run", "--problem", "lad", "--solver", solver,
+                     "--iters", "10", "--n", "3", "--d", "3", flag, value,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense", "popov"])
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    def test_bad_divergence_bound_exit_two(self, tmp_path, capsys, solver,
+                                           bound):
+        cfg = ExperimentConfig(problem="lad", solver=solver, iterations=10,
+                               n=3, d=3, divergence_bound=bound,
+                               out_dir=str(tmp_path / "out"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        assert main(["run", "--config", path]) == 2
+        assert "divergence_bound must be positive" in capsys.readouterr().err
 
     def test_generate_subcommand(self, tmp_path):
         out = str(tmp_path / "gen")

@@ -86,10 +86,10 @@ class TestEvaluateFull:
                                           add_at_sum(inst.operator, x))
 
     def test_callable_components_equal_add_at(self):
-        # overlapping supports, a repeated coordinate inside one support,
-        # an empty support and values over 16 orders of magnitude
+        # overlapping supports, an empty support and values over 16 orders
+        # of magnitude
         rng = np.random.default_rng(13)
-        comps = [CallableComponent([3, 1, 3], [0, 2],
+        comps = [CallableComponent([3, 1, 5], [0, 2],
                                    lambda x: np.array([x[0], -x[2], 1e8 * x[0]])),
                  CallableComponent([], [4], lambda x: np.empty(0))]
         for _ in range(30):
@@ -101,6 +101,24 @@ class TestEvaluateFull:
         for _ in range(20):
             x = rng.standard_normal(6)
             np.testing.assert_array_equal(op.evaluate_full(x), add_at_sum(op, x))
+
+    def test_repeated_output_coordinate_rejected(self):
+        # a table refresh adds through fancy indexing, which drops repeats,
+        # while the explicit sum counts them: a support [0, 0] refreshed
+        # from (1, 1) to (10, 20) would leave the aggregate at 21, not 30
+        def fn(x):
+            return np.array([1.0, 1.0])
+
+        bad = CallableComponent.__new__(CallableComponent)  # skips the check
+        bad.out_idx = bad.in_idx = np.array([0, 0])
+        bad.fn = fn
+        table = ComponentTable(FiniteSumOperator([bad], 1), np.zeros(1))
+        table.refresh(0, np.array([10.0, 20.0]), 1)
+        assert table.aggregate[0] == 21.0
+        assert table.explicit_sum()[0] == 30.0
+        with pytest.raises(ValueError, match="repeats a coordinate"):
+            CallableComponent([0, 0], [0], fn)
+        CallableComponent([0, 1], [0, 0], fn)      # reads may repeat
 
     @pytest.mark.parametrize("bad", [-1, 3, 7])
     def test_out_of_range_support_rejected(self, bad):
@@ -336,16 +354,23 @@ class TestComponentTable:
         table.resum()
         np.testing.assert_array_equal(table.aggregate, expect)
 
-    def test_aggregate_drift_bounded(self):
-        inst, table = self.make_table()
+    @pytest.mark.parametrize("inst", problem_instances_for_tests(),
+                             ids=lambda i: i.family)
+    def test_aggregate_drift_bounded(self, inst):
+        # 1e5 incremental refreshes at random feasible points, no re-sum in
+        # between: the aggregate stays within rounding of the exact sum
+        table = ComponentTable(inst.operator, inst.x0)
         rng = np.random.default_rng(5)
         op = inst.operator
-        for k in range(1, 100001):
-            j = int(rng.integers(op.m))
-            x = inst.sample_feasible(rng)
-            table.refresh(j, op.components[j].evaluate(x), k)
+        points = [inst.sample_feasible(rng) for _ in range(64)]
+        comps = op.components
+        for k, (j, t) in enumerate(zip(rng.integers(op.m, size=100_000),
+                                       rng.integers(64, size=100_000)), 1):
+            table.refresh(j, comps[j].evaluate(points[t]), k)
         drift = np.max(np.abs(table.aggregate - table.explicit_sum()))
+        scale = max(np.max(np.abs(v)) for v in table.values)
         assert drift <= 1e-8
+        assert drift <= 1e-12 * scale
 
     def test_values_track_refresh_iterate(self):
         inst, table = self.make_table()

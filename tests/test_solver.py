@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from remvi import operators, solver
+from remvi import solver
 from remvi.baselines import BaselineConfig
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 from remvi.operators import CallableComponent, ComponentTable, FiniteSumOperator
@@ -67,6 +67,13 @@ class TestStepSize:
         assert step_condition_violations(a_seq, gamma, lpq, q_star) == 0
         assert step_condition_violations(np.array(a_seq) * 3.0, gamma, lpq,
                                          q_star) > 0
+
+    def test_certificate_counts_nan_as_violation(self):
+        # a NaN gamma (or step) makes every comparison false; each one counts
+        a_seq, _ = step_schedule(50, 0.5, 2.0, 0.25)
+        assert step_condition_violations(a_seq, math.nan, 2.0, 0.25) == 2 * 49
+        a_seq[10] = math.nan
+        assert step_condition_violations(a_seq, 0.0, 2.0, 0.25) > 0
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
     def test_vectorized_certificate_matches_scalar_loop(self, gamma):
@@ -253,27 +260,32 @@ class TestRunDense:
         assert at["lazy"] == at["dense"] > 1
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_dual_overflow_named_below_stride(self, seed):
+    def test_dual_overflow_named_below_stride(self, seed, monkeypatch):
         # at lpq = 1e-300 z overflows within a few iterations: both modes
         # name an iteration there, not the next metric record.  Both check
         # the base a refresh writes and every prox input they compute; dense
         # mode proxes, and so checks, every Euclidean coordinate, which on
         # this instance (every coordinate read or written each iteration)
-        # names the same iteration as lazy mode
+        # names the same iteration as lazy mode, with its sets in Python
+        # floats or (SCALAR_WRITES = 0) in numpy
         inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]),
                         np.array([3.0, -3.0]))
         plan = problem_plan(inst)
         at = {}
-        for mode, run in (("dense", run_dense), ("lazy", run_lazy)):
+        default = solver.SCALAR_WRITES
+        for mode, run, scalar_writes in (("dense", run_dense, default),
+                                         ("lazy", run_lazy, default),
+                                         ("lazy", run_lazy, 0)):
+            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
             cfg = SolverConfig(iterations=4000, seed=seed, mode=mode,
                                lpq=1e-300, eval_stride=100, eval_metrics=(),
                                divergence_bound=1e3)
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(DivergenceError, match="dual vector z") as exc:
                 run(inst, plan, cfg)
-            at[mode] = exc.value.iteration
-        assert at["dense"] < 100
-        assert at["lazy"] == at["dense"]
+            at[mode, scalar_writes] = exc.value.iteration
+        assert len(set(at.values())) == 1
+        assert at["dense", default] < 100
 
     def test_cert_violations_zero_on_runs(self):
         for inst in problem_instances_for_tests():
@@ -363,17 +375,19 @@ class TestDenseLazyEquivalence:
 
     @pytest.mark.parametrize("name", BITWISE_CASES)
     def test_array_writes_bitwise_equal(self, name, monkeypatch):
-        # write sets above SCALAR_WRITES take the numpy path, which must give
-        # the same bits as the Python-float path in both modes
+        # at SCALAR_WRITES = 0 every non-empty read, write and settled set
+        # takes the numpy path, and at 10**9 every index-array set takes the
+        # Python-float path; both give the same bits in both modes
         inst = BITWISE_CASES[name]()
         plan = problem_plan(inst)
         args = dict(iterations=1000, seed=7, eval_stride=50)
         ts = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-        monkeypatch.setattr(solver, "SCALAR_WRITES", 0)
-        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-        assert_runs_bitwise_equal(td, ts)
-        assert_runs_bitwise_equal(tl, ts)
+        for scalar_writes in (0, 10**9):
+            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+            td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+            tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+            assert_runs_bitwise_equal(td, ts)
+            assert_runs_bitwise_equal(tl, ts)
 
     def test_flushed_final_iterate_matches(self):
         inst = problem_instances_for_tests()[2]
@@ -474,44 +488,39 @@ class TestLazyCatchup:
             np.testing.assert_array_equal(lazy.z[rest], z_old[rest])
 
     @staticmethod
-    def _long_horizon_equal(inst, K, monkeypatch):
-        """Dense and lazy runs of K iterations are equal bit for bit;
-        returns the number of aggregate re-sums the two made."""
-        resums = []
-        resum = ComponentTable.resum
-        monkeypatch.setattr(ComponentTable, "resum",
-                            lambda table: resums.append(1) or resum(table))
+    def _long_horizon_equal(inst, K, monkeypatch, array_path=False):
+        """Dense and lazy runs of K iterations, without any re-sum of the
+        aggregate, are equal bit for bit; with ``array_path`` so is a lazy
+        run with every set on the numpy path."""
+        monkeypatch.setattr(ComponentTable, "resum", None)  # never called
         plan = problem_plan(inst)
         args = dict(iterations=K, seed=0, eval_stride=K, eval_metrics=())
         td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         assert_runs_bitwise_equal(tl, td)
-        return len(resums)
+        if array_path:
+            monkeypatch.setattr(solver, "SCALAR_WRITES", 0)
+            ta = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+            assert_runs_bitwise_equal(ta, td)
 
     def test_lad_long_horizon_drift(self, monkeypatch):
-        # 1e5 iterations cross a re-sum at the shipped RESUM_PERIOD
+        # 1e5 iterations, each refreshing the incrementally summed aggregate
         inst = generate_instance("lad", 30, 30, 1.0, seed=0)
-        assert self._long_horizon_equal(inst, 100_000, monkeypatch) == 2
+        self._long_horizon_equal(inst, 100_000, monkeypatch)
 
     @pytest.mark.parametrize("family", ["box-simplex", "policy-eval"])
     def test_long_horizon_drift(self, family, monkeypatch):
-        # a shorter horizon with the re-sum period cut to 256, so that each
-        # run crosses 15 re-sums
-        monkeypatch.setattr(operators, "RESUM_PERIOD", 256)
-        inst = _test_instance(family)
-        assert self._long_horizon_equal(inst, 4000, monkeypatch) == 30
+        self._long_horizon_equal(_test_instance(family), 4000, monkeypatch,
+                                 array_path=True)
 
     @pytest.mark.parametrize("scalar_writes", [solver.SCALAR_WRITES, 0],
                              ids=["scalar", "array"])
-    @pytest.mark.parametrize("resum", [False, True])
-    def test_dense_iterate_current_after_refresh(self, resum, scalar_writes,
+    def test_dense_iterate_current_after_refresh(self, scalar_writes,
                                                  monkeypatch):
         # after a refresh the dense iterate is the prox of z + A*S on every
-        # Euclidean coordinate: re-proxed on the write set, and everywhere
-        # when the refresh re-summed an aggregate that had drifted
+        # Euclidean coordinate: re-proxed on the write set (the shifted base
+        # may round the dual value there differently), unchanged off it
         monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
-        if resum:
-            monkeypatch.setattr(operators, "RESUM_PERIOD", 1)
         inst = mixed_instance()
         op, geom = inst.operator, inst.geometry
         table = ComponentTable(op, inst.x0)
@@ -519,20 +528,41 @@ class TestLazyCatchup:
         rng = np.random.default_rng(8)
         dense.z[:] = rng.normal(size=inst.d)
         eu = geom._eu_idx
-        table.aggregate[eu] += rng.normal(size=eu.size)     # the drift
         A = 1.9
         dense.step(0, None, 0.3, A, 1)
         x_step = dense.x.copy()
         dense.refresh(table, 2, table.values[2] + 1.0, 1, A)
         expect = geom.prox_coords(eu, dense.z[eu] + A * dense.S[eu], A)
         np.testing.assert_array_equal(dense.x[eu], expect)
-        # off j's write set only a re-sum, which removes the drift, moves x
         off_w = ~np.isin(eu, dense.writes[2])
-        if resum:
-            assert np.all(dense.x[eu][off_w] != x_step[eu][off_w])
-        else:
-            np.testing.assert_array_equal(dense.x[eu][off_w],
-                                          x_step[eu][off_w])
+        np.testing.assert_array_equal(dense.x[eu][off_w], x_step[eu][off_w])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_settle_list_and_array_paths_bitwise(self, seed, monkeypatch):
+        # _settle proxes a set from z + A*S into x in Python floats (a list)
+        # or numpy (an index array): the same bits inside the box and at a
+        # clamped box coordinate, and the same error on a non-finite input
+        inst = mixed_instance()
+        op, geom = inst.operator, inst.geometry
+        eu = geom._eu_idx
+        rng = np.random.default_rng(seed)
+        z, S = rng.normal(size=inst.d), 3.0 * rng.normal(size=inst.d)
+        S[7] = 50.0 * (1 if seed % 2 else -1)    # clamps the boxed coordinate
+        xs = {}
+        for scalar_writes in (eu.size, 0):
+            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+            dual = _Dual(geom, op, S.copy(), 1e9, dense=False)
+            dual.z[:] = z
+            idx = solver._listed([eu.copy()], 0)
+            assert isinstance(idx, list) == (scalar_writes > 0)
+            dual._settle(idx, 0.8, 5)
+            xs[scalar_writes] = dual.x.copy()
+            dual.z[eu[1]] = np.inf
+            with pytest.raises(DivergenceError, match="dual vector z") as exc:
+                dual._settle(idx, 0.8, 6)
+            assert exc.value.iteration == 6
+        assert abs(xs[0][7]) == 1.0
+        np.testing.assert_array_equal(xs[eu.size], xs[0])
 
 
 class TestLazySupportBookkeeping:
@@ -599,6 +629,13 @@ class TestAveraging:
             with pytest.raises(ValueError, match="eval_stride must be >= 1"):
                 BaselineConfig(method="popov", iterations=5,
                                eval_stride=stride)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("gamma", -1.0), ("divergence_bound", 0.0),
+        ("divergence_bound", -1.0), ("divergence_bound", math.nan)])
+    def test_nan_and_non_positive_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(iterations=5, **{field: value})
 
     def test_average_point_needs_weighted_full(self):
         for mode in ("dense", "lazy"):
