@@ -11,7 +11,7 @@ component-oracle calls.
 import numpy as np
 
 from remvi import (BaselineConfig, SolverConfig, generate_instance,
-                   mirror_prox_run, problem_plan, run_lazy)
+                   problem_plan, run_baseline, run_lazy)
 
 inst = generate_instance("lad", 16, 64, exponent=3.0, seed=21, density=1.0,
                          z_scale=0.3)
@@ -23,9 +23,8 @@ print(f"nonuniformity (sum sqrt)^2 / |lam|_inf = "
       f"{lam.norm_half / lam.norm_inf:.1f} (near-constant in m)\n")
 
 target = 1e-2
-mp = mirror_prox_run(inst, BaselineConfig(method="mirror-prox",
-                                          iterations=3000, seed=0,
-                                          eval_stride=10))
+mp = run_baseline(inst, BaselineConfig(method="mirror-prox", iterations=3000,
+                                       seed=0, eval_stride=10))
 mp_calls = next(r.oracle_calls for r in mp.records
                 if r.sup_gap is not None and r.sup_gap <= target)
 print(f"mirror-prox reaches primal gap {target:g} after {mp_calls} "

@@ -15,23 +15,22 @@ from .problems import (ProblemInstance, generate_instance, load_instance,
                        make_matrix_game, make_policy_eval, save_instance,
                        solve_policy_eval_direct, stationary_distribution)
 from .metrics import EvalRecord, dist_sq, evaluate_point, gap_fixed
-from .solver import (DivergenceError, SolverConfig, Trace, average_output,
-                     extrapolate, next_step_size, run, run_dense, run_lazy,
+from .solver import (DivergenceError, SolverConfig, Trace, extrapolate,
+                     next_step_size, run, run_dense, run_lazy,
                      step_condition_violations, step_schedule)
-from .baselines import BaselineConfig, mirror_prox_run, popov_run, run_baseline
+from .baselines import BaselineConfig, run_baseline
 
 __all__ = [
     "AliasTable", "BaselineConfig", "Block", "CallableComponent", "Component",
     "ComponentTable", "DivergenceError", "EvalRecord", "FiniteSumOperator",
     "GeometryBundle", "LipschitzProfile", "ProblemInstance", "RngStream",
-    "SamplingPlan", "SolverConfig", "Trace", "average_output", "build_plan",
-    "dist_sq", "empirical_full_lipschitz",
-    "euclidean_block", "evaluate_point", "extrapolate", "gap_fixed",
-    "generate_instance", "load_instance", "load_matrix_market", "lpq_bound",
-    "lpq_empirical", "make_box_simplex", "make_custom", "make_lad",
-    "make_matrix_game", "make_policy_eval", "mirror_prox_run",
-    "next_step_size", "popov_run", "problem_plan", "run",
-    "run_baseline", "run_dense", "run_lazy", "save_instance", "simplex_block",
+    "SamplingPlan", "SolverConfig", "Trace", "build_plan", "dist_sq",
+    "empirical_full_lipschitz", "euclidean_block", "evaluate_point",
+    "extrapolate", "gap_fixed", "generate_instance", "load_instance",
+    "load_matrix_market", "lpq_bound", "lpq_empirical", "make_box_simplex",
+    "make_custom", "make_lad", "make_matrix_game", "make_policy_eval",
+    "next_step_size", "problem_plan", "run", "run_baseline", "run_dense",
+    "run_lazy", "save_instance", "simplex_block",
     "solve_policy_eval_direct", "stationary_distribution",
     "step_condition_violations", "step_schedule",
 ]

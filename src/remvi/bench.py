@@ -30,7 +30,7 @@ from . import __version__
 from .baselines import BaselineConfig, run_baseline
 from .problems import generate_instance, load_instance, save_instance
 from .sampling import build_plan, problem_plan
-from .solver import DivergenceError, SolverConfig, run
+from .solver import DivergenceError, SolverConfig, check_run_fields, run
 
 CSV_HEADER = "iter,oracle_calls,elapsed_ns,gap,sup_gap,dist_sq"
 METRIC_KEYS = ("gap_fixed", "sup_gap", "dist_sq")
@@ -70,8 +70,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.sampling not in ("uniform", "importance", "problem"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
+        # the solver's own field checks, before the instance is built
+        rem = self.solver.startswith("rem")
+        check_run_fields(self.iterations, self.eval_point or "iterate",
+                         self.eval_stride, self.divergence_bound,
+                         gamma=self.gamma if rem else None,
+                         eta=None if rem else self.eta)
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if min(self.n, self.d) < 1:
@@ -118,7 +122,9 @@ def load_config(path):
             if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
             if raw == "":
-                kwargs[key] = None if key != "seeds" else ()
+                if types[key].default is not None:
+                    raise ConfigError(f"config key {key!r} needs a value")
+                kwargs[key] = None
                 continue
             if key == "seeds":
                 kwargs[key] = tuple(int(v) for v in raw.split(","))

@@ -218,9 +218,6 @@ class ComponentTable:
         self._shadow_j = -1
         self._shadow_vals = None
 
-    def value(self, j):
-        return self.values[j]
-
     def refresh(self, j, vals, k):
         """Overwrite slot j with F_j evaluated at iteration k's iterate."""
         old = self.values[j]

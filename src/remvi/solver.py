@@ -46,6 +46,25 @@ class DivergenceError(RuntimeError):
         self.bound = bound
 
 
+def check_run_fields(iterations, eval_point, eval_stride, divergence_bound,
+                     gamma=None, eta=None):
+    """The field checks every run config makes (REM's, the baselines' and
+    the bench's): a ValueError names the first bad field.  ``gamma`` and
+    ``eta`` are checked when given."""
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    if eval_point not in ("iterate", "average"):
+        raise ValueError("eval_point must be 'iterate' or 'average'")
+    if gamma is not None and not gamma >= 0.0:
+        raise ValueError("gamma must be >= 0")
+    if eta is not None and not eta > 0.0:
+        raise ValueError("step size eta must be positive")
+    if not divergence_bound > 0.0:
+        raise ValueError("divergence_bound must be positive")
+    if eval_stride is not None and eval_stride < 1:
+        raise ValueError("eval_stride must be >= 1")
+
+
 @dataclass
 class SolverConfig:
     """REM run parameters.
@@ -72,20 +91,12 @@ class SolverConfig:
     divergence_bound: float = 1e9
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        check_run_fields(self.iterations, self.eval_point, self.eval_stride,
+                         self.divergence_bound, gamma=self.gamma)
         if self.mode not in ("dense", "lazy"):
             raise ValueError("mode must be 'dense' or 'lazy'")
         if self.averaging not in ("weighted-full", "sampled-index-set"):
             raise ValueError("unknown averaging mode")
-        if self.eval_point not in ("iterate", "average"):
-            raise ValueError("eval_point must be 'iterate' or 'average'")
-        if self.gamma is not None and not self.gamma >= 0.0:
-            raise ValueError("gamma must be >= 0")
-        if not self.divergence_bound > 0.0:
-            raise ValueError("divergence_bound must be positive")
-        if self.eval_stride is not None and self.eval_stride < 1:
-            raise ValueError("eval_stride must be >= 1")
         if self.avg_samples is not None and self.avg_samples < 1:
             raise ValueError("avg_samples must be >= 1")
         if self.mode == "lazy" and self.averaging == "weighted-full":
@@ -109,7 +120,6 @@ class Trace:
     x_bar: np.ndarray | None = None
     oracle_calls: int = 0
     a_seq: np.ndarray | None = None
-    A_final: float = 0.0
     cert_violations: int = 0
     # A divergence raises DivergenceError, so a returned trace never has it;
     # kept for callers that check it.
@@ -229,26 +239,37 @@ class _Averager:
         return None
 
 
-def _resolve(problem, plan, config):
-    gamma = problem.gamma if config.gamma is None else config.gamma
-    lpq = plan.lpq if config.lpq is None else config.lpq
-    stride = config.eval_stride if config.eval_stride is not None else max(1, problem.m)
-    metrics = config.eval_metrics
-    if metrics is None:
-        metrics = default_metrics(problem)
-    return gamma, lpq, stride, tuple(metrics)
+class _Recorder:
+    """The record rules every solver shares: by default a record every m
+    iterations (and at K) of the metrics the problem family supports."""
 
+    def __init__(self, problem, config):
+        self.problem = problem
+        self.config = config
+        self.stride = config.eval_stride if config.eval_stride is not None \
+            else max(1, problem.m)
+        metrics = config.eval_metrics
+        self.metrics = tuple(default_metrics(problem) if metrics is None
+                             else metrics)
+        self.records = []
+        self.t0 = time.perf_counter_ns()
 
-def _record(problem, x, metrics, comparator, k, calls, t0, records):
-    vals = evaluate_point(problem, x, metrics, comparator=comparator)
-    records.append(EvalRecord(iteration=k, oracle_calls=calls,
-                              elapsed_ns=time.perf_counter_ns() - t0, **vals))
-
-
-def _check_divergence(x, k, bound):
-    norm = float(np.max(np.abs(x))) if x.size else 0.0
-    if not norm < bound:
-        raise DivergenceError(k, norm, bound)
+    def add(self, k, calls, x, total=None, weight=None):
+        """Record iteration k.  From k = 1 on the iterate x is checked
+        against the divergence bound, and with eval_point "average" the
+        metrics are taken at the average total / weight instead of x."""
+        config = self.config
+        if k:
+            norm = float(np.max(np.abs(x))) if x.size else 0.0
+            if not norm < config.divergence_bound:
+                raise DivergenceError(k, norm, config.divergence_bound)
+            if config.eval_point == "average":
+                x = total / weight
+        vals = evaluate_point(self.problem, x, self.metrics,
+                              comparator=config.comparator)
+        self.records.append(EvalRecord(
+            iteration=k, oracle_calls=calls,
+            elapsed_ns=time.perf_counter_ns() - self.t0, **vals))
 
 
 def _check_finite(v, k, bound, what="dual vector z"):
@@ -389,7 +410,8 @@ def run(problem, plan, config):
     dense mode and only those the sampled components read in lazy mode.
     With the same seed both modes draw the same components and their runs
     are equal bit for bit."""
-    gamma, lpq, stride, metrics = _resolve(problem, plan, config)
+    gamma = problem.gamma if config.gamma is None else config.gamma
+    lpq = plan.lpq if config.lpq is None else config.lpq
     geom, op = problem.geometry, problem.operator
     K = config.iterations
     q_star = plan.q_min
@@ -397,20 +419,20 @@ def run(problem, plan, config):
     draw = RngStream(config.seed, stream=0)
     index_rng = RngStream(config.seed, stream=1)
     avg = _Averager(config, gamma, op.m, op.d, index_rng)
-    t0 = time.perf_counter_ns()
+    rec = _Recorder(problem, config)
+    stride = rec.stride
     table = ComponentTable(op, geom.x0)
     calls = op.m
     # S: the table updates its aggregate in place
     dual = _Dual(geom, op, table.aggregate, config.divergence_bound,
                  dense=config.mode == "dense")
     trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
-                  iterations=K, a_seq=a_seq,
+                  iterations=K, records=rec.records, a_seq=a_seq,
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
                                                             q_star),
                   info={"gamma": gamma, "lpq": lpq, "q_star": q_star,
                         "stride": stride, "averaging": config.averaging})
-    _record(problem, dual.x, metrics, config.comparator, 0, calls, t0,
-            trace.records)
+    rec.add(0, calls, dual.x)
     a_list = [0.0] + a_seq.tolist()
     A_list = A_seq.tolist()
     p = plan.p
@@ -437,14 +459,9 @@ def run(problem, plan, config):
         if avg.wants(k):
             avg.add(k, a, dual.at(A, k))
         if k % stride == 0 or k == K:
-            x = dual.at(A, k)
-            _check_divergence(x, k, config.divergence_bound)
-            x_eval = avg.wsum / A if config.eval_point == "average" else x
-            _record(problem, x_eval, metrics, config.comparator, k, calls,
-                    t0, trace.records)
-    trace.A_final = A_list[-1]
-    trace.final_x = dual.at(trace.A_final, K)
-    trace.x_bar = avg.result(trace.A_final)
+            rec.add(k, calls, dual.at(A, k), avg.wsum, A)
+    trace.final_x = dual.at(A_list[-1], K)
+    trace.x_bar = avg.result(A_list[-1])
     trace.oracle_calls = calls
     if fhat_last is not None:
         trace.info["fhat_last"] = fhat_last
@@ -471,21 +488,3 @@ def run_lazy(problem, plan, config):
         raise ValueError("config.mode must be 'lazy'")
     return run(problem, plan, config)
 
-
-def average_output(trace, config):
-    """Final averaged output of a run.
-
-    weighted-full: the a-weighted iterate average (dense runs only).
-    sampled-index-set: the uniform average over the pre-drawn index multiset
-    (gamma = 0 runs; with requested size >= K the multiset is the exhaustive
-    index range, so the result is the plain iterate mean).
-    """
-    if trace.iterations < 1:
-        raise ValueError("averaging needs at least one iteration")
-    if config.averaging == "weighted-full" and trace.solver == "rem-lazy":
-        raise ValueError("weighted-full average unavailable: lazy runs do not "
-                         "materialize dense iterates")
-    if trace.x_bar is None:
-        raise ValueError("no averaged output on this trace (gamma > 0 runs "
-                         "return the final iterate)")
-    return trace.x_bar

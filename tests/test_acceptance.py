@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from remvi.baselines import BaselineConfig, mirror_prox_run, popov_run
+from remvi.baselines import BaselineConfig, run_baseline
 from remvi.metrics import gap_fixed
 from remvi.operators import LipschitzProfile
 from remvi.problems import (generate_instance, make_box_simplex, make_lad,
@@ -380,9 +380,10 @@ def test_criterion_9_oracle_accounting(equivalence_runs):
             ok &= tl.oracle_calls == inst.m + 2 * K
     inst = generate_instance("matrix-game", 5, 5, 0.0, seed=3)
     K = 53
-    tm = mirror_prox_run(inst, BaselineConfig(method="mirror-prox",
-                                              iterations=K, eta=0.1))
-    tp = popov_run(inst, BaselineConfig(method="popov", iterations=K, eta=0.1))
+    tm = run_baseline(inst, BaselineConfig(method="mirror-prox",
+                                           iterations=K, eta=0.1))
+    tp = run_baseline(inst, BaselineConfig(method="popov", iterations=K,
+                                           eta=0.1))
     ok &= tm.oracle_calls == 2 * inst.m * K
     ok &= tp.oracle_calls == inst.m * K
     report(9, ok, "component-call totals exact: m+2K (REM dense and lazy), "
@@ -398,7 +399,7 @@ def test_criterion_10_nonuniform_regime():
 
     mp_cfg = BaselineConfig(method="mirror-prox", iterations=3000, seed=0,
                             eval_stride=10, eval_point="average")
-    mp = mirror_prox_run(inst, mp_cfg)
+    mp = run_baseline(inst, mp_cfg)
     mp_calls = next(r.oracle_calls for r in mp.records
                     if r.sup_gap is not None and r.sup_gap <= target)
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from remvi import bench
 from remvi.bench import (CSV_HEADER, ConfigError, ExperimentConfig,
                          emit_summary, generate_files, load_config,
                          load_summary, main, read_csv, run_experiment,
@@ -217,6 +219,12 @@ class TestConfigFile:
         assert os.path.exists(os.path.join(cfg.out_dir, "summary.json"))
 
 
+def no_instance_build(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("instance built before the config was checked")
+    monkeypatch.setattr(bench, "generate_instance", fail)
+
+
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path, capsys):
         out = str(tmp_path / "cli")
@@ -231,28 +239,34 @@ class TestCli:
                                         "mirror-prox", "popov"])
     @pytest.mark.parametrize("stride", ["0", "-5"])
     def test_non_positive_stride_exit_two(self, tmp_path, capsys, solver,
-                                          stride):
+                                          stride, monkeypatch):
+        no_instance_build(monkeypatch)
         code = main(["run", "--problem", "matrix-game", "--solver", solver,
                      "--iters", "10", "--stride", stride, "--n", "3",
                      "--d", "3", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "eval_stride must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
 
     @pytest.mark.parametrize("solver,flag,value", [
         ("rem-lazy", "--gamma", "nan"), ("rem-dense", "--gamma", "-1"),
         ("popov", "--eta", "nan"), ("mirror-prox", "--eta", "0")])
     def test_nan_and_non_positive_values_exit_two(self, tmp_path, capsys,
-                                                  solver, flag, value):
+                                                  solver, flag, value,
+                                                  monkeypatch):
+        no_instance_build(monkeypatch)
         code = main(["run", "--problem", "lad", "--solver", solver,
                      "--iters", "10", "--n", "3", "--d", "3", flag, value,
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "must be" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
 
     @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense", "popov"])
     @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
     def test_bad_divergence_bound_exit_two(self, tmp_path, capsys, solver,
-                                           bound):
+                                           bound, monkeypatch):
+        no_instance_build(monkeypatch)
         cfg = ExperimentConfig(problem="lad", solver=solver, iterations=10,
                                n=3, d=3, divergence_bound=bound,
                                out_dir=str(tmp_path / "out"))
@@ -260,6 +274,26 @@ class TestCli:
         save_config(cfg, path)
         assert main(["run", "--config", path]) == 2
         assert "divergence_bound must be positive" in capsys.readouterr().err
+        assert not os.path.exists(cfg.out_dir)
+
+    @pytest.mark.parametrize("key", [
+        f.name for f in dataclasses.fields(ExperimentConfig)
+        if f.default is not None])
+    def test_empty_config_value_exit_two(self, tmp_path, capsys, key):
+        # an empty value means None, which only a field defaulting to None
+        # accepts
+        cfg = ExperimentConfig(problem="matrix-game", n=3, d=3,
+                               out_dir=str(tmp_path / "out"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        with open(path, "a") as fh:
+            fh.write(f"{key}=\n")
+        with pytest.raises(ConfigError, match=f"{key!r} needs a value"):
+            load_config(path)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not os.path.exists(cfg.out_dir)
 
     def test_generate_subcommand(self, tmp_path):
         out = str(tmp_path / "gen")

@@ -383,7 +383,7 @@ class TestComponentTable:
             table.refresh(j, op.components[j].evaluate(x), k)
             history[j] = x
         for j, x in history.items():
-            np.testing.assert_array_equal(table.value(j),
+            np.testing.assert_array_equal(table.values[j],
                                           op.components[j].evaluate(x))
 
     def test_shadow_resolution_rule(self):
@@ -392,15 +392,15 @@ class TestComponentTable:
         rng = np.random.default_rng(7)
         x1 = inst.sample_feasible(rng)
         x2 = inst.sample_feasible(rng)
-        before = table.value(2).copy()
+        before = table.values[2].copy()
         table.refresh(2, op.components[2].evaluate(x1), 1)
         # component refreshed at k-1 = 1 resolves to the pre-overwrite value
         np.testing.assert_array_equal(table.resolve_prev(2, 2), before)
         # other components resolve to their current slots
-        np.testing.assert_array_equal(table.resolve_prev(0, 2), table.value(0))
+        np.testing.assert_array_equal(table.resolve_prev(0, 2), table.values[0])
         table.refresh(0, op.components[0].evaluate(x2), 2)
         # at k = 3 the shadow belongs to component 0; slot 2 is current again
-        np.testing.assert_array_equal(table.resolve_prev(2, 3), table.value(2))
+        np.testing.assert_array_equal(table.resolve_prev(2, 3), table.values[2])
 
 
 def test_matrix_market_roundtrip(tmp_path):

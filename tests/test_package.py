@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import remvi
@@ -28,3 +29,20 @@ def test_public_names_resolve():
     missing = [name for name in remvi.__all__ if not hasattr(remvi, name)]
     assert missing == []
     assert len(set(remvi.__all__)) == len(remvi.__all__)
+
+
+def test_demo_imports_resolve():
+    # the demos are not run by the suite; parse them to catch a name the
+    # library no longer has
+    demos = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos")
+                   .glob("*.py"))
+    assert demos
+    missing = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "remvi":
+                mod = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}"
+                            for a in node.names if not hasattr(mod, a.name)]
+    assert missing == []

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from remvi import solver
-from remvi.baselines import BaselineConfig
+from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
+from remvi.metrics import default_metrics, evaluate_point
 from remvi.operators import CallableComponent, ComponentTable, FiniteSumOperator
 from remvi.problems import (generate_instance, make_custom, make_lad,
                             problem_instances_for_tests)
 from remvi.sampling import RngStream, SamplingPlan, build_plan, problem_plan
-from remvi.solver import (DivergenceError, SolverConfig, _Dual,
-                          average_output, extrapolate, next_step_size,
-                          run_dense, run_lazy, step_condition_violations,
-                          step_schedule)
+from remvi.solver import (DivergenceError, SolverConfig, _Dual, extrapolate,
+                          next_step_size, run_dense, run_lazy,
+                          step_condition_violations, step_schedule)
 
 SQ23 = math.sqrt(2.0 / 3.0)
 
@@ -588,8 +588,7 @@ class TestAveraging:
             cfg = SolverConfig(iterations=1, seed=2, mode="dense",
                                averaging=averaging)
             tr = run_dense(inst, plan, cfg)
-            np.testing.assert_allclose(average_output(tr, cfg), tr.final_x,
-                                       atol=1e-14)
+            np.testing.assert_allclose(tr.x_bar, tr.final_x, atol=1e-14)
 
     def test_flat_weights_equal_plain_mean(self):
         inst = rotation_instance()
@@ -658,8 +657,6 @@ class TestAveraging:
                            averaging="sampled-index-set")
         tr = run_dense(inst, plan, cfg)
         assert tr.x_bar is None
-        with pytest.raises(ValueError):
-            average_output(tr, cfg)
 
 
 def _replay_rotation(inst, a_seq, K):
@@ -761,7 +758,6 @@ def test_dense_run_matches_reference_replay(name):
 def test_m1_rem_matches_popov_trajectory():
     """With one component and unit probabilities, the dense run reproduces
     the past-gradient (Popov) recursion exactly on the rotation instance."""
-    from remvi.baselines import popov_run
     lpq = 2.0
     inst = rotation_instance(lpq)
     plan = SamplingPlan(np.ones(1), np.ones(1), lpq=lpq)
@@ -769,6 +765,48 @@ def test_m1_rem_matches_popov_trajectory():
     eta = SQ23 / (10.0 * lpq)
     tr = run_dense(inst, plan, SolverConfig(iterations=K, seed=0, mode="dense",
                                             eval_metrics=()))
-    tp = popov_run(inst, BaselineConfig(method="popov", iterations=K, eta=eta,
-                                        eval_metrics=()))
+    tp = run_baseline(inst, BaselineConfig(method="popov", iterations=K,
+                                           eta=eta, eval_metrics=()))
     np.testing.assert_allclose(tr.final_x, tp.final_x, atol=1e-12)
+
+
+def _run_named(name, inst, **kw):
+    """A run of solver ``name``, evaluating at the average where it can."""
+    if name.startswith("rem-"):
+        dense = name == "rem-dense"
+        cfg = SolverConfig(mode=name[4:], **kw,
+                           averaging="weighted-full" if dense
+                           else "sampled-index-set",
+                           eval_point="average" if dense else "iterate")
+        return solver.run(inst, problem_plan(inst), cfg)
+    return run_baseline(inst, BaselineConfig(method=name, eval_point="average",
+                                             **kw))
+
+
+@pytest.mark.parametrize("name", ["rem-dense", "rem-lazy", "mirror-prox",
+                                  "popov"])
+def test_one_record_rule(name):
+    """Every solver records at 0 (at x0), at each stride multiple and at K,
+    with exact oracle counts, and raises at the first record past the
+    divergence bound."""
+    inst = _test_instance("policy-eval")
+    m, K = inst.m, 23
+    tr = _run_named(name, inst, iterations=K, seed=2, eval_stride=5)
+    its = [r.iteration for r in tr.records]
+    assert its == [0, 5, 10, 15, 20, 23]
+    at_x0 = evaluate_point(inst, inst.x0, default_metrics(inst))
+    assert at_x0 and {k: getattr(tr.records[0], k) for k in at_x0} == at_x0
+    base, per_iter = {"mirror-prox": (0, 2 * m), "popov": (0, m)}.get(name,
+                                                                      (m, 2))
+    assert [r.oracle_calls for r in tr.records] == \
+        [base + per_iter * k for k in its]
+    # the iterate at record k is the final iterate of a k-iteration run
+    norms = {k: float(np.max(np.abs(_run_named(
+        name, inst, iterations=k, seed=2, eval_metrics=()).final_x)))
+        for k in its[1:]}
+    bound = sorted(norms.values())[len(norms) // 2]
+    first = next(k for k in its[1:] if norms[k] >= bound)
+    with pytest.raises(DivergenceError, match=f"at iteration {first}$") as exc:
+        _run_named(name, inst, iterations=K, seed=2, eval_stride=5,
+                   divergence_bound=bound)
+    assert exc.value.iteration == first and exc.value.norm == norms[first]
