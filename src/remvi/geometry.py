@@ -183,7 +183,7 @@ class GeometryBundle:
         self._bounded_idx = np.flatnonzero((self._lo > -np.inf)
                                            | (self._hi < np.inf))
         self._clamp = bool(self._bounded_idx.size)
-        self._scalar = None
+        self._scalar = {}      # prox_one's parameters, by coordinate
         self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
         ent = self._ent_blocks
         self._ent_idx = np.concatenate(
@@ -226,12 +226,15 @@ class GeometryBundle:
 
     def prox_one(self, i, z_i, A):
         """prox_coords on the single coordinate i, in Python floats: the same
-        IEEE operations, and the same clamp, as the array version."""
-        if self._scalar is None:    # built on first use
-            self._scalar = list(zip(self._wx0.tolist(), self._w.tolist(),
-                                    self._mu.tolist(), self._lo.tolist(),
-                                    self._hi.tolist()))
-        wx0, w, mu, lo, hi = self._scalar[i]
+        IEEE operations, and the same clamp, as the array version.  A
+        coordinate's parameters are read into Python floats on its first
+        call, so only the coordinates a run proxes this way hold an entry."""
+        try:
+            wx0, w, mu, lo, hi = self._scalar[i]
+        except KeyError:
+            wx0, w, mu, lo, hi = self._scalar[i] = (
+                self._wx0.item(i), self._w.item(i), self._mu.item(i),
+                self._lo.item(i), self._hi.item(i))
         u = (wx0 - z_i) / (w + A * mu)
         return lo if u < lo else hi if u > hi else u
 

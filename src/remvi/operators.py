@@ -6,6 +6,13 @@ coordinates of x it reads).  Component values are exchanged as dense arrays
 aligned with the component's fixed output-index array, which keeps per-call
 cost proportional to the support size and lets the solver's table keep O(total
 support) memory.
+
+A component either returns its value in a new array, ``evaluate(x)``, or
+writes it into a slice of a caller's buffer, ``evaluate(x, out, at)``: the
+bits are the same either way.  The full evaluation and the table build use
+the second form over one flat array of all m values, laid out like
+``FiniteSumOperator.out_all`` (component j at ``offsets[j]:offsets[j+1]``),
+so they allocate one array, not m.
 """
 
 from __future__ import annotations
@@ -26,8 +33,13 @@ class Component:
         if np.unique(self.out_idx).size < self.out_idx.size:
             raise ValueError("component output support repeats a coordinate")
 
-    def evaluate(self, x):
-        """Return the component value as an array aligned with ``out_idx``."""
+    def evaluate(self, x, out=None, at=0):
+        """The component value at x, aligned with ``out_idx``.
+
+        Without ``out`` the value is returned in a new array.  With ``out``
+        it is written into ``out[at:at + len(out_idx)]``, nothing else in
+        ``out`` is touched, and ``out`` is returned.  Both forms give the same
+        bits."""
         raise NotImplementedError
 
 
@@ -40,8 +52,17 @@ class CallableComponent(Component):
         super().__init__(out_idx, in_idx)
         self.fn = fn
 
-    def evaluate(self, x):
-        return np.asarray(self.fn(x), dtype=float)
+    def evaluate(self, x, out=None, at=0):
+        val = np.asarray(self.fn(x), dtype=float)
+        n = self.out_idx.size
+        if val.shape != (n,):
+            raise ValueError(f"component value has shape {val.shape}, "
+                             f"expected ({n},): one entry per output "
+                             "coordinate")
+        if out is None:
+            return val
+        out[at:at + n] = val
+        return out
 
 
 class FiniteSumOperator:
@@ -74,8 +95,13 @@ class FiniteSumOperator:
         self.linear = linear
         # Every component's output coordinates, concatenated in component
         # order: one scatter-add over them sums m component values in the
-        # same order as m separate per-component adds would.
-        self.out_all = np.concatenate([c.out_idx for c in self.components])
+        # same order as m separate per-component adds would.  Component j's
+        # stretch of it is offsets[j]:offsets[j + 1].
+        supports = [c.out_idx for c in self.components]
+        self.out_all = np.concatenate(supports)
+        self.offsets = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, supports), np.intp, self.m),
+                  out=self.offsets[1:])
         if self.out_all.size and (self.out_all.min() < 0
                                   or self.out_all.max() >= self.d):
             raise ValueError("component output support out of range")
@@ -85,9 +111,18 @@ class FiniteSumOperator:
         return np.bincount(self.out_all, weights=np.concatenate(values),
                            minlength=self.d)
 
+    def evaluate_flat(self, x):
+        """All m component values at x in one array laid out like
+        ``out_all`` (m component-oracle calls)."""
+        flat = np.empty(self.out_all.size)
+        for c, at in zip(self.components, self.offsets.tolist()):
+            c.evaluate(x, flat, at)
+        return flat
+
     def evaluate_full(self, x):
         """Dense F(x) = sum of all components (m component-oracle calls)."""
-        return self.scatter_sum([c.evaluate(x) for c in self.components])
+        return np.bincount(self.out_all, weights=self.evaluate_flat(x),
+                           minlength=self.d)
 
 
 class LipschitzProfile:
@@ -211,9 +246,13 @@ class ComponentTable:
 
     def __init__(self, op, x0):
         self.op = op
-        self.values = [c.evaluate(x0) for c in op.components]
+        # the initial slots are views of one flat array; refresh replaces a
+        # slot and never writes into one, so the views never change
+        flat = op.evaluate_flat(x0)
+        ends = op.offsets.tolist()
+        self.values = [flat[a:b] for a, b in zip(ends, ends[1:])]
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
-        self.aggregate = self.explicit_sum()
+        self.aggregate = np.bincount(op.out_all, weights=flat, minlength=op.d)
         self._shadow_iter = -1
         self._shadow_j = -1
         self._shadow_vals = None

@@ -116,8 +116,12 @@ class _GameRowComponent(Component):
         self.vals = vals
         self.ypos = ypos
 
-    def evaluate(self, x):
-        return self.vals * x[self.ypos]
+    def evaluate(self, x, out=None, at=0):
+        n = self.vals.size
+        if out is None:
+            out, at = np.empty(n), 0
+        np.multiply(self.vals, x[self.ypos], out=out[at:at + n])
+        return out
 
 
 class _GameColComponent(Component):
@@ -130,8 +134,13 @@ class _GameColComponent(Component):
         self.vals = vals
         self.zpos = zpos
 
-    def evaluate(self, x):
-        return -self.vals * x[self.zpos]
+    def evaluate(self, x, out=None, at=0):
+        n = self.vals.size
+        if out is None:
+            out, at = np.empty(n), 0
+        seg = np.negative(self.vals, out=out[at:at + n])
+        seg *= x[self.zpos]
+        return out
 
 
 class _GameRowSidedComponent(Component):
@@ -145,11 +154,12 @@ class _GameRowSidedComponent(Component):
         self.cols = cols
         self.vals = vals
 
-    def evaluate(self, x):
-        out = np.empty(self.cols.size + 1)
-        yj = x[self.in_idx[-1]]
-        out[:-1] = self.vals * yj
-        out[-1] = -(self.vals @ x[self.cols])
+    def evaluate(self, x, out=None, at=0):
+        n = self.cols.size
+        if out is None:
+            out, at = np.empty(n + 1), 0
+        np.multiply(self.vals, x[self.in_idx[-1]], out=out[at:at + n])
+        out[at + n] = -(self.vals @ x[self.cols])
         return out
 
 
@@ -220,10 +230,14 @@ class _BoxSimplexComponent(Component):
         self.col_pos = col_pos
         self.base = np.concatenate([[0.0], base_vals])
 
-    def evaluate(self, x):
-        out = self.base.copy()
-        out[0] = self.col_vals @ x[self.in_idx[1:]]
-        out[self.col_pos] -= self.col_vals * x[self.in_idx[0]]
+    def evaluate(self, x, out=None, at=0):
+        n = self.base.size
+        if out is None:
+            out, at = np.empty(n), 0
+        seg = out[at:at + n]
+        seg[:] = self.base
+        seg[0] = self.col_vals @ x[self.in_idx[1:]]
+        seg[self.col_pos] -= self.col_vals * x[self.in_idx[0]]
         return out
 
 
@@ -287,12 +301,15 @@ class _LadComponent(Component):
         self.a = a
         self.bshare = bshare
 
-    def evaluate(self, x):
+    def evaluate(self, x, out=None, at=0):
         # Python-float arithmetic: the same IEEE products as numpy scalars,
         # without their per-operation overhead
+        if out is None:
+            out, at = np.empty(2), 0
         a = self.a
-        return np.array((a * x.item(self.ypos),
-                         self.bshare - a * x.item(self.zpos)))
+        out[at] = a * x.item(self.ypos)
+        out[at + 1] = self.bshare - a * x.item(self.zpos)
+        return out
 
 
 def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
@@ -411,12 +428,15 @@ class _PolicyEvalComponent(Component):
         self.r = float(r)
         self.mu = mu
 
-    def evaluate(self, x):
+    def evaluate(self, x, out=None, at=0):
         # in place: the same IEEE operations with two temporaries fewer
-        u = (self.w.dot(x) - self.r) * self.phi_s
+        n = self.phi_s.size
+        if out is None:
+            out, at = np.empty(n), 0
+        u = np.multiply(self.w.dot(x) - self.r, self.phi_s, out=out[at:at + n])
         u -= self.mu * x
         u *= self.weight
-        return u
+        return out
 
 
 def stationary_distribution(P, max_iter=100000, tol=1e-12):
@@ -593,6 +613,23 @@ _CHUNK_ELEMENTS = 2 ** 20
 _GEMV_ROWS = 16
 
 
+def _draw_mask(rng, n, d, density, step):
+    """Row and column indices, in row-major order, of the cells of an n x d
+    mask whose uniform draw falls below ``density``: the draws of one
+    ``rng.random((n, d))`` call, taken ``step`` rows at a time into one
+    reused block."""
+    draws = np.empty((min(step, n), d))
+    mask = np.empty(draws.shape, dtype=bool)
+    rows, cols = [], []
+    for r0 in range(0, n, step):
+        h = min(step, n - r0)
+        np.less(rng.random(out=draws[:h]), density, out=mask[:h])
+        r, c = np.divmod(np.flatnonzero(mask[:h]), d)
+        rows.append(r + r0)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
                  solve_reference=False, max_retries=32):
     """Random LAD instance whose |A_ij| profile over the nonzeros follows the
@@ -602,13 +639,7 @@ def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
     b_step = max(_GEMV_ROWS, step - step % _GEMV_ROWS)
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 303, attempt)))
-        rows, cols = [], []
-        for r0 in range(0, n, step):
-            r, c = np.nonzero(rng.random((min(step, n - r0), d)) < density)
-            rows.append(r + r0)
-            cols.append(c)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
+        rows, cols = _draw_mask(rng, n, d, density, step)
         # the draws fill empty rows first, then the columns still empty
         fill_rows = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
         fill_cols = np.array([rng.integers(d) for _ in fill_rows], dtype=np.intp)

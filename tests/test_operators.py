@@ -403,6 +403,112 @@ class TestComponentTable:
         np.testing.assert_array_equal(table.resolve_prev(2, 3), table.values[2])
 
 
+def callable_instance():
+    """CallableComponents with overlapping supports, an empty support and a
+    value the function builds in place of a fresh array."""
+    geom = GeometryBundle([euclidean_block(np.arange(6), lo=-1.0, hi=1.0)])
+    rng = np.random.default_rng(40)
+    comps = [CallableComponent([3, 1, 5], [0, 2],
+                               lambda x: [x[0], -x[2], 1e8 * x[0]]),
+             CallableComponent([], [4], lambda x: np.empty(0))]
+    for _ in range(12):
+        out = rng.choice(6, size=int(rng.integers(1, 5)), replace=False)
+        scale = rng.standard_normal(out.size)
+        comps.append(CallableComponent(
+            out, out, (lambda o, s: lambda x: s * x[o] + s)(out, scale)))
+    return make_custom(comps, geom, np.ones(len(comps)))
+
+
+BUFFER_CASES = {**LINEAR_CASES, "callable": callable_instance()}
+
+
+def old_table(op, x):
+    """The table build before the flat buffer: one array per component."""
+    values = [c.evaluate(x) for c in op.components]
+    return values, op.scatter_sum(values)
+
+
+class TestWriteIntoBuffer:
+    """evaluate(x, out, at) writes the bits of evaluate(x) into its slice of
+    a caller's buffer; the full evaluation and the table build use it."""
+
+    @staticmethod
+    def points(inst, seed, count=6):
+        rng = np.random.default_rng(seed)
+        return [inst.geometry.sample_domain(rng, sharp=bool(t % 2))
+                for t in range(count)]
+
+    @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+    def test_writes_exactly_its_slice(self, name):
+        inst = BUFFER_CASES[name]
+        for x in self.points(inst, 41):
+            for c in inst.operator.components:
+                want = c.evaluate(x)
+                n = c.out_idx.size
+                for at in (0, 3):
+                    buf = np.full(at + n + 4, np.nan)
+                    assert c.evaluate(x, buf, at) is buf
+                    assert buf[at:at + n].tobytes() == want.tobytes()
+                    assert np.isnan(buf[:at]).all()
+                    assert np.isnan(buf[at + n:]).all()
+
+    @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+    def test_full_equals_scatter_of_separate_values(self, name):
+        op = BUFFER_CASES[name].operator
+        for x in self.points(BUFFER_CASES[name], 42):
+            want = op.scatter_sum([c.evaluate(x) for c in op.components])
+            assert op.evaluate_full(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+    def test_table_build_equals_separate_arrays(self, name):
+        inst = BUFFER_CASES[name]
+        op = inst.operator
+        for x in [inst.x0] + self.points(inst, 43, count=2):
+            table = ComponentTable(op, x)
+            values, aggregate = old_table(op, x)
+            assert len(table.values) == op.m
+            for got, want in zip(table.values, values):
+                assert got.tobytes() == want.tobytes()
+            assert table.aggregate.tobytes() == aggregate.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+    def test_refresh_leaves_other_slots(self, name):
+        inst = BUFFER_CASES[name]
+        op = inst.operator
+        xs = self.points(inst, 44)
+        table = ComponentTable(op, xs[0])
+        want = [v.copy() for v in table.values]
+        rng = np.random.default_rng(45)
+        for k in range(1, 3 * op.m + 1):
+            j = int(rng.integers(op.m))
+            old = table.values[j]
+            new = op.components[j].evaluate(xs[k % len(xs)])
+            table.refresh(j, new, k)
+            assert table.values[j] is new
+            # the replaced slot is the shadow, and still holds its bits
+            assert table.resolve_prev(j, k + 1).tobytes() == want[j].tobytes()
+            assert old.tobytes() == want[j].tobytes()
+            want[j] = new.copy()
+            for got, w in zip(table.values, want):
+                assert got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("value", [lambda x: 1.5, lambda x: [1.0, 2.0]],
+                             ids=["scalar", "wrong-length"])
+    def test_callable_wrong_shape_rejected(self, value):
+        comp = CallableComponent([0, 2, 1], [0], value)
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            comp.evaluate(np.zeros(3))
+        buf = np.full(5, np.nan)
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            comp.evaluate(np.zeros(3), buf, 1)
+        assert np.isnan(buf).all()
+        op = FiniteSumOperator([comp], 3)
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            op.evaluate_full(np.zeros(3))
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            ComponentTable(op, np.zeros(3))
+
+
 def test_matrix_market_roundtrip(tmp_path):
     from scipy.io import mmwrite
     from scipy.sparse import coo_matrix

@@ -408,6 +408,30 @@ class TestDenseLazyEquivalence:
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         np.testing.assert_allclose(tl.x_bar, td.x_bar, atol=1e-11)
 
+    def test_scalar_prox_entries_only_for_read_coordinates(self):
+        # a lazy read settles the two coordinates a LAD component reads in
+        # Python floats; prox_one keeps parameters for those coordinates
+        # only, not for all d
+        inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
+        plan = problem_plan(inst)
+        drawn = {"p": [], "q": []}
+
+        def recorded(key, sample):
+            def draw(rng):
+                drawn[key].append(sample(rng))
+                return drawn[key][-1]
+            return draw
+
+        plan.sample_p = recorded("p", plan.sample_p)
+        plan.sample_q = recorded("q", plan.sample_q)
+        run_lazy(inst, plan, SolverConfig(iterations=25, seed=2, mode="lazy"))
+        comps = inst.operator.components
+        # the first extrapolation index is read at A = 0, where x is x0
+        read = {i for j in drawn["p"][1:] + drawn["q"]
+                for i in comps[j].in_idx.tolist()}
+        assert set(inst.geometry._scalar) == read
+        assert len(read) <= 4 * 25 < inst.d / 3
+
 
 def mixed_instance():
     """Custom monotone affine operator on a mixed geometry: a 4-coordinate
