@@ -2,17 +2,14 @@
 
 An operator F is given as a sum of m components F_j, each with a declared
 sparse output support (the coordinates it can write) and input support (the
-coordinates of x it reads).  Component values are exchanged as dense arrays
-aligned with the component's fixed output-index array, which keeps per-call
-cost proportional to the support size and lets the solver's table keep O(total
-support) memory.
-
-A component either returns its value in a new array, ``evaluate(x)``, or
-writes it into a slice of a caller's buffer, ``evaluate(x, out, at)``: the
-bits are the same either way.  The full evaluation and the table build use
-the second form over one flat array of all m values, laid out like
-``FiniteSumOperator.out_all`` (component j at ``offsets[j]:offsets[j+1]``),
-so they allocate one array, not m.
+coordinates of x it reads).  Component values live in one layout: a flat
+array aligned with ``FiniteSumOperator.out_all``, the concatenated output
+supports, where component j's value sits at ``offsets[j]:offsets[j+1]``.
+``evaluate(x, out, at)`` writes a component's value into its stretch of such
+a buffer, so per-call cost is proportional to the support size and no call
+allocates its result.  The full evaluation, the solver's table and its
+running sum all use this layout; a sum over it is one ``np.bincount`` over
+``out_all``.
 """
 
 from __future__ import annotations
@@ -33,13 +30,10 @@ class Component:
         if np.unique(self.out_idx).size < self.out_idx.size:
             raise ValueError("component output support repeats a coordinate")
 
-    def evaluate(self, x, out=None, at=0):
-        """The component value at x, aligned with ``out_idx``.
-
-        Without ``out`` the value is returned in a new array.  With ``out``
-        it is written into ``out[at:at + len(out_idx)]``, nothing else in
-        ``out`` is touched, and ``out`` is returned.  Both forms give the same
-        bits."""
+    def evaluate(self, x, out, at):
+        """Write the component value at x, aligned with ``out_idx``, into
+        ``out[at:at + len(out_idx)]`` and return ``out``; nothing else in
+        ``out`` is touched."""
         raise NotImplementedError
 
 
@@ -52,15 +46,13 @@ class CallableComponent(Component):
         super().__init__(out_idx, in_idx)
         self.fn = fn
 
-    def evaluate(self, x, out=None, at=0):
+    def evaluate(self, x, out, at):
         val = np.asarray(self.fn(x), dtype=float)
         n = self.out_idx.size
         if val.shape != (n,):
             raise ValueError(f"component value has shape {val.shape}, "
                              f"expected ({n},): one entry per output "
                              "coordinate")
-        if out is None:
-            return val
         out[at:at + n] = val
         return out
 
@@ -102,14 +94,11 @@ class FiniteSumOperator:
         self.offsets = np.zeros(self.m + 1, dtype=np.intp)
         np.cumsum(np.fromiter(map(len, supports), np.intp, self.m),
                   out=self.offsets[1:])
-        if self.out_all.size and (self.out_all.min() < 0
-                                  or self.out_all.max() >= self.d):
-            raise ValueError("component output support out of range")
-
-    def scatter_sum(self, values):
-        """Dense sum of per-component values aligned with each ``out_idx``."""
-        return np.bincount(self.out_all, weights=np.concatenate(values),
-                           minlength=self.d)
+        # a read support that is the write support is checked with it
+        idx = np.concatenate([self.out_all] + [
+            c.in_idx for c in self.components if c.in_idx is not c.out_idx])
+        if idx.size and (idx.min() < 0 or idx.max() >= self.d):
+            raise ValueError("component support out of range")
 
     def evaluate_flat(self, x):
         """All m component values at x in one array laid out like
@@ -202,20 +191,35 @@ def lpq_empirical(op, geom, p, q, trials, rng):
     """Empirical lower estimate of the sampling-weighted Lipschitz constant.
 
     Maximizes sqrt(sum_j ||F_j(x)-F_j(y)||_*^2 / (p_j q_j^2)) / ||x-y|| over
-    ``trials`` random feasible pairs drawn from the geometry's domain.
+    ``trials`` random feasible pairs drawn from the geometry's domain.  A
+    pair costs two ``evaluate_flat`` calls and a few passes over their
+    difference: sums of diff^2 / w per component on Euclidean coordinates,
+    squared max |diff| per (component, simplex block) on the rest.
     """
     p = _check_distribution(p, op.m, "p")
     q = _check_distribution(q, op.m, "q")
     weight = 1.0 / (p * q * q)
+    comp = np.repeat(np.arange(op.m), np.diff(op.offsets))
+    block = np.full(op.d, -1)       # simplex block number, -1 if Euclidean
+    for b, blk in enumerate(geom._ent_blocks):
+        block[blk.idx] = b
+    block = block[op.out_all]
+    eu = block < 0
+    w = geom._w[op.out_all[eu]]
+    cells, cell_of = np.unique(comp[~eu] * op.d + block[~eu],
+                               return_inverse=True)
+    owner = np.concatenate([comp[eu], cells // op.d])   # each term's component
 
     def numer(x, y):
-        total = 0.0
-        for j, c in enumerate(op.components):
-            diff = np.zeros(op.d)
-            diff[c.out_idx] = c.evaluate(x)
-            np.subtract.at(diff, c.out_idx, c.evaluate(y))
-            total += weight[j] * geom.dual_norm_sq(diff)
-        return total
+        diff = op.evaluate_flat(x)
+        diff -= op.evaluate_flat(y)
+        if not np.isfinite(diff).all():
+            raise ValueError("component value differences must be finite")
+        top = np.zeros(cells.size)
+        np.maximum.at(top, cell_of, np.abs(diff[~eu]))
+        terms = np.concatenate([np.square(diff[eu]) / w, np.square(top)])
+        return float(weight @ np.bincount(owner, weights=terms,
+                                          minlength=op.m))
 
     return _max_pair_ratio(geom, trials, rng, numer)
 
@@ -237,44 +241,47 @@ def empirical_full_lipschitz(op, geom, trials, rng):
 class ComponentTable:
     """SAGA-style table of stored component values plus their running sum.
 
-    Each slot holds F_j evaluated at some past iterate (the iteration id is
-    tracked).  ``resolve_prev`` implements the value a component held *two*
-    iterations ago, which only differs from the current slot for the single
-    component refreshed in the previous iteration; a one-level shadow of that
-    slot suffices.
+    ``values`` is one flat array laid out like the operator's ``out_all``:
+    slot j, ``values[offsets[j]:offsets[j + 1]]``, holds F_j evaluated at
+    the iterate of iteration ``eval_iter[j]``.  ``resolve_prev`` implements
+    the value a component held *two* iterations ago, which only differs from
+    the current slot for the single component refreshed in the previous
+    iteration; a one-level shadow of that slot suffices.
     """
 
     def __init__(self, op, x0):
         self.op = op
-        # the initial slots are views of one flat array; refresh replaces a
-        # slot and never writes into one, so the views never change
-        flat = op.evaluate_flat(x0)
-        ends = op.offsets.tolist()
-        self.values = [flat[a:b] for a, b in zip(ends, ends[1:])]
+        self.values = op.evaluate_flat(x0)
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
-        self.aggregate = np.bincount(op.out_all, weights=flat, minlength=op.d)
-        self._shadow_iter = -1
-        self._shadow_j = -1
+        self.aggregate = self.explicit_sum()
+        # the shadow holds the slot a refresh overwrote, in its first entries
+        self._shadow = np.empty(np.diff(op.offsets).max())
+        self._shadow_iter = self._shadow_j = -1
         self._shadow_vals = None
 
-    def refresh(self, j, vals, k):
-        """Overwrite slot j with F_j evaluated at iteration k's iterate."""
-        old = self.values[j]
-        self._shadow_iter = k
-        self._shadow_j = j
-        self._shadow_vals = old
-        self.values[j] = vals
+    def refresh(self, j, x, k):
+        """Evaluate F_j at iteration k's iterate x into slot j (one
+        component-oracle call)."""
+        comp = self.op.components[j]
+        out = comp.out_idx
+        at = self.op.offsets.item(j)
+        slot = self.values[at:at + len(out)]
+        self._shadow_vals = old = self._shadow[:len(out)]
+        old[:] = slot
+        self._shadow_iter, self._shadow_j = k, j
+        comp.evaluate(x, self.values, at)
         self.eval_iter[j] = k
         # Component rejects repeated out_idx entries, so plain fancy indexing
         # (which would drop repeats) is a correct and much faster scatter-add
-        out = self.op.components[j].out_idx
-        self.aggregate[out] += vals - old
+        self.aggregate[out] += slot - old
 
     def resolve_prev(self, j, k):
-        """Stored value of component j as of the end of iteration k-2."""
+        """Stored value of component j as of the end of iteration k-2: the
+        shadow or a view of slot j."""
         if self._shadow_j == j and self._shadow_iter == k - 1:
             return self._shadow_vals
-        return self.values[j]
+        ends = self.op.offsets
+        return self.values[ends.item(j):ends.item(j + 1)]
 
     def resum(self):
         """Exact re-sum of the aggregate; runs need none (drift measured below
@@ -282,7 +289,8 @@ class ComponentTable:
         self.aggregate[:] = self.explicit_sum()
 
     def explicit_sum(self):
-        return self.op.scatter_sum(self.values)
+        return np.bincount(self.op.out_all, weights=self.values,
+                           minlength=self.op.d)
 
 
 def load_matrix_market(path):

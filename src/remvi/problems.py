@@ -116,11 +116,8 @@ class _GameRowComponent(Component):
         self.vals = vals
         self.ypos = ypos
 
-    def evaluate(self, x, out=None, at=0):
-        n = self.vals.size
-        if out is None:
-            out, at = np.empty(n), 0
-        np.multiply(self.vals, x[self.ypos], out=out[at:at + n])
+    def evaluate(self, x, out, at):
+        np.multiply(self.vals, x[self.ypos], out=out[at:at + self.vals.size])
         return out
 
 
@@ -134,11 +131,8 @@ class _GameColComponent(Component):
         self.vals = vals
         self.zpos = zpos
 
-    def evaluate(self, x, out=None, at=0):
-        n = self.vals.size
-        if out is None:
-            out, at = np.empty(n), 0
-        seg = np.negative(self.vals, out=out[at:at + n])
+    def evaluate(self, x, out, at):
+        seg = np.negative(self.vals, out=out[at:at + self.vals.size])
         seg *= x[self.zpos]
         return out
 
@@ -154,10 +148,8 @@ class _GameRowSidedComponent(Component):
         self.cols = cols
         self.vals = vals
 
-    def evaluate(self, x, out=None, at=0):
+    def evaluate(self, x, out, at):
         n = self.cols.size
-        if out is None:
-            out, at = np.empty(n + 1), 0
         np.multiply(self.vals, x[self.in_idx[-1]], out=out[at:at + n])
         out[at + n] = -(self.vals @ x[self.cols])
         return out
@@ -230,11 +222,8 @@ class _BoxSimplexComponent(Component):
         self.col_pos = col_pos
         self.base = np.concatenate([[0.0], base_vals])
 
-    def evaluate(self, x, out=None, at=0):
-        n = self.base.size
-        if out is None:
-            out, at = np.empty(n), 0
-        seg = out[at:at + n]
+    def evaluate(self, x, out, at):
+        seg = out[at:at + self.base.size]
         seg[:] = self.base
         seg[0] = self.col_vals @ x[self.in_idx[1:]]
         seg[self.col_pos] -= self.col_vals * x[self.in_idx[0]]
@@ -301,11 +290,9 @@ class _LadComponent(Component):
         self.a = a
         self.bshare = bshare
 
-    def evaluate(self, x, out=None, at=0):
+    def evaluate(self, x, out, at):
         # Python-float arithmetic: the same IEEE products as numpy scalars,
         # without their per-operation overhead
-        if out is None:
-            out, at = np.empty(2), 0
         a = self.a
         out[at] = a * x.item(self.ypos)
         out[at + 1] = self.bshare - a * x.item(self.zpos)
@@ -428,11 +415,9 @@ class _PolicyEvalComponent(Component):
         self.r = float(r)
         self.mu = mu
 
-    def evaluate(self, x, out=None, at=0):
+    def evaluate(self, x, out, at):
         # in place: the same IEEE operations with two temporaries fewer
         n = self.phi_s.size
-        if out is None:
-            out, at = np.empty(n), 0
         u = np.multiply(self.w.dot(x) - self.r, self.phi_s, out=out[at:at + n])
         u -= self.mu * x
         u *= self.weight

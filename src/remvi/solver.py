@@ -109,7 +109,9 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """Run log: metric records, averaged output, and solver bookkeeping."""
+    """Run log: metric records, averaged output, and solver bookkeeping.
+    ``info["table_values"]`` is a copy of a REM run's final flat table (slot
+    j at ``operator.offsets[j]:offsets[j + 1]``)."""
 
     solver: str
     seed: int
@@ -352,26 +354,26 @@ class _Dual:
         if self.dense and self.every is not None:
             self._settle(self.every, A, k)
 
-    def refresh(self, table, j, v, k, A):
-        """Refresh slot j at step-size sum A, shifting the base on j's
-        Euclidean write set so that z + A*S stays where it was; dense mode
-        then settles the set."""
-        w, S, z = _listed(self.writes, j), self.S, self.z
+    def refresh(self, table, j, k, A):
+        """Refresh slot j at the iterate x and step-size sum A, shifting the
+        base on j's Euclidean write set so that z + A*S stays where it was;
+        dense mode then settles the set."""
+        w, S, z, x = _listed(self.writes, j), self.S, self.z, self.x
         if type(w) is not list:
             old = S[w]
-            table.refresh(j, v, k)
+            table.refresh(j, x, k)
             z[w] = base = z[w] - A * (S[w] - old)
             _check_finite(base, k, self.bound)
         elif w:
             old = list(map(S.item, w))
-            table.refresh(j, v, k)
+            table.refresh(j, x, k)
             for i, o, s in zip(w, old, map(S.item, w)):
                 z[i] = b = z.item(i) - A * (s - o)
                 if not math.isfinite(b):
                     raise DivergenceError(k, abs(b), self.bound,
                                           what="dual vector z")
         else:   # nothing Euclidean to shift or settle
-            table.refresh(j, v, k)
+            table.refresh(j, x, k)
             return
         if self.dense:
             self._settle(w, A, k)
@@ -437,12 +439,15 @@ def run(problem, plan, config):
     A_list = A_seq.tolist()
     p = plan.p
     comps = op.components
+    # j1's value, in the first entries of one buffer for the whole run
+    scratch = np.empty(np.diff(op.offsets).max())
     fhat_last = None
     for k in range(1, K + 1):
         a_prev, a, A = a_list[k - 1], a_list[k], A_list[k]
         j1 = plan.sample_p(draw)
         dual.read(j1, A_list[k - 1], k)
-        v1 = comps[j1].evaluate(dual.x)
+        c1 = comps[j1]
+        v1 = c1.evaluate(dual.x, scratch, 0)[:len(c1.out_idx)]
         calls += 1
         # the step adds a_k * F_hat to z: a_k * aggregate plus this correction
         corr = None
@@ -453,9 +458,8 @@ def run(problem, plan, config):
         dual.step(j1, corr, a, A, k)
         j2 = plan.sample_q(draw)
         dual.read(j2, A, k)
-        v2 = comps[j2].evaluate(dual.x)
+        dual.refresh(table, j2, k, A)
         calls += 1
-        dual.refresh(table, j2, v2, k, A)
         if avg.wants(k):
             avg.add(k, a, dual.at(A, k))
         if k % stride == 0 or k == K:
@@ -465,9 +469,7 @@ def run(problem, plan, config):
     trace.oracle_calls = calls
     if fhat_last is not None:
         trace.info["fhat_last"] = fhat_last
-        # refresh replaces slots and never writes into one, so the slots
-        # themselves are the final table
-        trace.info["table_values"] = list(table.values)
+        trace.info["table_values"] = table.values.copy()
         trace.info["table_eval_iter"] = table.eval_iter.copy()
     return trace
 

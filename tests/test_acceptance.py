@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from helpers import value
 from remvi.baselines import BaselineConfig, run_baseline
 from remvi.metrics import gap_fixed
 from remvi.operators import LipschitzProfile
@@ -229,14 +230,13 @@ def test_criterion_5_estimator_identity():
             k_frozen = int(rng.integers(1, 6))
             for k in range(1, k_frozen + 1):
                 j = int(rng.integers(op.m))
-                table.refresh(j, op.components[j].evaluate(
-                    inst.sample_feasible(rng)), k)
+                table.refresh(j, inst.sample_feasible(rng), k)
             x_prev = inst.sample_feasible(rng)
             a_prev = float(rng.uniform(0.1, 1.0))
             a = float(rng.uniform(0.1, 1.0))
             acc = np.zeros(op.d)
             for j in range(op.m):
-                v = op.components[j].evaluate(x_prev)
+                v = value(op.components[j], x_prev)
                 acc += plan.p[j] * extrapolate(table, j, v, a_prev, a,
                                                plan.p[j], k_frozen + 1)
             resolved = np.zeros(op.d)

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from helpers import slot, value
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import (CallableComponent, ComponentTable,
                              FiniteSumOperator, LipschitzProfile,
-                             empirical_full_lipschitz, load_matrix_market,
-                             lpq_bound, lpq_empirical)
+                             _max_pair_ratio, empirical_full_lipschitz,
+                             load_matrix_market, lpq_bound, lpq_empirical)
 from remvi.problems import (generate_box_simplex, generate_instance,
                             generate_lad, generate_matrix_game,
                             generate_policy_eval, load_instance, make_custom,
@@ -20,7 +23,7 @@ class TestComponentEvaluation:
         inst = make_lad(np.array([[2.0]]), np.array([3.0]))
         x = np.array([1.0, 0.5])  # z=1, y=0.5
         c = inst.operator.components[0]
-        idx, vals = c.out_idx, c.evaluate(x)
+        idx, vals = c.out_idx, value(c, x)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(vals, [1.0, 1.0])
 
@@ -28,14 +31,14 @@ class TestComponentEvaluation:
         comp = CallableComponent(np.arange(3), np.arange(3), lambda x: 2.0 * x)
         op = FiniteSumOperator([comp], 3)
         x = np.array([1.0, -2.0, 0.5])
-        idx, vals = comp.out_idx, op.components[0].evaluate(x)
+        idx, vals = comp.out_idx, value(op.components[0], x)
         full = op.evaluate_full(x)
         np.testing.assert_array_equal(full[idx], vals)
 
     def test_game_row_component_zero_dual(self):
         inst = make_matrix_game(np.array([[1.0, 2.0], [3.0, 4.0]]))
         x = np.array([0.5, 0.5, 0.0, 1.0])  # y_0 = 0
-        vals = inst.operator.components[0].evaluate(x)
+        vals = value(inst.operator.components[0], x)
         np.testing.assert_array_equal(vals, np.zeros(2))
 
     def test_full_matrix_game(self):
@@ -60,7 +63,7 @@ class TestComponentEvaluation:
             x = inst.sample_feasible(rng)
             total = np.zeros(op.d)
             for c in op.components:
-                np.add.at(total, c.out_idx, c.evaluate(x))
+                np.add.at(total, c.out_idx, value(c, x))
             full = op.evaluate_full(x)
             scale = max(1.0, np.max(np.abs(full)))
             np.testing.assert_allclose(total, full, rtol=0, atol=1e-10 * scale)
@@ -71,7 +74,7 @@ def add_at_sum(op, x):
     one np.add.at per component, in component order."""
     out = np.zeros(op.d)
     for c in op.components:
-        np.add.at(out, c.out_idx, c.evaluate(x))
+        np.add.at(out, c.out_idx, value(c, x))
     return out
 
 
@@ -107,23 +110,30 @@ class TestEvaluateFull:
         # while the explicit sum counts them: a support [0, 0] refreshed
         # from (1, 1) to (10, 20) would leave the aggregate at 21, not 30
         def fn(x):
-            return np.array([1.0, 1.0])
+            return np.array([1.0, 1.0]) + x[0] * np.array([9.0, 19.0])
 
         bad = CallableComponent.__new__(CallableComponent)  # skips the check
         bad.out_idx = bad.in_idx = np.array([0, 0])
         bad.fn = fn
         table = ComponentTable(FiniteSumOperator([bad], 1), np.zeros(1))
-        table.refresh(0, np.array([10.0, 20.0]), 1)
+        table.refresh(0, np.ones(1), 1)     # fn returns (10, 20) there
+        assert table.values.tolist() == [10.0, 20.0]
         assert table.aggregate[0] == 21.0
         assert table.explicit_sum()[0] == 30.0
         with pytest.raises(ValueError, match="repeats a coordinate"):
             CallableComponent([0, 0], [0], fn)
         CallableComponent([0, 1], [0, 0], fn)      # reads may repeat
 
-    @pytest.mark.parametrize("bad", [-1, 3, 7])
-    def test_out_of_range_support_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "reads, bad", [(False, -1), (False, 3), (False, 7),
+                       (True, -1), (True, 3), (True, 7)],
+        ids=["-1", "3", "7", "reads--1", "reads-3", "reads-7"])
+    def test_out_of_range_support_rejected(self, reads, bad):
         ok = CallableComponent([0, 2], [0], lambda x: np.zeros(2))
-        wrong = CallableComponent([1, bad], [0], lambda x: np.zeros(2))
+        if reads:
+            wrong = CallableComponent([0, 1], [bad, 2], lambda x: np.zeros(2))
+        else:
+            wrong = CallableComponent([1, bad], [0], lambda x: np.zeros(2))
         with pytest.raises(ValueError, match="out of range"):
             FiniteSumOperator([ok, wrong], 3)
         FiniteSumOperator([ok], 3)
@@ -293,7 +303,7 @@ def test_component_lipschitz_validity(inst):
             continue
         for j, c in enumerate(op.components):
             diff = np.zeros(op.d)
-            diff[c.out_idx] = c.evaluate(x) - c.evaluate(y)
+            diff[c.out_idx] = value(c, x) - value(c, y)
             lhs = np.sqrt(geom.dual_norm_sq(diff))
             assert lhs <= lam[j] * nrm * (1 + 1e-9)
 
@@ -349,7 +359,7 @@ class TestComponentTable:
         table = ComponentTable(op, np.zeros(7))
         expect = np.zeros(7)
         for c in comps:
-            np.add.at(expect, c.out_idx, c.evaluate(None))
+            np.add.at(expect, c.out_idx, value(c, None))
         np.testing.assert_array_equal(table.aggregate, expect)
         table.resum()
         np.testing.assert_array_equal(table.aggregate, expect)
@@ -366,11 +376,30 @@ class TestComponentTable:
         comps = op.components
         for k, (j, t) in enumerate(zip(rng.integers(op.m, size=100_000),
                                        rng.integers(64, size=100_000)), 1):
-            table.refresh(j, comps[j].evaluate(points[t]), k)
+            table.refresh(j, points[t], k)
         drift = np.max(np.abs(table.aggregate - table.explicit_sum()))
-        scale = max(np.max(np.abs(v)) for v in table.values)
+        scale = np.max(np.abs(table.values))
         assert drift <= 1e-8
         assert drift <= 1e-12 * scale
+
+    def test_flat_layout_memory(self):
+        # the values are one flat array; building the table allocates little
+        # beyond its own arrays and the m offsets as Python ints (m slot
+        # objects would add about 112 B each: 7x these arrays here)
+        inst = generate_lad(300, 300, 1.0, 0, density=0.05)
+        op = inst.operator
+        tracemalloc.start()
+        try:
+            table = ComponentTable(op, inst.x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(table.values, np.ndarray)
+        assert table.values.dtype == np.float64
+        assert table.values.shape == op.out_all.shape
+        own = (table.values.nbytes + table.aggregate.nbytes
+               + table.eval_iter.nbytes)
+        assert peak <= 3 * own, (peak, own)
 
     def test_values_track_refresh_iterate(self):
         inst, table = self.make_table()
@@ -380,11 +409,11 @@ class TestComponentTable:
         for k in range(1, 50):
             j = int(rng.integers(op.m))
             x = inst.sample_feasible(rng)
-            table.refresh(j, op.components[j].evaluate(x), k)
+            table.refresh(j, x, k)
             history[j] = x
         for j, x in history.items():
-            np.testing.assert_array_equal(table.values[j],
-                                          op.components[j].evaluate(x))
+            np.testing.assert_array_equal(slot(table, j),
+                                          value(op.components[j], x))
 
     def test_shadow_resolution_rule(self):
         inst, table = self.make_table()
@@ -392,15 +421,15 @@ class TestComponentTable:
         rng = np.random.default_rng(7)
         x1 = inst.sample_feasible(rng)
         x2 = inst.sample_feasible(rng)
-        before = table.values[2].copy()
-        table.refresh(2, op.components[2].evaluate(x1), 1)
+        before = slot(table, 2).copy()
+        table.refresh(2, x1, 1)
         # component refreshed at k-1 = 1 resolves to the pre-overwrite value
         np.testing.assert_array_equal(table.resolve_prev(2, 2), before)
         # other components resolve to their current slots
-        np.testing.assert_array_equal(table.resolve_prev(0, 2), table.values[0])
-        table.refresh(0, op.components[0].evaluate(x2), 2)
+        np.testing.assert_array_equal(table.resolve_prev(0, 2), slot(table, 0))
+        table.refresh(0, x2, 2)
         # at k = 3 the shadow belongs to component 0; slot 2 is current again
-        np.testing.assert_array_equal(table.resolve_prev(2, 3), table.values[2])
+        np.testing.assert_array_equal(table.resolve_prev(2, 3), slot(table, 2))
 
 
 def callable_instance():
@@ -422,15 +451,49 @@ def callable_instance():
 BUFFER_CASES = {**LINEAR_CASES, "callable": callable_instance()}
 
 
+def lpq_per_component(op, geom, p, q, trials, rng):
+    """lpq_empirical as one dense difference and one full dual norm per
+    component and pair (the formula before the flat layout)."""
+    weight = 1.0 / (p * q * q)
+
+    def numer(x, y):
+        total = 0.0
+        for j, c in enumerate(op.components):
+            diff = np.zeros(op.d)
+            diff[c.out_idx] = value(c, x)
+            np.subtract.at(diff, c.out_idx, value(c, y))
+            total += weight[j] * geom.dual_norm_sq(diff)
+        return total
+
+    return _max_pair_ratio(geom, trials, rng, numer)
+
+
+@pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+def test_lpq_empirical_equals_per_component_formula(name):
+    inst = BUFFER_CASES[name]
+    plan = problem_plan(inst)
+    args = (inst.operator, inst.geometry, plan.p, plan.q, 20)
+    got = lpq_empirical(*args, np.random.default_rng(46))
+    want = lpq_per_component(*args, np.random.default_rng(46))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_lpq_empirical_rejects_non_finite():
+    comp = CallableComponent([0], [0], lambda x: [np.nan])
+    geom = GeometryBundle([euclidean_block(np.array([0]))])
+    with pytest.raises(ValueError, match="finite"):
+        lpq_empirical(FiniteSumOperator([comp], 1), geom, [1.0], [1.0], 3,
+                      np.random.default_rng(0))
+
+
 def old_table(op, x):
     """The table build before the flat buffer: one array per component."""
-    values = [c.evaluate(x) for c in op.components]
-    return values, op.scatter_sum(values)
+    return [value(c, x) for c in op.components], add_at_sum(op, x)
 
 
 class TestWriteIntoBuffer:
-    """evaluate(x, out, at) writes the bits of evaluate(x) into its slice of
-    a caller's buffer; the full evaluation and the table build use it."""
+    """evaluate(x, out, at) writes the same bits into any slice of any
+    buffer; the full evaluation and the table build use it."""
 
     @staticmethod
     def points(inst, seed, count=6):
@@ -443,7 +506,7 @@ class TestWriteIntoBuffer:
         inst = BUFFER_CASES[name]
         for x in self.points(inst, 41):
             for c in inst.operator.components:
-                want = c.evaluate(x)
+                want = value(c, x)
                 n = c.out_idx.size
                 for at in (0, 3):
                     buf = np.full(at + n + 4, np.nan)
@@ -456,7 +519,7 @@ class TestWriteIntoBuffer:
     def test_full_equals_scatter_of_separate_values(self, name):
         op = BUFFER_CASES[name].operator
         for x in self.points(BUFFER_CASES[name], 42):
-            want = op.scatter_sum([c.evaluate(x) for c in op.components])
+            want = add_at_sum(op, x)
             assert op.evaluate_full(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
@@ -466,9 +529,10 @@ class TestWriteIntoBuffer:
         for x in [inst.x0] + self.points(inst, 43, count=2):
             table = ComponentTable(op, x)
             values, aggregate = old_table(op, x)
-            assert len(table.values) == op.m
-            for got, want in zip(table.values, values):
-                assert got.tobytes() == want.tobytes()
+            assert table.values.dtype == np.float64
+            assert table.values.shape == op.out_all.shape
+            for j, want in enumerate(values):
+                assert slot(table, j).tobytes() == want.tobytes()
             assert table.aggregate.tobytes() == aggregate.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
@@ -477,27 +541,23 @@ class TestWriteIntoBuffer:
         op = inst.operator
         xs = self.points(inst, 44)
         table = ComponentTable(op, xs[0])
-        want = [v.copy() for v in table.values]
+        want = [slot(table, j).copy() for j in range(op.m)]
         rng = np.random.default_rng(45)
         for k in range(1, 3 * op.m + 1):
             j = int(rng.integers(op.m))
-            old = table.values[j]
-            new = op.components[j].evaluate(xs[k % len(xs)])
-            table.refresh(j, new, k)
-            assert table.values[j] is new
-            # the replaced slot is the shadow, and still holds its bits
+            table.refresh(j, xs[k % len(xs)], k)
+            # the shadow holds the overwritten slot's bits
             assert table.resolve_prev(j, k + 1).tobytes() == want[j].tobytes()
-            assert old.tobytes() == want[j].tobytes()
-            want[j] = new.copy()
-            for got, w in zip(table.values, want):
-                assert got.tobytes() == w.tobytes()
+            want[j] = value(op.components[j], xs[k % len(xs)])
+            for i, w in enumerate(want):
+                assert slot(table, i).tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("value", [lambda x: 1.5, lambda x: [1.0, 2.0]],
+    @pytest.mark.parametrize("fn", [lambda x: 1.5, lambda x: [1.0, 2.0]],
                              ids=["scalar", "wrong-length"])
-    def test_callable_wrong_shape_rejected(self, value):
-        comp = CallableComponent([0, 2, 1], [0], value)
+    def test_callable_wrong_shape_rejected(self, fn):
+        comp = CallableComponent([0, 2, 1], [0], fn)
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
-            comp.evaluate(np.zeros(3))
+            value(comp, np.zeros(3))
         buf = np.full(5, np.nan)
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
             comp.evaluate(np.zeros(3), buf, 1)

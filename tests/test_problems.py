@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, csr_matrix
 
+from helpers import value
 from remvi import problems
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
@@ -99,7 +100,7 @@ class TestBoxSimplex:
         assert inst.m == 1
         x = np.array([0.7, 1.0])  # z = 0.7, y = 1
         c = inst.operator.components[0]
-        idx, vals = c.out_idx, c.evaluate(x)
+        idx, vals = c.out_idx, value(c, x)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(vals, [1.0, -0.7])
 
@@ -137,7 +138,7 @@ class TestLad:
     def test_single_entry(self):
         inst = make_lad(np.array([[2.0]]), np.array([3.0]))
         assert inst.m == 1
-        vals = inst.operator.components[0].evaluate(np.array([1.0, 0.5]))
+        vals = value(inst.operator.components[0], np.array([1.0, 0.5]))
         np.testing.assert_allclose(vals, [1.0, 1.0])
 
     def test_lambda_profile(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import slot, value
 from remvi import solver
 from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
@@ -147,25 +148,25 @@ class TestExtrapolate:
         # m = 1, p = 1: F_hat = F(x_prev) + (a_prev/a)(F(x_prev) - F(x_prev2))
         op, table, rng = self.make_state(m=1)
         x1, x2 = rng.normal(size=op.d), rng.normal(size=op.d)
-        table.refresh(0, op.components[0].evaluate(x2), k=1)  # F at x_{k-2}
-        table.refresh(0, op.components[0].evaluate(x1), k=2)  # F at x_{k-1}
-        v = op.components[0].evaluate(x1)
+        table.refresh(0, x2, k=1)  # F at x_{k-2}
+        table.refresh(0, x1, k=2)  # F at x_{k-1}
+        v = value(op.components[0], x1)
         fhat = extrapolate(table, 0, v, 0.25, 0.5, 1.0, 3)
-        f1 = op.components[0].evaluate(x1)
-        f2 = op.components[0].evaluate(x2)
+        f1 = value(op.components[0], x1)
+        f2 = value(op.components[0], x2)
         np.testing.assert_allclose(fhat, f1 + 0.5 * (f1 - f2), rtol=1e-12)
 
     def test_expectation_identity_two_components(self):
         # sum_j p_j F_hat(j) telescopes to the full extrapolated estimate
         op, table, rng = self.make_state(m=2)
         x_prev = rng.normal(size=op.d)
-        table.refresh(1, op.components[1].evaluate(rng.normal(size=op.d)), k=1)
+        table.refresh(1, rng.normal(size=op.d), k=1)
         p = np.array([0.3, 0.7])
         a_prev, a = 0.2, 0.4
         k = 2
         acc = np.zeros(op.d)
         for j in range(2):
-            v = op.components[j].evaluate(x_prev)
+            v = value(op.components[j], x_prev)
             acc += p[j] * extrapolate(table, j, v, a_prev, a, p[j], k)
         resolved = sum(table.resolve_prev(j, k) for j in range(2))
         expect = table.aggregate + (a_prev / a) * (
@@ -185,12 +186,12 @@ def test_estimator_identity_frozen_states(inst):
         k_frozen = int(rng.integers(1, 6))
         for k in range(1, k_frozen + 1):
             j = int(rng.integers(op.m))
-            table.refresh(j, op.components[j].evaluate(inst.sample_feasible(rng)), k)
+            table.refresh(j, inst.sample_feasible(rng), k)
         x_prev = inst.sample_feasible(rng)
         a_prev, a = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
         acc = np.zeros(op.d)
         for j in range(op.m):
-            v = op.components[j].evaluate(x_prev)
+            v = value(op.components[j], x_prev)
             acc += plan.p[j] * extrapolate(table, j, v, a_prev, a, plan.p[j],
                                            k_frozen + 1)
         resolved = np.zeros(op.d)
@@ -313,9 +314,8 @@ def assert_runs_bitwise_equal(t1, t2):
     np.testing.assert_array_equal(t1.info["fhat_last"], t2.info["fhat_last"])
     np.testing.assert_array_equal(t1.info["table_eval_iter"],
                                   t2.info["table_eval_iter"])
-    for v1, v2 in zip(t1.info["table_values"], t2.info["table_values"],
-                      strict=True):
-        np.testing.assert_array_equal(v1, v2)
+    np.testing.assert_array_equal(t1.info["table_values"],
+                                  t2.info["table_values"], strict=True)
 
 
 def _test_instance(family):
@@ -497,11 +497,17 @@ class TestLazyCatchup:
             w = np.asarray(lazy.writes[j])
             assert w.size
             z_old, S_old = lazy.z.copy(), lazy.S.copy()
-            v = table.values[j] + rng.normal(size=table.values[j].size)
-            lazy.refresh(table, j, v, k, A)
+            # refresh at a random point: S moves on every write coordinate
+            # where F_j's value does (component 3's second entry is 0.1)
+            lazy.x[:] = inst.geometry.sample_domain(rng)
+            comp = op.components[j]
+            moved = (value(comp, lazy.x) != slot(table, j))[
+                np.isin(comp.out_idx, w)]
+            assert moved.any()
+            lazy.refresh(table, j, k, A)
             # the path taken: Python floats keep the write set as a list
             assert isinstance(lazy.writes[j], list) == scalar
-            assert np.all(lazy.S[w] != S_old[w])
+            np.testing.assert_array_equal(lazy.S[w] != S_old[w], moved)
             before = z_old[w] + A * S_old[w]
             after = lazy.z[w] + A * lazy.S[w]
             scale = (np.abs(z_old[w]) + A * np.abs(S_old[w])
@@ -555,7 +561,9 @@ class TestLazyCatchup:
         A = 1.9
         dense.step(0, None, 0.3, A, 1)
         x_step = dense.x.copy()
-        dense.refresh(table, 2, table.values[2] + 1.0, 1, A)
+        S_step = dense.S.copy()
+        dense.refresh(table, 2, 1, A)   # F_2 at x_step
+        assert np.all(dense.S[dense.writes[2]] != S_step[dense.writes[2]])
         expect = geom.prox_coords(eu, dense.z[eu] + A * dense.S[eu], A)
         np.testing.assert_array_equal(dense.x[eu], expect)
         off_w = ~np.isin(eu, dense.writes[2])
@@ -724,7 +732,7 @@ def _replay_dense(inst, plan, trace, seed):
         a = next_step_size(a_prev, A, k, gamma, lpq, q_star)
         A += a
         j1 = plan.sample_p(draw)
-        v1 = op.components[j1].evaluate(x)
+        v1 = value(op.components[j1], x)
         z += a * table.aggregate
         if a_prev != 0.0:
             z[op.components[j1].out_idx] += (a_prev / plan.p[j1]) * (
@@ -735,7 +743,7 @@ def _replay_dense(inst, plan, trace, seed):
         iterates[k] = x
         wsum += a * x
         j2 = plan.sample_q(draw)
-        table.refresh(j2, op.components[j2].evaluate(x), k)
+        table.refresh(j2, x, k)
     return iterates, fhat_last, wsum / A, table
 
 
@@ -754,11 +762,12 @@ def test_table_freshness_exact_replay():
     np.testing.assert_array_equal(iterates[K], tr.final_x)
     np.testing.assert_array_equal(fhat_last, tr.info["fhat_last"])
     np.testing.assert_array_equal(tr.info["table_eval_iter"], table.eval_iter)
+    ends = op.offsets
     for j in range(op.m):
         ki = int(tr.info["table_eval_iter"][j])
         np.testing.assert_array_equal(
-            tr.info["table_values"][j],
-            op.components[j].evaluate(iterates[ki]))
+            tr.info["table_values"][ends[j]:ends[j + 1]],
+            value(op.components[j], iterates[ki]))
 
 
 @pytest.mark.parametrize("name", BITWISE_CASES)
