@@ -238,6 +238,13 @@ def empirical_full_lipschitz(op, geom, trials, rng):
     return _max_pair_ratio(geom, trials, rng, numer)
 
 
+# Per-iteration sets of up to this many coordinates (a component's support,
+# the coordinates it reads or writes) are handled in Python floats: the same
+# IEEE operations as numpy's, without its fixed cost per call.  The one
+# threshold for the table refresh and for every set the solver touches.
+SCALAR_WRITES = 16
+
+
 class ComponentTable:
     """SAGA-style table of stored component values plus their running sum.
 
@@ -246,7 +253,9 @@ class ComponentTable:
     the iterate of iteration ``eval_iter[j]``.  ``resolve_prev`` implements
     the value a component held *two* iterations ago, which only differs from
     the current slot for the single component refreshed in the previous
-    iteration; a one-level shadow of that slot suffices.
+    iteration; a one-level shadow of that slot suffices.  ``shadow`` holds
+    the overwritten values of the last slot refreshed: a list of floats when
+    the support has at most ``SCALAR_WRITES`` entries, else an array.
     """
 
     def __init__(self, op, x0):
@@ -254,10 +263,10 @@ class ComponentTable:
         self.values = op.evaluate_flat(x0)
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
         self.aggregate = self.explicit_sum()
-        # the shadow holds the slot a refresh overwrote, in its first entries
-        self._shadow = np.empty(np.diff(op.offsets).max())
+        # a large slot's shadow is kept in the first entries of one buffer
+        self._buffer = np.empty(np.diff(op.offsets).max())
+        self.shadow = None
         self._shadow_iter = self._shadow_j = -1
-        self._shadow_vals = None
 
     def refresh(self, j, x, k):
         """Evaluate F_j at iteration k's iterate x into slot j (one
@@ -265,21 +274,31 @@ class ComponentTable:
         comp = self.op.components[j]
         out = comp.out_idx
         at = self.op.offsets.item(j)
-        slot = self.values[at:at + len(out)]
-        self._shadow_vals = old = self._shadow[:len(out)]
-        old[:] = slot
+        n = len(out)
+        slot = self.values[at:at + n]
         self._shadow_iter, self._shadow_j = k, j
+        if n <= SCALAR_WRITES:
+            self.shadow = old = slot.tolist()
+        else:
+            self.shadow = old = self._buffer[:n]
+            old[:] = slot
         comp.evaluate(x, self.values, at)
         self.eval_iter[j] = k
-        # Component rejects repeated out_idx entries, so plain fancy indexing
-        # (which would drop repeats) is a correct and much faster scatter-add
-        self.aggregate[out] += slot - old
+        if type(old) is list:
+            agg = self.aggregate
+            for i, o, v in zip(out.tolist(), old, slot.tolist()):
+                agg[i] = agg.item(i) + (v - o)
+        else:
+            # Component rejects repeated out_idx entries, so plain fancy
+            # indexing (which would drop repeats) is a correct and much
+            # faster scatter-add
+            self.aggregate[out] += slot - old
 
     def resolve_prev(self, j, k):
         """Stored value of component j as of the end of iteration k-2: the
         shadow or a view of slot j."""
         if self._shadow_j == j and self._shadow_iter == k - 1:
-            return self._shadow_vals
+            return np.asarray(self.shadow, dtype=float)
         ends = self.op.offsets
         return self.values[ends.item(j):ends.item(j + 1)]
 

@@ -326,9 +326,10 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     rows = np.repeat(np.arange(n), counts)
     cols, vals = A.indices, A.data
     idx = np.stack([cols, d + rows], axis=1)
-    comps = [_LadComponent(*args) for args in zip(
-        idx, cols.tolist(), (d + rows).tolist(), vals.tolist(),
-        (b[rows] / counts[rows]).tolist())]
+    # map over the columns: no tuple built and unpacked per component
+    comps = list(map(_LadComponent, list(idx), cols.tolist(),
+                     (d + rows).tolist(), vals.tolist(),
+                     (b[rows] / counts[rows]).tolist()))
     # Coordinates are separable: one block for z, one for the boxed y.
     geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
                                euclidean_block(np.arange(d, d + n), mu=quad,

@@ -60,36 +60,55 @@ class AliasTable:
         return np.where(scaled - i < self.prob[i], i, self.alias[i])
 
 
+# Uniforms drawn at once by RngStream.  A scalar Generator.random() call costs
+# about six times taking one double from a list, and a fixed block keeps the
+# stream's memory O(1) in the run length.
+BLOCK = 256
+
+
 class RngStream:
     """Counted deterministic uniform stream.
 
-    The generator is pinned to numpy's PCG64; ``Generator.random()`` consumes
-    exactly one 64-bit output per double, so the draw at position c is a pure
-    function of (seed, stream, c) and ``jump_to`` can replay from any counter.
+    The generator is pinned to numpy's PCG64; ``Generator.random`` consumes
+    exactly one 64-bit output per double, whether it is asked for one or n,
+    so the draw at position c is a pure function of (seed, stream, c) and
+    ``jump_to`` can replay from any counter.  ``uniform`` serves the draws
+    from a block of ``BLOCK`` pre-drawn doubles, the same bits as that many
+    scalar calls.  ``counter`` counts the draws consumed, not the ones the
+    generator has produced: ``uniform_array`` takes what is left of the
+    block first, and ``jump_to`` drops it.
     """
 
-    __slots__ = ("seed", "stream", "counter", "_gen")
+    __slots__ = ("seed", "stream", "counter", "_gen", "_block")
 
     def __init__(self, seed, stream=0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self.counter = 0
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, self.stream))))
+        self.jump_to(0)
 
     def uniform(self):
         self.counter += 1
-        return self._gen.random()
+        block = self._block
+        if not block:
+            # reversed, so that pop() serves the draws in order
+            block = self._block = self._gen.random(BLOCK).tolist()[::-1]
+        return block.pop()
 
     def uniform_array(self, n):
+        block = self._block
+        take = max(0, min(n, len(block)))
+        head = block[len(block) - take:][::-1]
+        del block[len(block) - take:]
+        rest = self._gen.random(n - take)
         self.counter += n
-        return self._gen.random(n)
+        return np.concatenate((head, rest)) if take else rest
 
     def jump_to(self, counter):
         bg = np.random.PCG64(np.random.SeedSequence((self.seed, self.stream)))
         if counter:
             bg.advance(counter)
         self._gen = np.random.Generator(bg)
+        self._block = []
         self.counter = counter
 
 

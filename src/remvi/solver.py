@@ -10,6 +10,16 @@ coordinates the two sampled components read, dense mode all of them after
 every step.  Both consume the same draw stream (j1 first, then j2) and
 compute each prox from the same state, so their runs are equal bit for bit.
 
+The loop in ``run`` is written for the cost of an iteration that touches a
+few coordinates.  Every per-iteration set of at most
+``operators.SCALAR_WRITES`` coordinates (a component's reads, outputs and
+Euclidean writes, and the table slot it refreshes) is handled in Python
+floats from start to finish, with the same IEEE operations as the numpy
+path that larger sets take, so both paths give the same bits.  A
+component's sets are made on its first use in a run, and the work on them
+is written inline: a lazy iteration calls only the draws, the two component
+evaluations, the table refresh and the scalar prox.
+
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
 growth min(sqrt(1 + q*/5) a, (A gamma + 1)/(10 L)) with it, seeded from the
@@ -26,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import operators
 from .metrics import EvalRecord, default_metrics, evaluate_point
 from .operators import ComponentTable
 from .sampling import RngStream
@@ -195,7 +206,8 @@ def extrapolate(table, j, comp_at_prev, a_prev, a, p_j, k):
 
 
 class _Averager:
-    """Output-averaging bookkeeping shared by both run modes."""
+    """Output-averaging bookkeeping shared by both run modes.  ``picks``
+    holds the iterations whose iterate enters the average."""
 
     def __init__(self, config, gamma, m, d, index_rng):
         K = config.iterations
@@ -204,8 +216,10 @@ class _Averager:
         self.counts = None
         self.denom = 0
         self.acc = None
+        self.picks = ()
         if self.mode == "weighted-full":
             self.wsum = np.zeros(d)
+            self.picks = range(1, K + 1)
         elif gamma == 0.0 and K >= 1:
             size = config.avg_samples
             if size is None:
@@ -214,18 +228,15 @@ class _Averager:
                 counts = np.ones(K + 1, dtype=np.int64)
                 counts[0] = 0
                 self.denom = K
+                self.picks = range(1, K + 1)
             else:
                 counts = np.zeros(K + 1, dtype=np.int64)
                 for _ in range(size):
                     counts[int(index_rng.uniform() * K) + 1] += 1
                 self.denom = size
+                self.picks = set(np.flatnonzero(counts).tolist())
             self.counts = counts
             self.acc = np.zeros(d)
-
-    def wants(self, k):
-        """Whether the iterate of iteration k enters the average."""
-        return self.wsum is not None or (self.counts is not None
-                                         and self.counts[k] > 0)
 
     def add(self, k, a, x):
         if self.wsum is not None:
@@ -279,19 +290,6 @@ def _check_finite(v, k, bound, what="dual vector z"):
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
 
 
-# Sets of up to this many Euclidean coordinates are handled in Python floats:
-# the same IEEE operations as numpy's, without its per-call cost.
-SCALAR_WRITES = 16
-
-
-def _listed(sets, j):
-    """sets[j], made a list on first use if it has <= SCALAR_WRITES entries."""
-    idx = sets[j]
-    if type(idx) is np.ndarray and idx.size <= SCALAR_WRITES:
-        idx = sets[j] = idx.tolist()
-    return idx
-
-
 class _Dual:
     """The dual vector z and iterate x of a run, in either mode.
 
@@ -304,83 +302,32 @@ class _Dual:
     renormalises its whole block, so deferring one saves nothing: entropy
     coordinates keep the true dual vector in z, stepped every iteration.
 
-    Lazy mode settles the Euclidean part of a component's ``in_idx`` when it
-    is read; dense mode settles every Euclidean coordinate after a step and
-    a refresh's write set after it.  Both settle from the same z, S and A,
-    so their runs are equal bit for bit.  A non-finite base or prox input
-    raises DivergenceError.
+    ``every`` is the set of all Euclidean coordinates (None when there are
+    none) and ``on_eu`` marks them when the entropy coordinates ``ent``
+    exist.  ``run`` keeps the iteration itself; ``at`` brings the whole
+    iterate up to date.
     """
 
     def __init__(self, geom, op, S, bound, dense):
         self.geom = geom
-        self.comps = op.components
         self.S = S
         self.bound = bound
         self.dense = dense
         self.z = np.zeros(op.d)     # the base on Euclidean coordinates
         self.x = geom.x0.copy()
-        # the coordinates of each kind (every Euclidean one as one set, a
-        # list or _eu_sel), None when there are none
-        self.ent = geom._ent_sel if geom._ent_idx.size else None
-        every = _listed([geom._eu_idx], 0) if geom._eu_idx.size else None
-        self.every = geom._eu_sel if type(every) is np.ndarray else every
-        self.reads = [c.in_idx for c in self.comps]
-        self.writes = [c.out_idx for c in self.comps]
-        if self.ent is not None:
-            on_eu = np.ones(op.d, dtype=bool)
-            on_eu[self.ent] = False
-            self.reads = [s[on_eu[s]] for s in self.reads]
-            self.writes = [s[on_eu[s]] for s in self.writes]
-
-    def read(self, j, A, k):
-        """Settle what component j reads at sum A (dense mode: nothing)."""
-        if A != 0.0 and not self.dense:     # at A = 0 x is still x0
-            self._settle(_listed(self.reads, j), A, k)
-
-    def step(self, j, corr, a, A, k):
-        """Step the entropy coordinates and add the correction: to the true
-        z on entropy coordinates, to the base on Euclidean ones (their a*S
-        is implied by the new A)."""
-        ent = self.ent
-        if ent is not None:
-            self.z[ent] += a * self.S[ent]
-        if corr is not None:
-            self.z[self.comps[j].out_idx] += corr
-        if ent is not None:
-            z_ent = self.z[ent]
-            if not math.isfinite(z_ent.dot(z_ent)):
-                _check_finite(z_ent, k, self.bound)
-            self.x[ent] = self.geom.prox_entropy(z_ent)
-        if self.dense and self.every is not None:
-            self._settle(self.every, A, k)
-
-    def refresh(self, table, j, k, A):
-        """Refresh slot j at the iterate x and step-size sum A, shifting the
-        base on j's Euclidean write set so that z + A*S stays where it was;
-        dense mode then settles the set."""
-        w, S, z, x = _listed(self.writes, j), self.S, self.z, self.x
-        if type(w) is not list:
-            old = S[w]
-            table.refresh(j, x, k)
-            z[w] = base = z[w] - A * (S[w] - old)
-            _check_finite(base, k, self.bound)
-        elif w:
-            old = list(map(S.item, w))
-            table.refresh(j, x, k)
-            for i, o, s in zip(w, old, map(S.item, w)):
-                z[i] = b = z.item(i) - A * (s - o)
-                if not math.isfinite(b):
-                    raise DivergenceError(k, abs(b), self.bound,
-                                          what="dual vector z")
-        else:   # nothing Euclidean to shift or settle
-            table.refresh(j, x, k)
-            return
-        if self.dense:
-            self._settle(w, A, k)
+        self.ent = self.every = self.on_eu = None
+        eu = geom._eu_idx
+        if eu.size:
+            self.every = (eu.tolist() if eu.size <= operators.SCALAR_WRITES
+                          else geom._eu_sel)
+        if geom._ent_idx.size:
+            self.ent = geom._ent_sel
+            self.on_eu = np.ones(op.d, dtype=bool)
+            self.on_eu[self.ent] = False
 
     def _settle(self, idx, A, k):
         """Prox the Euclidean coordinates idx from z + A*S into x: in Python
-        floats for a list (see ``_listed``), in numpy otherwise."""
+        floats for a list, in numpy for an index array or slice."""
         S, z, x = self.S, self.z, self.x
         if type(idx) is list:
             prox_one = self.geom.prox_one
@@ -424,49 +371,127 @@ def run(problem, plan, config):
     rec = _Recorder(problem, config)
     stride = rec.stride
     table = ComponentTable(op, geom.x0)
-    calls = op.m
+    lazy = config.mode == "lazy"
     # S: the table updates its aggregate in place
     dual = _Dual(geom, op, table.aggregate, config.divergence_bound,
-                 dense=config.mode == "dense")
+                 dense=not lazy)
     trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
                   iterations=K, records=rec.records, a_seq=a_seq,
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
                                                             q_star),
                   info={"gamma": gamma, "lpq": lpq, "q_star": q_star,
                         "stride": stride, "averaging": config.averaging})
-    rec.add(0, calls, dual.x)
+    rec.add(0, op.m, dual.x)
     a_list = [0.0] + a_seq.tolist()
     A_list = A_seq.tolist()
-    p = plan.p
-    comps = op.components
+    S, z, x, ent, every = dual.S, dual.z, dual.x, dual.ent, dual.every
+    settle, prox_one, bound = dual._settle, geom.prox_one, dual.bound
+    sample_p, sample_q, refresh = plan.sample_p, plan.sample_q, table.refresh
+    p, comps, offsets, values = plan.p, op.components, op.offsets, table.values
+    on_eu, lim, picks = dual.on_eu, operators.SCALAR_WRITES, avg.picks
+    isfinite = math.isfinite
+    sets = [None] * op.m    # each component's (reads, outs, writes)
     # j1's value, in the first entries of one buffer for the whole run
-    scratch = np.empty(np.diff(op.offsets).max())
+    scratch = np.empty(np.diff(offsets).max())
+    a = A = 0.0
+    j2 = -1
     fhat_last = None
     for k in range(1, K + 1):
-        a_prev, a, A = a_list[k - 1], a_list[k], A_list[k]
-        j1 = plan.sample_p(draw)
-        dual.read(j1, A_list[k - 1], k)
-        c1 = comps[j1]
-        v1 = c1.evaluate(dual.x, scratch, 0)[:len(c1.out_idx)]
-        calls += 1
-        # the step adds a_k * F_hat to z: a_k * aggregate plus this correction
-        corr = None
-        if a_prev != 0.0:
-            corr = (a_prev / p.item(j1)) * (v1 - table.resolve_prev(j1, k))
+        a_prev, A_prev, j2_prev = a, A, j2
+        a, A = a_list[k], A_list[k]
+        # the draws depend on nothing the iteration changes: j1, then j2
+        j1 = sample_p(draw)
+        j2 = sample_q(draw)
+        for j in (j1, j2):      # j's sets on first use, inline (no call)
+            if sets[j] is None:
+                c = comps[j]
+                o = c.out_idx
+                if on_eu is None and c.in_idx is o:
+                    # one set in every role: a single conversion
+                    o = o.tolist() if o.size <= lim else o
+                    sets[j] = (o, o, o)
+                    continue
+                r, w = c.in_idx, o
+                if on_eu is not None:
+                    r, w = r[on_eu[r]], o[on_eu[o]]
+                sets[j] = (r.tolist() if r.size <= lim else r,
+                           o.tolist() if o.size <= lim else o,
+                           w.tolist() if w.size <= lim else w)
+        reads, outs, _ = sets[j1]
+        if lazy and A_prev != 0.0:      # at A = 0 x is still x0
+            if type(reads) is list:
+                for i in reads:
+                    u = z.item(i) + A_prev * S.item(i)
+                    if not isfinite(u):
+                        raise DivergenceError(k, abs(u), bound,
+                                              what="dual vector z")
+                    x[i] = prox_one(i, u, A_prev)
+            else:
+                settle(reads, A_prev, k)
+        n = len(outs)
+        comps[j1].evaluate(x, scratch, 0)
         if k == K:
-            fhat_last = extrapolate(table, j1, v1, a_prev, a, p[j1], k)
-        dual.step(j1, corr, a, A, k)
-        j2 = plan.sample_q(draw)
-        dual.read(j2, A, k)
-        dual.refresh(table, j2, k, A)
-        calls += 1
-        if avg.wants(k):
+            fhat_last = extrapolate(table, j1, scratch[:n], a_prev, a, p[j1],
+                                    k)
+        # the step adds a_k * F_hat to z: a_k * S, stepped on the entropy
+        # coordinates and implied by the new A on Euclidean ones, plus j1's
+        # correction (a_prev/p_j1) * (F_j1(x) - its value two iterations
+        # back, which is the shadow if the last refresh was j1's)
+        if ent is not None:
+            z[ent] += a * S[ent]
+        if a_prev != 0.0:
+            cj = a_prev / p.item(j1)
+            at = offsets.item(j1)
+            if type(outs) is list:
+                prev = (table.shadow if j1 == j2_prev
+                        else values[at:at + n].tolist())
+                for i, v, v_prev in zip(outs, scratch[:n].tolist(), prev):
+                    z[i] = z.item(i) + cj * (v - v_prev)
+            else:
+                prev = table.shadow if j1 == j2_prev else values[at:at + n]
+                z[outs] += cj * (scratch[:n] - prev)
+        if ent is not None:
+            z_ent = z[ent]
+            if not isfinite(z_ent.dot(z_ent)):
+                _check_finite(z_ent, k, bound)
+            x[ent] = geom.prox_entropy(z_ent)
+        if not lazy and every is not None:
+            settle(every, A, k)
+        reads, _, writes = sets[j2]
+        if lazy:
+            if type(reads) is list:
+                for i in reads:
+                    u = z.item(i) + A * S.item(i)
+                    if not isfinite(u):
+                        raise DivergenceError(k, abs(u), bound,
+                                              what="dual vector z")
+                    x[i] = prox_one(i, u, A)
+            else:
+                settle(reads, A, k)
+        # refresh slot j2 at x, shifting the base on its Euclidean write set
+        # so that z + A*S stays where it was; dense mode then settles it
+        if type(writes) is list:
+            old = list(map(S.item, writes))
+            refresh(j2, x, k)
+            for i, o in zip(writes, old):
+                z[i] = b = z.item(i) - A * (S.item(i) - o)
+                if not isfinite(b):
+                    raise DivergenceError(k, abs(b), bound,
+                                          what="dual vector z")
+        else:
+            old = S[writes]
+            refresh(j2, x, k)
+            z[writes] = b = z[writes] - A * (S[writes] - old)
+            _check_finite(b, k, bound)
+        if not lazy and len(writes):
+            settle(writes, A, k)
+        if k in picks:
             avg.add(k, a, dual.at(A, k))
         if k % stride == 0 or k == K:
-            rec.add(k, calls, dual.at(A, k), avg.wsum, A)
+            rec.add(k, op.m + 2 * k, dual.at(A, k), avg.wsum, A)
     trace.final_x = dual.at(A_list[-1], K)
     trace.x_bar = avg.result(A_list[-1])
-    trace.oracle_calls = calls
+    trace.oracle_calls = op.m + 2 * K
     if fhat_last is not None:
         trace.info["fhat_last"] = fhat_last
         trace.info["table_values"] = table.values.copy()

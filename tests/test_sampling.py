@@ -4,8 +4,9 @@ import pytest
 from remvi.operators import LipschitzProfile, lpq_bound
 from remvi.problems import (generate_instance, make_box_simplex, make_lad,
                             make_matrix_game)
-from remvi.sampling import (AliasTable, RngStream, SamplingPlan, build_plan,
-                            problem_plan)
+from remvi.sampling import (BLOCK, AliasTable, RngStream, SamplingPlan,
+                            build_plan, problem_plan)
+from remvi.solver import SolverConfig, run_lazy
 
 
 def scalar_alias_build(p):
@@ -64,6 +65,65 @@ class TestBuildPlan:
     def test_rejects_tiny_probability(self):
         with pytest.raises(ValueError):
             SamplingPlan([1.0 - 1e-16, 1e-16], [0.5, 0.5], lpq=1.0)
+
+
+def reference_draws(seed, stream, n):
+    """The first n doubles of the (seed, stream) generator, in one call."""
+    gen = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((seed, stream))))
+    return gen.random(n)
+
+
+class TestRngStreamBlocks:
+    """``uniform`` serves pre-drawn blocks of BLOCK doubles; the values, the
+    counter and replays are those of one draw per call."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 7])
+    def test_scalar_draws_equal_one_array(self, n):
+        rng = RngStream(11, stream=3)
+        got = [rng.uniform() for _ in range(n)]
+        assert got == reference_draws(11, 3, n).tolist()
+        assert rng.counter == n
+
+    def test_interleaved_calls_follow_the_counter(self):
+        ref = reference_draws(6, 0, 6 * BLOCK).tolist()
+        rng = RngStream(6)
+        script = [("u", 5), ("a", 0), ("a", 3), ("u", BLOCK), ("a", BLOCK + 9),
+                  ("j", 2), ("u", 1), ("a", 2 * BLOCK), ("j", 4 * BLOCK - 1),
+                  ("u", 3), ("a", 1), ("j", 0), ("a", 5), ("u", BLOCK + 2)]
+        for op, n in script:
+            c = rng.counter
+            if op == "u":
+                got = [rng.uniform() for _ in range(n)]
+            elif op == "a":
+                out = rng.uniform_array(n)
+                assert out.dtype == np.float64 and out.shape == (n,)
+                got = out.tolist()
+            else:
+                rng.jump_to(n)
+                assert rng.counter == n
+                continue
+            assert got == ref[c:c + n]
+            assert rng.counter == c + n
+
+    def test_run_draws_replay_from_a_fresh_stream(self):
+        # a run consumes one uniform per draw, j1 from p then j2 from q,
+        # across several blocks
+        inst = generate_instance("lad", 40, 30, 1.0, seed=1, density=0.2)
+        plan = problem_plan(inst)
+        drawn = []
+        for name in ("sample_p", "sample_q"):
+            def record(rng, sample=getattr(plan, name)):
+                drawn.append(sample(rng))
+                return drawn[-1]
+            setattr(plan, name, record)
+        K = 2 * BLOCK + 5
+        run_lazy(inst, plan, SolverConfig(iterations=K, seed=9, mode="lazy"))
+        u = reference_draws(9, 0, 2 * K)
+        want = [(plan._alias_p if t % 2 == 0 else plan._alias_q).sample(v)
+                for t, v in enumerate(u.tolist())]
+        assert drawn == want
 
 
 class TestSampling:

@@ -1,10 +1,12 @@
+import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import slot, value
-from remvi import solver
+from helpers import calls_per_iteration, value
+from remvi import operators, solver
 from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 from remvi.metrics import default_metrics, evaluate_point
@@ -273,11 +275,11 @@ class TestRunDense:
                         np.array([3.0, -3.0]))
         plan = problem_plan(inst)
         at = {}
-        default = solver.SCALAR_WRITES
+        default = operators.SCALAR_WRITES
         for mode, run, scalar_writes in (("dense", run_dense, default),
                                          ("lazy", run_lazy, default),
                                          ("lazy", run_lazy, 0)):
-            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
             cfg = SolverConfig(iterations=4000, seed=seed, mode=mode,
                                lpq=1e-300, eval_stride=100, eval_metrics=(),
                                divergence_bound=1e3)
@@ -375,15 +377,16 @@ class TestDenseLazyEquivalence:
 
     @pytest.mark.parametrize("name", BITWISE_CASES)
     def test_array_writes_bitwise_equal(self, name, monkeypatch):
-        # at SCALAR_WRITES = 0 every non-empty read, write and settled set
-        # takes the numpy path, and at 10**9 every index-array set takes the
+        # at SCALAR_WRITES = 0 every non-empty set (a component's reads,
+        # outputs and writes, the refreshed table slot, the Euclidean
+        # coordinates) takes the numpy path, and at 10**9 every one takes the
         # Python-float path; both give the same bits in both modes
         inst = BITWISE_CASES[name]()
         plan = problem_plan(inst)
         args = dict(iterations=1000, seed=7, eval_stride=50)
         ts = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         for scalar_writes in (0, 10**9):
-            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
             td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
             tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
             assert_runs_bitwise_equal(td, ts)
@@ -457,6 +460,16 @@ def mixed_instance():
                        reference=ref)
 
 
+def scripted_plan(plan, j1s, j2s):
+    """A copy of ``plan`` whose draws cycle through the indices j1s (from p)
+    and j2s (from q) instead of sampling."""
+    j1s, j2s = itertools.cycle(j1s), itertools.cycle(j2s)
+    plan = copy.copy(plan)
+    plan.sample_p = lambda rng: next(j1s)
+    plan.sample_q = lambda rng: next(j2s)
+    return plan
+
+
 class TestLazyCatchup:
     def test_mixed_geometry_matches_dense_every_iteration(self):
         inst = mixed_instance()
@@ -478,44 +491,29 @@ class TestLazyCatchup:
 
     def test_refresh_keeps_euclidean_dual_value(self, monkeypatch):
         # a refresh at step-size sum A moves S on j's Euclidean write set
-        # and shifts the base z there, so z + A*S (the dual value) stays;
-        # on both paths: Python floats, and numpy when SCALAR_WRITES is 0
-        for scalar_writes in (solver.SCALAR_WRITES, 0):
-            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
-            self._check_refresh_keeps_dual_value(scalar_writes > 0)
-
-    @staticmethod
-    def _check_refresh_keeps_dual_value(scalar):
+        # and shifts the base z there, so z + A*S (the dual value) stays:
+        # a lazy run stopped after any iteration ends at the prox of the
+        # true dual vector, which the reference replay sums, up to rounding.
+        # Every refresh here writes Euclidean coordinates, and a dropped
+        # shift would move the iterate by about A times the change in S.
+        # On both paths: Python floats, and numpy when SCALAR_WRITES is 0
         inst = mixed_instance()
-        op = inst.operator
-        table = ComponentTable(op, inst.x0)
-        lazy = _Dual(inst.geometry, op, table.aggregate, 1e9, dense=False)
-        rng = np.random.default_rng(3)
-        lazy.z[:] = rng.normal(size=inst.d)
-        A = 2.7
-        for k, j in enumerate((2, 3, 4, 0), start=1):
-            w = np.asarray(lazy.writes[j])
-            assert w.size
-            z_old, S_old = lazy.z.copy(), lazy.S.copy()
-            # refresh at a random point: S moves on every write coordinate
-            # where F_j's value does (component 3's second entry is 0.1)
-            lazy.x[:] = inst.geometry.sample_domain(rng)
-            comp = op.components[j]
-            moved = (value(comp, lazy.x) != slot(table, j))[
-                np.isin(comp.out_idx, w)]
-            assert moved.any()
-            lazy.refresh(table, j, k, A)
-            # the path taken: Python floats keep the write set as a list
-            assert isinstance(lazy.writes[j], list) == scalar
-            np.testing.assert_array_equal(lazy.S[w] != S_old[w], moved)
-            before = z_old[w] + A * S_old[w]
-            after = lazy.z[w] + A * lazy.S[w]
-            scale = (np.abs(z_old[w]) + A * np.abs(S_old[w])
-                     + A * np.abs(lazy.S[w]))
-            assert np.all(np.abs(after - before) <= 4 * np.finfo(float).eps
-                          * scale)
-            rest = np.setdiff1d(np.arange(inst.d), w)
-            np.testing.assert_array_equal(lazy.z[rest], z_old[rest])
+        plan = problem_plan(inst)
+        for scalar_writes in (operators.SCALAR_WRITES, 0):
+            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+            for K in range(1, 13):
+                cfg = SolverConfig(iterations=K, seed=0, mode="lazy",
+                                   eval_metrics=())
+                draws = ([0, 1, 2], [2, 3, 4, 0])
+                tl = run_lazy(inst, scripted_plan(plan, *draws), cfg)
+                iterates = _replay_dense(inst, scripted_plan(plan, *draws),
+                                         tl, 0)[0]
+                np.testing.assert_allclose(tl.final_x, iterates[K], rtol=0,
+                                           atol=1e-13)
+                if K == 1:
+                    assert np.any(tl.info["table_values"]
+                                  != ComponentTable(inst.operator,
+                                                    inst.x0).values)
 
     @staticmethod
     def _long_horizon_equal(inst, K, monkeypatch, array_path=False):
@@ -529,7 +527,7 @@ class TestLazyCatchup:
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         assert_runs_bitwise_equal(tl, td)
         if array_path:
-            monkeypatch.setattr(solver, "SCALAR_WRITES", 0)
+            monkeypatch.setattr(operators, "SCALAR_WRITES", 0)
             ta = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
             assert_runs_bitwise_equal(ta, td)
 
@@ -543,34 +541,26 @@ class TestLazyCatchup:
         self._long_horizon_equal(_test_instance(family), 4000, monkeypatch,
                                  array_path=True)
 
-    @pytest.mark.parametrize("scalar_writes", [solver.SCALAR_WRITES, 0],
+    @pytest.mark.parametrize("scalar_writes", [operators.SCALAR_WRITES, 0],
                              ids=["scalar", "array"])
     def test_dense_iterate_current_after_refresh(self, scalar_writes,
                                                  monkeypatch):
-        # after a refresh the dense iterate is the prox of z + A*S on every
-        # Euclidean coordinate: re-proxed on the write set (the shifted base
-        # may round the dual value there differently), unchanged off it
-        monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+        # after each refresh the dense iterate is the prox of z + A*S on
+        # every Euclidean coordinate, re-proxed on the write set (the shifted
+        # base may round the dual value there differently): a dense run
+        # stopped after any iteration ends where a lazy run, which proxes
+        # every coordinate afresh from z + A*S, ends, bit for bit
+        monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
         inst = mixed_instance()
-        op, geom = inst.operator, inst.geometry
-        table = ComponentTable(op, inst.x0)
-        dense = _Dual(geom, op, table.aggregate, 1e9, dense=True)
-        rng = np.random.default_rng(8)
-        dense.z[:] = rng.normal(size=inst.d)
-        eu = geom._eu_idx
-        A = 1.9
-        dense.step(0, None, 0.3, A, 1)
-        x_step = dense.x.copy()
-        S_step = dense.S.copy()
-        dense.refresh(table, 2, 1, A)   # F_2 at x_step
-        assert np.all(dense.S[dense.writes[2]] != S_step[dense.writes[2]])
-        expect = geom.prox_coords(eu, dense.z[eu] + A * dense.S[eu], A)
-        np.testing.assert_array_equal(dense.x[eu], expect)
-        off_w = ~np.isin(eu, dense.writes[2])
-        np.testing.assert_array_equal(dense.x[eu][off_w], x_step[eu][off_w])
+        plan = problem_plan(inst)
+        for K in range(1, 40):
+            args = dict(iterations=K, seed=8, eval_metrics=())
+            td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+            tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+            np.testing.assert_array_equal(td.final_x, tl.final_x)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_settle_list_and_array_paths_bitwise(self, seed, monkeypatch):
+    def test_settle_list_and_array_paths_bitwise(self, seed):
         # _settle proxes a set from z + A*S into x in Python floats (a list)
         # or numpy (an index array): the same bits inside the box and at a
         # clamped box coordinate, and the same error on a non-finite input
@@ -580,21 +570,18 @@ class TestLazyCatchup:
         rng = np.random.default_rng(seed)
         z, S = rng.normal(size=inst.d), 3.0 * rng.normal(size=inst.d)
         S[7] = 50.0 * (1 if seed % 2 else -1)    # clamps the boxed coordinate
-        xs = {}
-        for scalar_writes in (eu.size, 0):
-            monkeypatch.setattr(solver, "SCALAR_WRITES", scalar_writes)
+        xs = []
+        for idx in (eu.tolist(), eu.copy()):
             dual = _Dual(geom, op, S.copy(), 1e9, dense=False)
             dual.z[:] = z
-            idx = solver._listed([eu.copy()], 0)
-            assert isinstance(idx, list) == (scalar_writes > 0)
             dual._settle(idx, 0.8, 5)
-            xs[scalar_writes] = dual.x.copy()
+            xs.append(dual.x.copy())
             dual.z[eu[1]] = np.inf
             with pytest.raises(DivergenceError, match="dual vector z") as exc:
                 dual._settle(idx, 0.8, 6)
             assert exc.value.iteration == 6
-        assert abs(xs[0][7]) == 1.0
-        np.testing.assert_array_equal(xs[eu.size], xs[0])
+        assert abs(xs[1][7]) == 1.0
+        np.testing.assert_array_equal(xs[0], xs[1])
 
 
 class TestLazySupportBookkeeping:
@@ -610,6 +597,17 @@ class TestLazySupportBookkeeping:
         for c in op.components:
             touched = set(coord_block[c.in_idx]) | set(coord_block[c.out_idx])
             assert 2 * len(touched) <= bound
+
+    def test_lazy_iteration_python_calls(self):
+        # a lazy LAD iteration (two-coordinate sets) makes at most 15
+        # Python-level calls: sample_p and sample_q with a uniform and an
+        # alias lookup each, two component evaluations (one in the table
+        # refresh), the refresh, prox_one on the four coordinates read and
+        # the schedule's step size; no numpy wrapper, no solver helper
+        inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
+        cfg = SolverConfig(iterations=2000, seed=0, mode="lazy")
+        assert calls_per_iteration(run_lazy, inst, problem_plan(inst),
+                                   cfg) <= 15
 
 
 class TestAveraging:
