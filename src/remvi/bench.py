@@ -75,7 +75,8 @@ class ExperimentConfig:
         check_run_fields(self.iterations, self.eval_point or "iterate",
                          self.eval_stride, self.divergence_bound,
                          gamma=self.gamma if rem else None,
-                         eta=None if rem else self.eta)
+                         eta=None if rem else self.eta,
+                         lpq=self.lpq if rem else None)
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if min(self.n, self.d) < 1:

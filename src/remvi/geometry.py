@@ -23,6 +23,8 @@ restricted to a block; every supported combination has a closed form.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 # Tolerance for domain-membership validation: a prox output sits on its
@@ -183,7 +185,9 @@ class GeometryBundle:
         self._bounded_idx = np.flatnonzero((self._lo > -np.inf)
                                            | (self._hi < np.inf))
         self._clamp = bool(self._bounded_idx.size)
-        self._scalar = {}      # prox_one's parameters, by coordinate
+        # prox_into's list path reads a coordinate's parameters into Python
+        # floats on first use, so only the coordinates it proxes hold one
+        self._scalar = {}
         self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
         ent = self._ent_blocks
         self._ent_idx = np.concatenate(
@@ -215,28 +219,36 @@ class GeometryBundle:
             return _entropy_prox_segments(b.log_anchor, z_block, [0], [b.size])
         return self._prox_euclidean(b.idx, self._wx0[b.idx], z_block, A)
 
-    def prox_coords(self, idx, z_idx, A, check=True):
-        """The prox on an arbitrary set of Euclidean coordinates ``idx``
-        given z on them.  Euclidean blocks are separable, so this equals
-        prox_block element by element on whatever blocks the coordinates
-        belong to."""
-        if check:
-            _check_prox_input(z_idx, A)
-        return self._prox_euclidean(idx, self._wx0[idx], z_idx, A)
-
-    def prox_one(self, i, z_i, A):
-        """prox_coords on the single coordinate i, in Python floats: the same
-        IEEE operations, and the same clamp, as the array version.  A
-        coordinate's parameters are read into Python floats on its first
-        call, so only the coordinates a run proxes this way hold an entry."""
-        try:
-            wx0, w, mu, lo, hi = self._scalar[i]
-        except KeyError:
-            wx0, w, mu, lo, hi = self._scalar[i] = (
-                self._wx0.item(i), self._w.item(i), self._mu.item(i),
-                self._lo.item(i), self._hi.item(i))
-        u = (wx0 - z_i) / (w + A * mu)
-        return lo if u < lo else hi if u > hi else u
+    def prox_into(self, x, idx, z, S, A):
+        """Write the prox of the dual vector ``z + A*S`` on the Euclidean
+        coordinates ``idx`` into x: in Python floats for a list, in numpy for
+        an index array or slice, with the same IEEE operations and clamp, so
+        both give the same bits.  Returns None, or the magnitude of a
+        non-finite prox input (|u| at the first one on a list, max |u| on an
+        array), with x written only before it."""
+        if type(idx) is list:
+            scalar = self._scalar
+            for i in idx:
+                u = z.item(i) + A * S.item(i)
+                if not isfinite(u):
+                    return abs(u)
+                try:
+                    wx0, w, mu, lo, hi = scalar[i]
+                except KeyError:
+                    wx0, w, mu, lo, hi = scalar[i] = (
+                        self._wx0.item(i), self._w.item(i), self._mu.item(i),
+                        self._lo.item(i), self._hi.item(i))
+                u = (wx0 - u) / (w + A * mu)
+                x[i] = lo if u < lo else hi if u > hi else u
+            return None
+        u = A * S[idx]
+        u += z[idx]
+        # u.u is finite only when u is, and is the cheapest full reduction;
+        # it also overflows on a large finite u, so the exact check decides
+        if not isfinite(u.dot(u)) and not np.isfinite(u).all():
+            return float(np.max(np.abs(u)))
+        x[idx] = self._prox_euclidean(idx, self._wx0[idx], u, A)
+        return None
 
     # -- full-space operations --------------------------------------------
 

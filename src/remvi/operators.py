@@ -149,6 +149,8 @@ def _check_distribution(p, m, name):
     p = np.asarray(p, dtype=float)
     if p.shape != (m,):
         raise ValueError(f"{name} must have length {m}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} entries must be finite")
     if np.any(p <= 0.0):
         raise ValueError(f"{name} entries must be strictly positive")
     if abs(p.sum() - 1.0) > 1e-12:

@@ -122,6 +122,8 @@ class SamplingPlan:
         if p.shape != q.shape or p.ndim != 1:
             raise ValueError("p and q must be 1-d vectors of equal length")
         for name, v in (("p", p), ("q", q)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries; rejected")
             if np.any(v < MIN_PROB):
                 raise ValueError(f"{name} has entries below {MIN_PROB}; rejected")
             if abs(v.sum() - 1.0) > 1e-12:

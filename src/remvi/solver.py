@@ -5,10 +5,10 @@ Each iteration draws two independent component indices: j1 (from p) picks the
 single component whose fresh evaluation corrects the table aggregate into the
 extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
-vector z, which ``_Dual`` keeps: lazy mode proxes only the Euclidean
-coordinates the two sampled components read, dense mode all of them after
-every step.  Both consume the same draw stream (j1 first, then j2) and
-compute each prox from the same state, so their runs are equal bit for bit.
+vector z: lazy mode proxes only the Euclidean coordinates the two sampled
+components read, dense mode all of them after every step.  Both consume the
+same draw stream (j1 first, then j2) and compute each prox from the same
+state, so their runs are equal bit for bit.
 
 The loop in ``run`` is written for the cost of an iteration that touches a
 few coordinates.  Every per-iteration set of at most
@@ -16,9 +16,11 @@ few coordinates.  Every per-iteration set of at most
 Euclidean writes, and the table slot it refreshes) is handled in Python
 floats from start to finish, with the same IEEE operations as the numpy
 path that larger sets take, so both paths give the same bits.  A
-component's sets are made on its first use in a run, and the work on them
-is written inline: a lazy iteration calls only the draws, the two component
-evaluations, the table refresh and the scalar prox.
+component's sets are made on its first use in a run.  The step's correction
+and the refresh's base shift are written inline, and every prox of a
+coordinate set is one ``GeometryBundle.prox_into`` call: a lazy iteration
+calls only the draws, the two component evaluations, the table refresh and
+two ``prox_into``.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -58,18 +60,20 @@ class DivergenceError(RuntimeError):
 
 
 def check_run_fields(iterations, eval_point, eval_stride, divergence_bound,
-                     gamma=None, eta=None):
+                     gamma=None, eta=None, lpq=None):
     """The field checks every run config makes (REM's, the baselines' and
-    the bench's): a ValueError names the first bad field.  ``gamma`` and
-    ``eta`` are checked when given."""
+    the bench's): a ValueError names the first bad field.  ``gamma``,
+    ``eta`` and ``lpq`` are checked when given, and must be finite."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if eval_point not in ("iterate", "average"):
         raise ValueError("eval_point must be 'iterate' or 'average'")
-    if gamma is not None and not gamma >= 0.0:
-        raise ValueError("gamma must be >= 0")
-    if eta is not None and not eta > 0.0:
-        raise ValueError("step size eta must be positive")
+    if gamma is not None and not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be >= 0 and finite")
+    if eta is not None and not 0.0 < eta < math.inf:
+        raise ValueError("step size eta must be positive and finite")
+    if lpq is not None and not 0.0 < lpq < math.inf:
+        raise ValueError("lpq must be positive and finite")
     if not divergence_bound > 0.0:
         raise ValueError("divergence_bound must be positive")
     if eval_stride is not None and eval_stride < 1:
@@ -103,7 +107,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_run_fields(self.iterations, self.eval_point, self.eval_stride,
-                         self.divergence_bound, gamma=self.gamma)
+                         self.divergence_bound, gamma=self.gamma,
+                         lpq=self.lpq)
         if self.mode not in ("dense", "lazy"):
             raise ValueError("mode must be 'dense' or 'lazy'")
         if self.averaging not in ("weighted-full", "sampled-index-set"):
@@ -290,75 +295,22 @@ def _check_finite(v, k, bound, what="dual vector z"):
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
 
 
-class _Dual:
-    """The dual vector z and iterate x of a run, in either mode.
+def run(problem, plan, config):
+    """The randomized extrapolated method in ``config.mode``.
 
     On a Euclidean coordinate the aggregate S changes only when a table
     refresh writes it, so between refreshes the dual value at step-size sum
     A is ``z + A*S``: z holds that base, a step adds only the correction to
     it, and a refresh that moves S[i] at sum A shifts z[i] by -A times the
-    change (the just-in-time update of sparse SAGA).  ``_settle`` writes
-    the iterate there, the prox of ``z + A*S``, into x.  A simplex prox
-    renormalises its whole block, so deferring one saves nothing: entropy
-    coordinates keep the true dual vector in z, stepped every iteration.
-
-    ``every`` is the set of all Euclidean coordinates (None when there are
-    none) and ``on_eu`` marks them when the entropy coordinates ``ent``
-    exist.  ``run`` keeps the iteration itself; ``at`` brings the whole
-    iterate up to date.
-    """
-
-    def __init__(self, geom, op, S, bound, dense):
-        self.geom = geom
-        self.S = S
-        self.bound = bound
-        self.dense = dense
-        self.z = np.zeros(op.d)     # the base on Euclidean coordinates
-        self.x = geom.x0.copy()
-        self.ent = self.every = self.on_eu = None
-        eu = geom._eu_idx
-        if eu.size:
-            self.every = (eu.tolist() if eu.size <= operators.SCALAR_WRITES
-                          else geom._eu_sel)
-        if geom._ent_idx.size:
-            self.ent = geom._ent_sel
-            self.on_eu = np.ones(op.d, dtype=bool)
-            self.on_eu[self.ent] = False
-
-    def _settle(self, idx, A, k):
-        """Prox the Euclidean coordinates idx from z + A*S into x: in Python
-        floats for a list, in numpy for an index array or slice."""
-        S, z, x = self.S, self.z, self.x
-        if type(idx) is list:
-            prox_one = self.geom.prox_one
-            for i in idx:
-                u = z.item(i) + A * S.item(i)
-                if not math.isfinite(u):
-                    raise DivergenceError(k, abs(u), self.bound,
-                                          what="dual vector z")
-                x[i] = prox_one(i, u, A)
-            return
-        u = A * S[idx]
-        u += z[idx]
-        # u.u is finite only when u is, and is the cheapest full reduction;
-        # it also overflows on a large finite u, so the exact check decides
-        if not math.isfinite(u.dot(u)):
-            _check_finite(u, k, self.bound)
-        x[idx] = self.geom.prox_coords(idx, u, A, check=False)
-
-    def at(self, A, k):
-        """The iterate at A on every coordinate."""
-        if not self.dense and A != 0.0 and self.every is not None:
-            self._settle(self.every, A, k)
-        return self.x
-
-
-def run(problem, plan, config):
-    """The randomized extrapolated method in ``config.mode``: one loop over
-    the dual state ``_Dual``, which proxes every Euclidean coordinate in
-    dense mode and only those the sampled components read in lazy mode.
-    With the same seed both modes draw the same components and their runs
-    are equal bit for bit."""
+    change (the just-in-time update of sparse SAGA).  The iterate there is
+    the prox of ``z + A*S``, which ``GeometryBundle.prox_into`` writes into
+    x on a set of coordinates: lazy mode settles only those the sampled
+    components read, and every Euclidean coordinate for a pick or a record;
+    dense mode every one after the step and a refresh's write set after it.
+    A simplex prox renormalises its whole block, so deferring one saves
+    nothing: entropy coordinates keep the true dual vector in z, stepped
+    every iteration.  With the same seed both modes draw the same
+    components and their runs are equal bit for bit."""
     gamma = problem.gamma if config.gamma is None else config.gamma
     lpq = plan.lpq if config.lpq is None else config.lpq
     geom, op = problem.geometry, problem.operator
@@ -372,24 +324,30 @@ def run(problem, plan, config):
     stride = rec.stride
     table = ComponentTable(op, geom.x0)
     lazy = config.mode == "lazy"
-    # S: the table updates its aggregate in place
-    dual = _Dual(geom, op, table.aggregate, config.divergence_bound,
-                 dense=not lazy)
     trace = Trace(solver=f"rem-{config.mode}", seed=config.seed, m=op.m,
                   iterations=K, records=rec.records, a_seq=a_seq,
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
                                                             q_star),
                   info={"gamma": gamma, "lpq": lpq, "q_star": q_star,
                         "stride": stride, "averaging": config.averaging})
-    rec.add(0, op.m, dual.x)
+    x = geom.x0.copy()
+    rec.add(0, op.m, x)
+    z = np.zeros(op.d)      # the base on Euclidean coordinates
+    S = table.aggregate     # the table updates it in place
+    lim = operators.SCALAR_WRITES
+    eu = geom._eu_idx
+    every = eu.tolist() if eu.size <= lim else geom._eu_sel
+    ent = on_eu = None
+    if geom._ent_idx.size:
+        ent = geom._ent_sel
+        on_eu = np.ones(op.d, dtype=bool)
+        on_eu[ent] = False
     a_list = [0.0] + a_seq.tolist()
     A_list = A_seq.tolist()
-    S, z, x, ent, every = dual.S, dual.z, dual.x, dual.ent, dual.every
-    settle, prox_one, bound = dual._settle, geom.prox_one, dual.bound
+    prox_into, bound = geom.prox_into, config.divergence_bound
     sample_p, sample_q, refresh = plan.sample_p, plan.sample_q, table.refresh
     p, comps, offsets, values = plan.p, op.components, op.offsets, table.values
-    on_eu, lim, picks = dual.on_eu, operators.SCALAR_WRITES, avg.picks
-    isfinite = math.isfinite
+    picks, isfinite = avg.picks, math.isfinite
     sets = [None] * op.m    # each component's (reads, outs, writes)
     # j1's value, in the first entries of one buffer for the whole run
     scratch = np.empty(np.diff(offsets).max())
@@ -419,15 +377,9 @@ def run(problem, plan, config):
                            w.tolist() if w.size <= lim else w)
         reads, outs, _ = sets[j1]
         if lazy and A_prev != 0.0:      # at A = 0 x is still x0
-            if type(reads) is list:
-                for i in reads:
-                    u = z.item(i) + A_prev * S.item(i)
-                    if not isfinite(u):
-                        raise DivergenceError(k, abs(u), bound,
-                                              what="dual vector z")
-                    x[i] = prox_one(i, u, A_prev)
-            else:
-                settle(reads, A_prev, k)
+            bad = prox_into(x, reads, z, S, A_prev)
+            if bad is not None:
+                raise DivergenceError(k, bad, bound, what="dual vector z")
         n = len(outs)
         comps[j1].evaluate(x, scratch, 0)
         if k == K:
@@ -455,19 +407,11 @@ def run(problem, plan, config):
             if not isfinite(z_ent.dot(z_ent)):
                 _check_finite(z_ent, k, bound)
             x[ent] = geom.prox_entropy(z_ent)
-        if not lazy and every is not None:
-            settle(every, A, k)
+        # lazy mode settles what j2 reads, dense mode everything
         reads, _, writes = sets[j2]
-        if lazy:
-            if type(reads) is list:
-                for i in reads:
-                    u = z.item(i) + A * S.item(i)
-                    if not isfinite(u):
-                        raise DivergenceError(k, abs(u), bound,
-                                              what="dual vector z")
-                    x[i] = prox_one(i, u, A)
-            else:
-                settle(reads, A, k)
+        bad = prox_into(x, reads if lazy else every, z, S, A)
+        if bad is not None:
+            raise DivergenceError(k, bad, bound, what="dual vector z")
         # refresh slot j2 at x, shifting the base on its Euclidean write set
         # so that z + A*S stays where it was; dense mode then settles it
         if type(writes) is list:
@@ -483,13 +427,21 @@ def run(problem, plan, config):
             refresh(j2, x, k)
             z[writes] = b = z[writes] - A * (S[writes] - old)
             _check_finite(b, k, bound)
-        if not lazy and len(writes):
-            settle(writes, A, k)
+        if not lazy:
+            bad = prox_into(x, writes, z, S, A)
+            if bad is not None:
+                raise DivergenceError(k, bad, bound, what="dual vector z")
+        record = k % stride == 0 or k == K
+        if lazy and A != 0.0 and (record or k in picks):
+            # the whole iterate at A
+            bad = prox_into(x, every, z, S, A)
+            if bad is not None:
+                raise DivergenceError(k, bad, bound, what="dual vector z")
         if k in picks:
-            avg.add(k, a, dual.at(A, k))
-        if k % stride == 0 or k == K:
-            rec.add(k, op.m + 2 * k, dual.at(A, k), avg.wsum, A)
-    trace.final_x = dual.at(A_list[-1], K)
+            avg.add(k, a, x)
+        if record:
+            rec.add(k, op.m + 2 * k, x, avg.wsum, A)
+    trace.final_x = x
     trace.x_bar = avg.result(A_list[-1])
     trace.oracle_calls = op.m + 2 * K
     if fhat_last is not None:
@@ -509,7 +461,7 @@ def run_dense(problem, plan, config):
 
 def run_lazy(problem, plan, config):
     """Lazy mode: per iteration only the Euclidean coordinates the two
-    sampled components read are proxed (see ``_Dual``).  With the same seed
+    sampled components read are proxed (see ``run``).  With the same seed
     the run equals run_dense bit for bit."""
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")

@@ -250,7 +250,8 @@ class TestCli:
 
     @pytest.mark.parametrize("solver,flag,value", [
         ("rem-lazy", "--gamma", "nan"), ("rem-dense", "--gamma", "-1"),
-        ("popov", "--eta", "nan"), ("mirror-prox", "--eta", "0")])
+        ("rem-lazy", "--gamma", "inf"), ("popov", "--eta", "nan"),
+        ("mirror-prox", "--eta", "0"), ("mirror-prox", "--eta", "inf")])
     def test_nan_and_non_positive_values_exit_two(self, tmp_path, capsys,
                                                   solver, flag, value,
                                                   monkeypatch):
@@ -274,6 +275,20 @@ class TestCli:
         save_config(cfg, path)
         assert main(["run", "--config", path]) == 2
         assert "divergence_bound must be positive" in capsys.readouterr().err
+        assert not os.path.exists(cfg.out_dir)
+
+    @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense"])
+    @pytest.mark.parametrize("lpq", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lpq_exit_two(self, tmp_path, capsys, solver, lpq,
+                              monkeypatch):
+        no_instance_build(monkeypatch)
+        cfg = ExperimentConfig(problem="lad", solver=solver, iterations=10,
+                               n=3, d=3, lpq=lpq,
+                               out_dir=str(tmp_path / "out"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        assert main(["run", "--config", path]) == 2
+        assert "lpq must be positive and finite" in capsys.readouterr().err
         assert not os.path.exists(cfg.out_dir)
 
     @pytest.mark.parametrize("key", [

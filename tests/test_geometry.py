@@ -200,19 +200,27 @@ def test_coordinate_prox_equals_blockwise_bitwise():
     blockwise = np.empty(geom.d)
     for bi, b in enumerate(geom.blocks):
         blockwise[b.idx] = geom.prox_block(bi, z[b.idx], 1.7)
-    # any subset, any order, repeats allowed
+    # any subset, any order, repeats allowed, as a list or an index array;
+    # S = 0 makes the prox input z itself
     idx = np.array([7, 1, 5, 0, 6, 2, 1])
-    np.testing.assert_array_equal(geom.prox_coords(idx, z[idx], 1.7),
-                                  blockwise[idx])
+    zero = np.zeros(geom.d)
+    for sel in (idx.tolist(), idx):
+        x = np.full(geom.d, np.nan)
+        assert geom.prox_into(x, sel, z, zero, 1.7) is None
+        np.testing.assert_array_equal(x[idx], blockwise[idx])
+        bad = z.copy()
+        bad[idx[1]] = np.inf
+        assert geom.prox_into(x, sel[:2], bad, zero, 1.0) == np.inf
     with pytest.raises(ValueError, match="finite"):
-        geom.prox_coords(idx[:2], np.array([0.0, np.inf]), 1.0)
+        geom.prox_block(0, np.array([0.0, np.inf, 0.0]), 1.0)
     with pytest.raises(ValueError, match=">= 0"):
-        geom.prox_coords(idx[:2], np.zeros(2), -1.0)
+        geom.prox_block(0, np.zeros(3), -1.0)
 
 
 def test_scalar_prox_equals_array_prox_bitwise():
-    # prox_one is prox_coords in Python floats: the same bits on every
-    # Euclidean coordinate, inside the box and clamped to either side
+    # prox_into on a list is its index-array path in Python floats: the same
+    # bits on every Euclidean coordinate, inside the box and clamped to
+    # either side
     geom = GeometryBundle([
         euclidean_block(np.arange(3), anchor=np.array([0.3, -0.7, 0.1]),
                         weights=np.array([0.5, 2.0, 3.0]), mu=0.25),
@@ -221,15 +229,20 @@ def test_scalar_prox_equals_array_prox_bitwise():
         euclidean_block(np.array([7]), mu=1.5, lo=0.0),
     ])
     eu = geom._eu_idx
+    zero = np.zeros(geom.d)
     rng = np.random.default_rng(11)
     for A in (0.0, 1e-3, 1.7, 40.0):
         for scale in (1e-3, 1.0, 1e3):
-            z = scale * rng.standard_normal(eu.size)
-            want = geom.prox_coords(eu, z, A)
-            got = [geom.prox_one(i, zi, A)
-                   for i, zi in zip(eu.tolist(), z.tolist())]
+            z = np.zeros(geom.d)
+            z[eu] = scale * rng.standard_normal(eu.size)
+            want, got = np.full(geom.d, np.nan), np.full(geom.d, np.nan)
+            geom.prox_into(want, eu, z, zero, A)
+            geom.prox_into(got, eu.tolist(), z, zero, A)
             np.testing.assert_array_equal(got, want)
-            assert all(type(g) is float for g in got)
+            # the entropy coordinates are not written
+            assert np.isnan(got[3:5]).all()
+            if scale == 1e3:
+                assert {got[5], got[6], got[7]} & {-0.5, 0.5, 2.0, 0.0}
 
 
 def test_composite_norms_sum_over_blocks():

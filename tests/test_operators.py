@@ -263,6 +263,10 @@ class TestLpqBound:
             lpq_bound([1.0], [0.0], [1.0])
         with pytest.raises(ValueError):
             lpq_bound([1.0, 1.0], [0.7, 0.7], [0.5, 0.5])
+        for p, q, name in (([np.nan, 0.5, 0.5], [1 / 3] * 3, "p"),
+                           ([1 / 3] * 3, [np.nan, 0.5, 0.5], "q")):
+            with pytest.raises(ValueError, match=f"{name} entries must be fin"):
+                lpq_bound([1.0, 2.0, 3.0], p, q)
 
 
 class TestLpqEmpirical:

@@ -223,8 +223,11 @@ class TestLad:
             np.testing.assert_array_equal(geom.prox_full(z, A),
                                           old.prox_full(z, A))
             idx = rng.choice(d + n, size=6, replace=False)
-            np.testing.assert_array_equal(geom.prox_coords(idx, z[idx], A),
-                                          old.prox_coords(idx, z[idx], A))
+            for sel in (idx, idx.tolist()):
+                x_new, x_old = geom.x0.copy(), old.x0.copy()
+                geom.prox_into(x_new, sel, z, np.zeros(d + n), A)
+                old.prox_into(x_old, sel, z, np.zeros(d + n), A)
+                np.testing.assert_array_equal(x_new, x_old)
             assert geom.norm_sq(z) == old.norm_sq(z)
             assert geom.dual_norm_sq(z) == old.dual_norm_sq(z)
         for sharp in (False, True):

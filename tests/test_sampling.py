@@ -66,6 +66,22 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             SamplingPlan([1.0 - 1e-16, 1e-16], [0.5, 0.5], lpq=1.0)
 
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probability(self, name, bad):
+        # NaN fails every comparison, so only an explicit check catches it:
+        # in p the alias table would sample uniformly, in q_min it would
+        # make every step after the first NaN
+        dist = {"p": [1 / 3] * 3, "q": [1 / 3] * 3}
+        dist[name] = [bad, 0.5, 0.5]
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            SamplingPlan(dist["p"], dist["q"], lpq=1.0)
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            build_plan("custom", p=dist["p"], q=dist["q"], lpq=1.0)
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            build_plan("custom", LipschitzProfile([1.0, 2.0, 3.0]),
+                       p=dist["p"], q=dist["q"])
+
 
 def reference_draws(seed, stream, n):
     """The first n doubles of the (seed, stream) generator, in one call."""

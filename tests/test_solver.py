@@ -14,7 +14,7 @@ from remvi.operators import CallableComponent, ComponentTable, FiniteSumOperator
 from remvi.problems import (generate_instance, make_custom, make_lad,
                             problem_instances_for_tests)
 from remvi.sampling import RngStream, SamplingPlan, build_plan, problem_plan
-from remvi.solver import (DivergenceError, SolverConfig, _Dual, extrapolate,
+from remvi.solver import (DivergenceError, SolverConfig, extrapolate,
                           next_step_size, run_dense, run_lazy,
                           step_condition_violations, step_schedule)
 
@@ -413,7 +413,7 @@ class TestDenseLazyEquivalence:
 
     def test_scalar_prox_entries_only_for_read_coordinates(self):
         # a lazy read settles the two coordinates a LAD component reads in
-        # Python floats; prox_one keeps parameters for those coordinates
+        # Python floats; prox_into keeps parameters for those coordinates
         # only, not for all d
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         plan = problem_plan(inst)
@@ -561,25 +561,25 @@ class TestLazyCatchup:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_settle_list_and_array_paths_bitwise(self, seed):
-        # _settle proxes a set from z + A*S into x in Python floats (a list)
-        # or numpy (an index array): the same bits inside the box and at a
-        # clamped box coordinate, and the same error on a non-finite input
+        # prox_into settles a set from z + A*S into x in Python floats (a
+        # list) or numpy (an index array): the same bits inside the box and
+        # at a clamped box coordinate, and the same magnitude reported for a
+        # non-finite input, before which nothing of the array is written
         inst = mixed_instance()
-        op, geom = inst.operator, inst.geometry
+        geom = inst.geometry
         eu = geom._eu_idx
         rng = np.random.default_rng(seed)
         z, S = rng.normal(size=inst.d), 3.0 * rng.normal(size=inst.d)
         S[7] = 50.0 * (1 if seed % 2 else -1)    # clamps the boxed coordinate
+        bad = z.copy()
+        bad[eu[1]] = np.inf
         xs = []
         for idx in (eu.tolist(), eu.copy()):
-            dual = _Dual(geom, op, S.copy(), 1e9, dense=False)
-            dual.z[:] = z
-            dual._settle(idx, 0.8, 5)
-            xs.append(dual.x.copy())
-            dual.z[eu[1]] = np.inf
-            with pytest.raises(DivergenceError, match="dual vector z") as exc:
-                dual._settle(idx, 0.8, 6)
-            assert exc.value.iteration == 6
+            x = geom.x0.copy()
+            assert geom.prox_into(x, idx, z, S, 0.8) is None
+            xs.append(x.copy())
+            assert geom.prox_into(x, idx, bad, S, 0.8) == np.inf
+        np.testing.assert_array_equal(x, xs[1])
         assert abs(xs[1][7]) == 1.0
         np.testing.assert_array_equal(xs[0], xs[1])
 
@@ -599,15 +599,15 @@ class TestLazySupportBookkeeping:
             assert 2 * len(touched) <= bound
 
     def test_lazy_iteration_python_calls(self):
-        # a lazy LAD iteration (two-coordinate sets) makes at most 15
+        # a lazy LAD iteration (two-coordinate sets) makes at most 13
         # Python-level calls: sample_p and sample_q with a uniform and an
         # alias lookup each, two component evaluations (one in the table
-        # refresh), the refresh, prox_one on the four coordinates read and
-        # the schedule's step size; no numpy wrapper, no solver helper
+        # refresh), the refresh, prox_into on the coordinates j1 and j2 read
+        # and the schedule's step size; no numpy wrapper, no solver helper
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         cfg = SolverConfig(iterations=2000, seed=0, mode="lazy")
         assert calls_per_iteration(run_lazy, inst, problem_plan(inst),
-                                   cfg) <= 15
+                                   cfg) <= 13
 
 
 class TestAveraging:
