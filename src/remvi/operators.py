@@ -2,9 +2,20 @@
 
 An operator F is given as a sum of m components F_j, each with a declared
 sparse output support (the coordinates it can write) and input support (the
-coordinates of x it reads).  Component values live in one layout: a flat
-array aligned with ``FiniteSumOperator.out_all``, the concatenated output
-supports, where component j's value sits at ``offsets[j]:offsets[j+1]``.
+coordinates of x it reads).  The operator holds every support in one layout:
+``FiniteSumOperator.out_all`` is the output supports end to end, component
+j's at ``offsets[j]:offsets[j+1]``, and ``in_all``/``in_offsets`` are the
+input supports the same way (the same two arrays when every component reads
+its own write set).  A family builder that already has the layout of its
+supports, read and written alike, passes it; otherwise the operator
+concatenates the components' ``out_idx`` once, and their ``in_idx`` only
+where a component reads other coordinates than it writes.  The range check,
+the table refresh, the extrapolation and the solver's per-draw coordinate
+sets read supports from the layout alone, so a component need not store
+them: a LAD component holds four Python numbers, and its ``out_idx`` is
+built when read.
+
+Component values live in a flat array aligned with ``out_all``.
 ``evaluate(x, out, at)`` writes a component's value into its stretch of such
 a buffer, so per-call cost is proportional to the support size and no call
 allocates its result.  The full evaluation, the solver's table and its
@@ -14,15 +25,25 @@ running sum all use this layout; a sum over it is one ``np.bincount`` over
 
 from __future__ import annotations
 
+from operator import is_
+
 import numpy as np
-from scipy.io import mmread
 from scipy.sparse import issparse
 
 
 class Component:
-    """Base class: a single summand F_j with fixed sparse supports."""
+    """Base class: a single summand F_j with fixed sparse supports
+    ``out_idx`` and ``in_idx``.
 
-    __slots__ = ("out_idx", "in_idx")
+    The base declares no slots, so that a component whose operator holds
+    its supports need not store them.  A subclass that calls this
+    constructor must therefore give the two a home: list ``out_idx`` and
+    ``in_idx`` in its own ``__slots__`` (or declare none, and keep a
+    ``__dict__``).  A subclass that derives them when read, as LAD's does,
+    does not call it.  The base is not instantiated itself.
+    """
+
+    __slots__ = ()
 
     def __init__(self, out_idx, in_idx):
         self.out_idx = np.asarray(out_idx, dtype=np.intp)
@@ -40,7 +61,7 @@ class Component:
 class CallableComponent(Component):
     """Component wrapping an arbitrary value function (tests, custom ops)."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("out_idx", "in_idx", "fn")
 
     def __init__(self, out_idx, in_idx, fn):
         super().__init__(out_idx, in_idx)
@@ -65,9 +86,17 @@ class FiniteSumOperator:
     F is not known to be affine.  It only serves estimates that need F's
     differences, F(x) - F(y) = M(x - y); every counted oracle call still
     goes through the components.
+
+    ``layout`` is ``(out_all, offsets)`` from a builder that already has
+    the support layout and whose components each read exactly their write
+    set; it vouches that no output support repeats a coordinate.  By default
+    the layout is concatenated from the components' ``out_idx``.
+    ``reads_are_writes`` records whether every component reads its write
+    set (the read layout is then the same two arrays), and ``max_support``
+    the largest write support.
     """
 
-    def __init__(self, components, d, linear=None):
+    def __init__(self, components, d, linear=None, layout=None):
         if not components:
             raise ValueError("need at least one component")
         self.components = list(components)
@@ -85,20 +114,35 @@ class FiniteSumOperator:
             if not np.all(np.isfinite(vals)):
                 raise ValueError("linear part holds non-finite values")
         self.linear = linear
-        # Every component's output coordinates, concatenated in component
-        # order: one scatter-add over them sums m component values in the
-        # same order as m separate per-component adds would.  Component j's
-        # stretch of it is offsets[j]:offsets[j + 1].
-        supports = [c.out_idx for c in self.components]
-        self.out_all = np.concatenate(supports)
-        self.offsets = np.zeros(self.m + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, supports), np.intp, self.m),
-                  out=self.offsets[1:])
-        # a read support that is the write support is checked with it
-        idx = np.concatenate([self.out_all] + [
-            c.in_idx for c in self.components if c.in_idx is not c.out_idx])
-        if idx.size and (idx.min() < 0 or idx.max() >= self.d):
-            raise ValueError("component support out of range")
+        # The support layout: every component's output coordinates in
+        # component order, j's stretch at offsets[j]:offsets[j + 1].  One
+        # scatter-add over out_all sums m component values in the same order
+        # as m separate per-component adds would.  The input coordinates are
+        # laid out the same way, in the same arrays when each component's
+        # read support is its write support itself.
+        if layout is None:
+            supports = [c.out_idx for c in self.components]
+            layout = _concatenate(supports)
+            reads = [c.in_idx for c in self.components]
+            self.reads_are_writes = all(map(is_, reads, supports))
+        else:
+            self.reads_are_writes = True
+        out_all, offsets = (np.asarray(v, dtype=np.intp) for v in layout)
+        sizes = np.diff(offsets)
+        if (offsets.shape != (self.m + 1,) or offsets[0] != 0
+                or offsets[-1] != out_all.size or np.any(sizes < 0)):
+            raise ValueError("support layout does not match the "
+                             f"{self.m} components")
+        self.out_all, self.offsets = out_all, offsets
+        self.in_all, self.in_offsets = (
+            (out_all, offsets) if self.reads_are_writes
+            else _concatenate(reads))
+        for flat in ((out_all,) if self.reads_are_writes
+                     else (out_all, self.in_all)):
+            if flat.size and (flat.min() < 0 or flat.max() >= self.d):
+                raise ValueError("component support out of range")
+        # the largest write support: the size of a one-slot scratch buffer
+        self.max_support = int(sizes.max())
 
     def evaluate_flat(self, x):
         """All m component values at x in one array laid out like
@@ -112,6 +156,14 @@ class FiniteSumOperator:
         """Dense F(x) = sum of all components (m component-oracle calls)."""
         return np.bincount(self.out_all, weights=self.evaluate_flat(x),
                            minlength=self.d)
+
+
+def _concatenate(supports):
+    """One flat array of the supports end to end and the offsets of each."""
+    offsets = np.zeros(len(supports) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, supports), np.intp, len(supports)),
+              out=offsets[1:])
+    return np.concatenate(supports), offsets
 
 
 class LipschitzProfile:
@@ -266,35 +318,35 @@ class ComponentTable:
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
         self.aggregate = self.explicit_sum()
         # a large slot's shadow is kept in the first entries of one buffer
-        self._buffer = np.empty(np.diff(op.offsets).max())
+        self._buffer = np.empty(op.max_support)
         self.shadow = None
         self._shadow_iter = self._shadow_j = -1
 
     def refresh(self, j, x, k):
         """Evaluate F_j at iteration k's iterate x into slot j (one
         component-oracle call)."""
-        comp = self.op.components[j]
-        out = comp.out_idx
-        at = self.op.offsets.item(j)
-        n = len(out)
-        slot = self.values[at:at + n]
+        op = self.op
+        at, end = op.offsets.item(j), op.offsets.item(j + 1)
+        n = end - at
+        slot = self.values[at:end]
         self._shadow_iter, self._shadow_j = k, j
         if n <= SCALAR_WRITES:
             self.shadow = old = slot.tolist()
         else:
             self.shadow = old = self._buffer[:n]
             old[:] = slot
-        comp.evaluate(x, self.values, at)
+        op.components[j].evaluate(x, self.values, at)
         self.eval_iter[j] = k
         if type(old) is list:
             agg = self.aggregate
-            for i, o, v in zip(out.tolist(), old, slot.tolist()):
+            for i, o, v in zip(op.out_all[at:end].tolist(), old,
+                               slot.tolist()):
                 agg[i] = agg.item(i) + (v - o)
         else:
             # Component rejects repeated out_idx entries, so plain fancy
             # indexing (which would drop repeats) is a correct and much
             # faster scatter-add
-            self.aggregate[out] += slot - old
+            self.aggregate[op.out_all[at:end]] += slot - old
 
     def resolve_prev(self, j, k):
         """Stored value of component j as of the end of iteration k-2: the
@@ -316,6 +368,7 @@ class ComponentTable:
 
 def load_matrix_market(path):
     """Read a Matrix Market file into a dense ndarray."""
+    from scipy.io import mmread     # imported on first use, as in problems
     mat = mmread(path)
     if hasattr(mat, "toarray"):
         mat = mat.toarray()

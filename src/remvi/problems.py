@@ -21,10 +21,7 @@ Families
 from __future__ import annotations
 
 import numpy as np
-from scipy.io import mmread, mmwrite
-from scipy.optimize import minimize
 from scipy.sparse import bmat, coo_matrix, csr_matrix, identity
-from scipy.sparse.linalg import spsolve
 
 from .geometry import GeometryBundle, euclidean_block, simplex_block
 from .operators import (Component, FiniteSumOperator, LipschitzProfile,
@@ -109,7 +106,7 @@ def _bilinear_part(A):
 class _GameRowComponent(Component):
     """F_j = (A_row * y_j, 0): reads y_j, writes the row's support in z-space."""
 
-    __slots__ = ("vals", "ypos")
+    __slots__ = ("out_idx", "in_idx", "vals", "ypos")
 
     def __init__(self, cols, vals, ypos):
         super().__init__(out_idx=cols, in_idx=np.array([ypos]))
@@ -124,7 +121,7 @@ class _GameRowComponent(Component):
 class _GameColComponent(Component):
     """F_{n+j} = (0, -A_col * z_j): reads z_j, writes the column's support."""
 
-    __slots__ = ("vals", "zpos")
+    __slots__ = ("out_idx", "in_idx", "vals", "zpos")
 
     def __init__(self, rows_shifted, vals, zpos):
         super().__init__(out_idx=rows_shifted, in_idx=np.array([zpos]))
@@ -140,7 +137,7 @@ class _GameColComponent(Component):
 class _GameRowSidedComponent(Component):
     """F_j = (A_row * y_j, -(A_row . z) e_j): the single-sided decomposition."""
 
-    __slots__ = ("cols", "vals")
+    __slots__ = ("out_idx", "in_idx", "cols", "vals")
 
     def __init__(self, cols, vals, ypos):
         super().__init__(out_idx=np.concatenate([cols, [ypos]]),
@@ -212,7 +209,7 @@ class _BoxSimplexComponent(Component):
     to -(Az - b) exactly; constants do not enter the Lipschitz modulus.
     """
 
-    __slots__ = ("col_vals", "col_pos", "base")
+    __slots__ = ("out_idx", "in_idx", "col_vals", "col_pos", "base")
 
     def __init__(self, j, col_rows, col_vals, base_idx, base_vals, col_pos, d):
         out_idx = np.concatenate([[j], d + base_idx])
@@ -276,19 +273,24 @@ class _LadComponent(Component):
     """F_ij = (A_ij y_i e_j, -(A_ij z_j - b_i/c_i) e_i), c_i = row nonzero count.
 
     b_i is split across row i's components so that the sum telescopes to
-    -(Az - b) exactly.  ``idx``, the read and write set, is the pair
-    (j, d + i) (distinct, so Component's repeat check is skipped), a row
-    view of the instance's shared index array.
+    -(Az - b) exactly.  The read and write set is the pair (zpos, ypos) =
+    (j, d + i), distinct, so Component's repeat check is skipped.  The
+    operator's layout holds it; ``out_idx``/``in_idx`` build it when read.
     """
 
     __slots__ = ("zpos", "ypos", "a", "bshare")
 
-    def __init__(self, idx, zpos, ypos, a, bshare):
-        self.out_idx = self.in_idx = idx
+    def __init__(self, zpos, ypos, a, bshare):
         self.zpos = zpos
         self.ypos = ypos
         self.a = a
         self.bshare = bshare
+
+    @property
+    def out_idx(self):
+        return np.array([self.zpos, self.ypos], dtype=np.intp)
+
+    in_idx = out_idx
 
     def evaluate(self, x, out, at):
         # Python-float arithmetic: the same IEEE products as numpy scalars,
@@ -325,11 +327,20 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     # CSR order is row-major: the order of np.nonzero on the dense matrix
     rows = np.repeat(np.arange(n), counts)
     cols, vals = A.indices, A.data
+    # The layout: component k reads and writes (cols[k], d + rows[k]), row
+    # k of this array, so out_all is the array raveled (no copy).
     idx = np.stack([cols, d + rows], axis=1)
-    # map over the columns: no tuple built and unpacked per component
-    comps = list(map(_LadComponent, list(idx), cols.tolist(),
-                     (d + rows).tolist(), vals.tolist(),
-                     (b[rows] / counts[rows]).tolist()))
+    flat, offsets = idx.ravel(), 2 * np.arange(A.nnz + 1)
+    # Components share one int object per coordinate and one b_i/c_i float
+    # per row (the same divisions as per entry), so a component owns only
+    # itself and its A entry.
+    row_list = rows.tolist()
+    coord = list(range(d + n))
+    share = (b / counts).tolist()
+    comps = list(map(_LadComponent,
+                     map(coord.__getitem__, cols.tolist()),
+                     map(coord[d:].__getitem__, row_list),
+                     vals.tolist(), map(share.__getitem__, row_list)))
     # Coordinates are separable: one block for z, one for the boxed y.
     geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
                                euclidean_block(np.arange(d, d + n), mu=quad,
@@ -342,7 +353,8 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
         if quad <= 0.0:
             raise ValueError("reference solve needs a strongly monotone instance")
         reference = _solve_lad_reference(A, b, quad)
-    op = FiniteSumOperator(comps, d + n, linear=_bilinear_part(A))
+    op = FiniteSumOperator(comps, d + n, linear=_bilinear_part(A),
+                           layout=(flat, offsets))
     return ProblemInstance("lad", geometry, op, LipschitzProfile(lam), weights,
                            lpq, data={"A": A, "b": b, "quad": quad},
                            reference=reference, ref_optimum=ref_optimum)
@@ -355,6 +367,9 @@ def _polish_lad_dual(A, b, quad, y, steps=10):
     bound where |t| >= 1 and solved exactly on the free rest F from
     (quad^2 I + A_F A_F^T) y_F = -A_F A_B^T y_B - quad b_F, a sparse system.
     A step is kept only while it lowers the KKT residual."""
+    # scipy.io, scipy.optimize and scipy.sparse.linalg are imported on first
+    # use: import remvi does not load them (about 28 MB of RSS)
+    from scipy.sparse.linalg import spsolve
     q2 = quad * quad
 
     def kkt(y):
@@ -382,6 +397,7 @@ def _solve_lad_reference(A, b, quad):
     y in [-1,1]^n: maximize the (strongly concave) dual with L-BFGS-B,
     polish it with active-set Newton steps, then recover z from first-order
     optimality."""
+    from scipy.optimize import minimize     # imported on first use, as spsolve
     n = A.shape[0]
 
     def negdual(y):
@@ -405,7 +421,7 @@ def _solve_lad_reference(A, b, quad):
 class _PolicyEvalComponent(Component):
     """One transition pair (s, s+): weight * ((<phi_s - beta phi_s+, x> - r) phi_s - mu x)."""
 
-    __slots__ = ("weight", "phi_s", "w", "r", "mu")
+    __slots__ = ("out_idx", "in_idx", "weight", "phi_s", "w", "r", "mu")
 
     def __init__(self, weight, phi_s, w, r, mu, dim):
         idx = np.arange(dim)
@@ -716,6 +732,7 @@ def generate_instance(family, n, d, exponent, seed, **kwargs):
 def save_instance(instance, basename):
     """Write <basename>.mtx (A, or P for policy evaluation), a .meta sidecar,
     and <basename>.phi.mtx for policy-evaluation features."""
+    from scipy.io import mmwrite    # imported on first use, as spsolve
     data = instance.data
     meta = {"family": instance.family}
     if instance.family == "policy-eval":
@@ -740,6 +757,7 @@ def save_instance(instance, basename):
 
 
 def load_instance(basename):
+    from scipy.io import mmread     # imported on first use, as spsolve
     if basename.endswith(".meta"):
         basename = basename[:-5]
     meta = {}

@@ -16,7 +16,9 @@ few coordinates.  Every per-iteration set of at most
 Euclidean writes, and the table slot it refreshes) is handled in Python
 floats from start to finish, with the same IEEE operations as the numpy
 path that larger sets take, so both paths give the same bits.  A
-component's sets are made on its first use in a run.  The step's correction
+component's sets are slices of the operator's support layout, cut per
+draw; with entropy coordinates the reads and writes come from its
+Euclidean part, filtered once per run.  The step's correction
 and the refresh's base shift are written inline, and every prox of a
 coordinate set is one ``GeometryBundle.prox_into`` call: a lazy iteration
 calls only the draws, the two component evaluations, the table refresh and
@@ -63,7 +65,8 @@ def check_run_fields(iterations, eval_point, eval_stride, divergence_bound,
                      gamma=None, eta=None, lpq=None):
     """The field checks every run config makes (REM's, the baselines' and
     the bench's): a ValueError names the first bad field.  ``gamma``,
-    ``eta`` and ``lpq`` are checked when given, and must be finite."""
+    ``eta`` and ``lpq`` are checked when given, and must be finite; ``lpq``
+    must also give a positive, finite first step."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if eval_point not in ("iterate", "average"):
@@ -72,8 +75,8 @@ def check_run_fields(iterations, eval_point, eval_stride, divergence_bound,
         raise ValueError("gamma must be >= 0 and finite")
     if eta is not None and not 0.0 < eta < math.inf:
         raise ValueError("step size eta must be positive and finite")
-    if lpq is not None and not 0.0 < lpq < math.inf:
-        raise ValueError("lpq must be positive and finite")
+    if lpq is not None:
+        next_step_size(0.0, 0.0, 1, 0.0, lpq, 0.0)    # checks lpq and its step
     if not divergence_bound > 0.0:
         raise ValueError("divergence_bound must be positive")
     if eval_stride is not None and eval_stride < 1:
@@ -153,9 +156,15 @@ def next_step_size(a_prev, A_prev, k, gamma, lpq, q_star):
     afterwards min of the geometric branch sqrt(1 + q*/5) a_prev and the cap
     (A_prev gamma + 1)/(10 lpq).
     """
-    if lpq <= 0.0 or not math.isfinite(lpq):
+    if not 0.0 < lpq < math.inf:
         raise ValueError("lpq must be positive and finite")
     base = SQRT_2_3 / (10.0 * lpq)
+    if not 0.0 < base < math.inf:
+        # from lpq of about 1.8e307 on 10 lpq overflows, and every step
+        # would be 0.0 (the run would return x0); below about 1e-309 the
+        # step overflows
+        raise ValueError("lpq must be positive and finite, and so must the "
+                         f"first step size it gives: {lpq!r} gives {base!r}")
     if gamma == 0.0 or k <= 1:
         return base
     return min(math.sqrt(1.0 + q_star / 5.0) * a_prev,
@@ -179,18 +188,21 @@ def step_schedule(K, gamma, lpq, q_star):
 
 def step_condition_violations(a_seq, gamma, lpq, q_star, rel=1e-12):
     """Count violations (a NaN comparison is one) of the three step-size
-    certificate inequalities, at every k (the last two from k = 2 on)."""
+    certificate inequalities, at every k (the last two from k = 2 on).
+    ``lpq * a`` is formed before it is squared: lpq alone squared overflows
+    from about 1.3e154 on, where lpq * a is still of order 0.1."""
     a = np.asarray(a_seq, dtype=float)
     A = np.concatenate([[0.0], np.cumsum(a)])
+    la = lpq * a
     tol = 1.0 + rel
     bad = 0
     if gamma == 0.0:
-        bad += np.count_nonzero(~(75.0 * lpq * lpq * a * a / 2.0 <= 0.25 * tol))
+        bad += np.count_nonzero(~(75.0 * la * la / 2.0 <= 0.25 * tol))
     a_k, a_km1 = a[1:], a[:-1]
     lhs = a_k * a_k / (A[2:] * gamma + 1.0)
     rhs = (1.0 + q_star / 5.0) * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
     bad += np.count_nonzero(~(lhs <= rhs * tol))
-    lhs2 = 25.0 * lpq * lpq * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
+    lhs2 = 25.0 * la[:-1] * la[:-1] / (A[1:-1] * gamma + 1.0)
     bad += np.count_nonzero(~(lhs2 <= (A[:-2] * gamma + 1.0) / 4.0 * tol))
     return int(bad)
 
@@ -205,7 +217,8 @@ def extrapolate(table, j, comp_at_prev, a_prev, a, p_j, k):
     """
     fhat = table.aggregate.copy()
     if a_prev != 0.0:
-        out = table.op.components[j].out_idx
+        ends = table.op.offsets
+        out = table.op.out_all[ends.item(j):ends.item(j + 1)]
         fhat[out] += (a_prev / (a * p_j)) * (comp_at_prev - table.resolve_prev(j, k))
     return fhat
 
@@ -290,6 +303,15 @@ class _Recorder:
             elapsed_ns=time.perf_counter_ns() - self.t0, **vals))
 
 
+def _restrict(flat, ends, keep):
+    """The support layout ``(flat, ends)`` with only the coordinates where
+    the boolean array ``keep`` is true, in the same order."""
+    kept = keep[flat]
+    counts = np.zeros(flat.size + 1, dtype=np.intp)
+    np.cumsum(kept, out=counts[1:])
+    return flat[kept], counts[ends]
+
+
 def _check_finite(v, k, bound, what="dual vector z"):
     if not np.isfinite(v).all():
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
@@ -348,9 +370,18 @@ def run(problem, plan, config):
     sample_p, sample_q, refresh = plan.sample_p, plan.sample_q, table.refresh
     p, comps, offsets, values = plan.p, op.components, op.offsets, table.values
     picks, isfinite = avg.picks, math.isfinite
-    sets = [None] * op.m    # each component's (reads, outs, writes)
+    # A component's reads, outputs and Euclidean writes are its slices of
+    # three layouts: the operator's read and write layouts, and the write
+    # layout's Euclidean part.  With entropy coordinates the reads keep only
+    # their Euclidean part too (an entropy coordinate is never settled).
+    out_all = op.out_all
+    r_all, r_ends, w_all, w_ends = op.in_all, op.in_offsets, out_all, offsets
+    if on_eu is not None:
+        w_all, w_ends = _restrict(out_all, offsets, on_eu)
+        r_all, r_ends = ((w_all, w_ends) if op.reads_are_writes
+                         else _restrict(r_all, r_ends, on_eu))
     # j1's value, in the first entries of one buffer for the whole run
-    scratch = np.empty(np.diff(offsets).max())
+    scratch = np.empty(op.max_support)
     a = A = 0.0
     j2 = -1
     fhat_last = None
@@ -360,27 +391,23 @@ def run(problem, plan, config):
         # the draws depend on nothing the iteration changes: j1, then j2
         j1 = sample_p(draw)
         j2 = sample_q(draw)
-        for j in (j1, j2):      # j's sets on first use, inline (no call)
-            if sets[j] is None:
-                c = comps[j]
-                o = c.out_idx
-                if on_eu is None and c.in_idx is o:
-                    # one set in every role: a single conversion
-                    o = o.tolist() if o.size <= lim else o
-                    sets[j] = (o, o, o)
-                    continue
-                r, w = c.in_idx, o
-                if on_eu is not None:
-                    r, w = r[on_eu[r]], o[on_eu[o]]
-                sets[j] = (r.tolist() if r.size <= lim else r,
-                           o.tolist() if o.size <= lim else o,
-                           w.tolist() if w.size <= lim else w)
-        reads, outs, _ = sets[j1]
+        # j1's outputs and (lazy mode) reads, as lists when small
+        at = offsets.item(j1)
+        n = offsets.item(j1 + 1) - at
+        outs = out_all[at:at + n]
+        if n <= lim:
+            outs = outs.tolist()
         if lazy and A_prev != 0.0:      # at A = 0 x is still x0
+            if r_all is out_all:
+                reads = outs
+            else:
+                lo, hi = r_ends.item(j1), r_ends.item(j1 + 1)
+                reads = r_all[lo:hi]
+                if hi - lo <= lim:
+                    reads = reads.tolist()
             bad = prox_into(x, reads, z, S, A_prev)
             if bad is not None:
                 raise DivergenceError(k, bad, bound, what="dual vector z")
-        n = len(outs)
         comps[j1].evaluate(x, scratch, 0)
         if k == K:
             fhat_last = extrapolate(table, j1, scratch[:n], a_prev, a, p[j1],
@@ -393,7 +420,6 @@ def run(problem, plan, config):
             z[ent] += a * S[ent]
         if a_prev != 0.0:
             cj = a_prev / p.item(j1)
-            at = offsets.item(j1)
             if type(outs) is list:
                 prev = (table.shadow if j1 == j2_prev
                         else values[at:at + n].tolist())
@@ -407,9 +433,22 @@ def run(problem, plan, config):
             if not isfinite(z_ent.dot(z_ent)):
                 _check_finite(z_ent, k, bound)
             x[ent] = geom.prox_entropy(z_ent)
-        # lazy mode settles what j2 reads, dense mode everything
-        reads, _, writes = sets[j2]
-        bad = prox_into(x, reads if lazy else every, z, S, A)
+        # j2's Euclidean writes and reads, as lists when small; lazy mode
+        # settles what j2 reads, dense mode everything
+        lo, hi = w_ends.item(j2), w_ends.item(j2 + 1)
+        writes = w_all[lo:hi]
+        if hi - lo <= lim:
+            writes = writes.tolist()
+        if not lazy:
+            reads = every
+        elif r_all is w_all:
+            reads = writes
+        else:
+            lo, hi = r_ends.item(j2), r_ends.item(j2 + 1)
+            reads = r_all[lo:hi]
+            if hi - lo <= lim:
+                reads = reads.tolist()
+        bad = prox_into(x, reads, z, S, A)
         if bad is not None:
             raise DivergenceError(k, bad, bound, what="dual vector z")
         # refresh slot j2 at x, shifting the base on its Euclidean write set

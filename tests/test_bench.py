@@ -277,8 +277,11 @@ class TestCli:
         assert "divergence_bound must be positive" in capsys.readouterr().err
         assert not os.path.exists(cfg.out_dir)
 
+    # 1e308 and 5e-324 are finite, but the first step sqrt(2/3)/(10 lpq) is
+    # 0.0 or inf: every step would be 0.0 (the run would return x0) or inf
     @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense"])
-    @pytest.mark.parametrize("lpq", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lpq", [0.0, -1.0, float("nan"), float("inf"),
+                                     1e308, 5e-324])
     def test_bad_lpq_exit_two(self, tmp_path, capsys, solver, lpq,
                               monkeypatch):
         no_instance_build(monkeypatch)

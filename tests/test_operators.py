@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,110 @@ class TestLinearPart:
             with pytest.raises(ValueError, match="non-finite"):
                 FiniteSumOperator([comp], 3, linear=linear)
         FiniteSumOperator([comp], 3, linear=csr_matrix(np.eye(3)))
+
+
+class TestSupportLayout:
+    @pytest.mark.parametrize("name", sorted(LINEAR_CASES))
+    def test_supports_are_layout_slices(self, name):
+        op = LINEAR_CASES[name].operator
+        sizes = []
+        for j, c in enumerate(op.components):
+            out = op.out_all[op.offsets[j]:op.offsets[j + 1]]
+            reads = op.in_all[op.in_offsets[j]:op.in_offsets[j + 1]]
+            np.testing.assert_array_equal(c.out_idx, out, strict=True)
+            np.testing.assert_array_equal(c.in_idx, reads, strict=True)
+            sizes.append(out.size)
+        assert op.max_support == max(sizes)
+        # LAD passes its layout; the other families' supports are the
+        # components' own arrays, and reads are writes where they are one
+        same = name.startswith("lad") or all(c.in_idx is c.out_idx
+                                             for c in op.components)
+        assert op.reads_are_writes == same
+        assert (op.in_all is op.out_all) == same
+        assert (op.in_offsets is op.offsets) == same
+
+    def test_read_layout_only_where_reads_differ(self):
+        # a component whose read support is its write support array adds no
+        # read layout; equal values in a separate array, or other values, do
+        f = lambda x: np.zeros(2)
+        shared = FiniteSumOperator([CallableComponent(i, i, f) for i in (
+            np.array([0, 1]), np.array([2, 1]))], 3)
+        assert shared.reads_are_writes and shared.in_all is shared.out_all
+        assert shared.in_offsets is shared.offsets
+        copies = FiniteSumOperator([CallableComponent([0, 1], [0, 1], f),
+                                    CallableComponent([2, 1], [2, 1], f)], 3)
+        assert not copies.reads_are_writes
+        np.testing.assert_array_equal(copies.in_all, copies.out_all)
+        apart = FiniteSumOperator([CallableComponent([0, 1], [0, 1], f),
+                                   CallableComponent([2, 1], [1, 2], f)], 3)
+        assert not apart.reads_are_writes
+        assert apart.in_all.tolist() == [0, 1, 1, 2]
+        np.testing.assert_array_equal(apart.in_offsets, [0, 2, 4])
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteSumOperator([CallableComponent([0, 1], [0, 3], f)], 3)
+
+    @pytest.mark.parametrize("name", ["lad-dense", "lad-sparse", "lad-quad"])
+    def test_lad_out_all_is_raveled_index_array(self, name):
+        inst = LINEAR_CASES[name]
+        op, A = inst.operator, inst.data["A"]
+        n, d = A.shape
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        idx = np.stack([A.indices, d + rows], axis=1)
+        # a view of the (m, 2) array, not a concatenation of m supports
+        assert op.out_all.base is not None
+        assert op.out_all.base.shape == (op.m, 2)
+        np.testing.assert_array_equal(op.out_all.base, idx)
+        np.testing.assert_array_equal(op.offsets, 2 * np.arange(op.m + 1))
+        assert op.reads_are_writes
+        assert op.in_all is op.out_all and op.in_offsets is op.offsets
+        assert op.max_support == 2
+
+    def test_lad_component_store_bytes(self):
+        # what make_lad keeps per component beyond the arrays any LAD
+        # representation holds (A, the linear part M, lam and the plan
+        # weights): the component objects, their list and the layout.  At
+        # most 160 B: a slotted object of four shared Python numbers (64 B
+        # with its GC header), its A entry as a float (24 B), the list's
+        # pointer (8 B), the raveled index pair (16 B) and the offset (8 B)
+        source = generate_lad(1500, 1500, 1.0, 0, density=0.01)
+        A, b = source.data["A"].copy(), source.data["b"].copy()
+        del source
+        gc.collect()
+        tracemalloc.start()
+        try:
+            inst = make_lad(A, b)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        m = inst.m
+        assert m >= 10_000
+        matrices = sum(v.nbytes for mat in (inst.data["A"],
+                                            inst.operator.linear)
+                       for v in (mat.data, mat.indices, mat.indptr))
+        vectors = inst.profile.lam.nbytes + inst.plan_weights.nbytes
+        per_component = (kept - matrices - vectors) / m
+        assert per_component <= 160, per_component
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda o, e: (o, e[:-1]), "does not match"),
+        (lambda o, e: (o, e + 1), "does not match"),
+        (lambda o, e: (o[:-1], e), "does not match"),
+        (lambda o, e: (o, np.array([0, 4, 2, 6])), "does not match"),
+        (lambda o, e: (o + 1, e), "out of range"),
+        (lambda o, e: (o - 1, e), "out of range")],
+        ids=["short-offsets", "offsets-from-1", "short-flat", "decreasing",
+             "above-d", "below-0"])
+    def test_bad_layout_rejected(self, change, match):
+        f = lambda x: np.zeros(2)
+        comps = [CallableComponent([0, 1], [0, 1], f),
+                 CallableComponent([1, 2], [1, 2], f),
+                 CallableComponent([2, 0], [2, 0], f)]
+        out, ends = np.array([0, 1, 1, 2, 2, 0]), np.array([0, 2, 4, 6])
+        op = FiniteSumOperator(comps, 3, layout=(out, ends))
+        assert op.reads_are_writes and op.in_all is op.out_all
+        with pytest.raises(ValueError, match=match):
+            FiniteSumOperator(comps, 3, layout=change(out, ends))
 
 
 class TestLipschitzProfile:

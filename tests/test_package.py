@@ -2,8 +2,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import remvi
 
@@ -89,3 +92,16 @@ def test_readme_code_names_resolve():
     assert len(names) >= 10
     missing = sorted({n for n in names if not _resolves(n, modules)})
     assert missing == []
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # scipy.optimize, scipy.sparse.linalg and scipy.io (about 28 MB of RSS)
+    # serve only the LAD reference solve and instance files, which import
+    # them on first use; the reference-solve and save/load tests run those
+    # paths
+    code = ("import sys, remvi; print(' '.join(m for m in ('scipy.optimize', "
+            "'scipy.sparse.linalg', 'scipy.io') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, cwd=SRC.parent,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.split() == []

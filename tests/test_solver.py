@@ -55,6 +55,32 @@ class TestStepSize:
         with pytest.raises(ValueError):
             next_step_size(0.0, 0.0, 1, 0.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("lpq", [1e150, 1e160, 1e200, 1e300])
+    def test_certificate_holds_at_huge_lpq(self, lpq):
+        # lpq * a is of order 0.1 at any lpq; squaring lpq alone overflowed
+        # from about 1.3e154 on and counted every step as a violation
+        for gamma in (0.0, 0.5):
+            a_seq, _ = step_schedule(50, gamma, lpq, 0.25)
+            assert step_condition_violations(a_seq, gamma, lpq, 0.25) == 0
+        inst = generate_instance("lad", 5, 5, 1.0, seed=0, density=0.6)
+        trace = run_lazy(inst, problem_plan(inst),
+                         SolverConfig(iterations=50, mode="lazy", lpq=lpq))
+        assert trace.cert_violations == 0
+
+    @pytest.mark.parametrize("lpq", [1e308, 2e307, 5e-324, 1e-310])
+    def test_rejects_lpq_without_a_usable_first_step(self, lpq):
+        # 10 * lpq overflows to inf (every step 0.0: the run would return
+        # x0) or the first step does
+        with pytest.raises(ValueError, match="first step size"):
+            next_step_size(0.0, 0.0, 1, 0.0, lpq, 0.5)
+        with pytest.raises(ValueError, match="first step size"):
+            SolverConfig(iterations=50, mode="lazy", lpq=lpq)
+        # the plan's constant, which the config does not check
+        inst = generate_instance("lad", 5, 5, 1.0, seed=0, density=0.6)
+        plan = build_plan("importance", inst.profile, lpq=lpq)
+        with pytest.raises(ValueError, match="first step size"):
+            run_lazy(inst, plan, SolverConfig(iterations=50, mode="lazy"))
+
     def test_certificate_counts_violations(self):
         # the implemented schedule passes; an inflated one fails
         lpq, gamma, q_star = 2.0, 0.5, 0.25
