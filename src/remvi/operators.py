@@ -21,6 +21,14 @@ a buffer, so per-call cost is proportional to the support size and no call
 allocates its result.  The full evaluation, the solver's table and its
 running sum all use this layout; a sum over it is one ``np.bincount`` over
 ``out_all``.
+
+The x a component reads is the iterate as a float ndarray, except in a bulk
+evaluation (``evaluate_flat``) over components whose types all declare
+``reads_scalars``: such a type's ``evaluate`` reads x only as ``x[i]`` with
+an int i, so the operator hands it ``x.tolist()``, whose items are Python
+floats ready for scalar arithmetic.  The LAD and two-sided game components
+declare it; the others, and any operator that mixes them in, get the
+ndarray.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ class Component:
 
     __slots__ = ()
 
+    # True on a type whose evaluate reads x only as x[i], i an int, so that
+    # a list of floats serves as well as the ndarray
+    reads_scalars = False
+
     def __init__(self, out_idx, in_idx):
         self.out_idx = np.asarray(out_idx, dtype=np.intp)
         self.in_idx = np.asarray(in_idx, dtype=np.intp)
@@ -54,7 +66,8 @@ class Component:
     def evaluate(self, x, out, at):
         """Write the component value at x, aligned with ``out_idx``, into
         ``out[at:at + len(out_idx)]`` and return ``out``; nothing else in
-        ``out`` is touched."""
+        ``out`` is touched.  x is a float ndarray of length d, or, where
+        the type sets ``reads_scalars``, possibly that array's ``tolist()``."""
         raise NotImplementedError
 
 
@@ -93,7 +106,9 @@ class FiniteSumOperator:
     the layout is concatenated from the components' ``out_idx``.
     ``reads_are_writes`` records whether every component reads its write
     set (the read layout is then the same two arrays), and ``max_support``
-    the largest write support.
+    the largest write support.  ``reads_scalars`` holds when every
+    component's type declares it; ``evaluate_flat`` then hands the
+    components x as a list.
     """
 
     def __init__(self, components, d, linear=None, layout=None):
@@ -143,11 +158,16 @@ class FiniteSumOperator:
                 raise ValueError("component support out of range")
         # the largest write support: the size of a one-slot scratch buffer
         self.max_support = int(sizes.max())
+        self.reads_scalars = all(
+            t.reads_scalars for t in set(map(type, self.components)))
 
     def evaluate_flat(self, x):
         """All m component values at x in one array laid out like
         ``out_all`` (m component-oracle calls)."""
         flat = np.empty(self.out_all.size)
+        if self.reads_scalars:
+            # one conversion instead of a numpy scalar read per component
+            x = x.tolist()
         for c, at in zip(self.components, self.offsets.tolist()):
             c.evaluate(x, flat, at)
         return flat

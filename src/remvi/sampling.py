@@ -28,19 +28,29 @@ class AliasTable:
         m = p.size
         # The loop runs on Python lists: per-entry numpy indexing costs more
         # than the arithmetic, which is the same IEEE double operations.
-        scaled = (p * m / p.sum()).tolist()
+        scaled = p * m / p.sum()
+        small = np.flatnonzero(scaled < 1.0).tolist()
+        large = np.flatnonzero(scaled >= 1.0).tolist()
+        scaled = scaled.tolist()
         prob = [1.0] * m
         alias = list(range(m))
-        small = [i for i, s in enumerate(scaled) if s < 1.0]
-        large = [i for i, s in enumerate(scaled) if s >= 1.0]
         while small and large:
-            s = small.pop()
+            # the last large entry absorbs the last smalls until it falls
+            # below 1 and is itself the next small
             g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] -= 1.0 - scaled[s]
-            (small if scaled[g] < 1.0 else large).append(g)
-        # leftovers are 1 up to rounding; prob/alias defaults already cover them
+            sg = scaled[g]
+            while small:
+                s = small.pop()
+                ss = scaled[s]
+                prob[s] = ss
+                alias[s] = g
+                sg -= 1.0 - ss
+                if sg < 1.0:
+                    scaled[g] = sg
+                    small.append(g)
+                    break
+        # leftovers are 1 up to rounding (a large that outlived every small
+        # among them); prob/alias defaults already cover them
         self.m = m
         self.prob = np.array(prob)
         self.alias = np.array(alias, dtype=np.intp)

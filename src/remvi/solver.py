@@ -189,8 +189,10 @@ def step_schedule(K, gamma, lpq, q_star):
 def step_condition_violations(a_seq, gamma, lpq, q_star, rel=1e-12):
     """Count violations (a NaN comparison is one) of the three step-size
     certificate inequalities, at every k (the last two from k = 2 on).
-    ``lpq * a`` is formed before it is squared: lpq alone squared overflows
-    from about 1.3e154 on, where lpq * a is still of order 0.1."""
+    No step or lpq is squared alone: ``lpq * a`` is formed before it is
+    squared (lpq squared overflows from about 1.3e154 on, where lpq * a is
+    still of order 0.1), and the growth condition compares the ratio
+    a_k / a_{k-1} (a step squared overflows for lpq below about 1e-154)."""
     a = np.asarray(a_seq, dtype=float)
     A = np.concatenate([[0.0], np.cumsum(a)])
     la = lpq * a
@@ -198,10 +200,12 @@ def step_condition_violations(a_seq, gamma, lpq, q_star, rel=1e-12):
     bad = 0
     if gamma == 0.0:
         bad += np.count_nonzero(~(75.0 * la * la / 2.0 <= 0.25 * tol))
-    a_k, a_km1 = a[1:], a[:-1]
-    lhs = a_k * a_k / (A[2:] * gamma + 1.0)
-    rhs = (1.0 + q_star / 5.0) * a_km1 * a_km1 / (A[1:-1] * gamma + 1.0)
-    bad += np.count_nonzero(~(lhs <= rhs * tol))
+    with np.errstate(divide="ignore"):
+        # a zero step after a zero step meets the condition, after a
+        # positive one the ratio is inf and does not
+        ratio = a[1:] / np.where(a[1:] == 0.0, 1.0, a[:-1])
+    lhs = ratio * ratio * (A[1:-1] * gamma + 1.0) / (A[2:] * gamma + 1.0)
+    bad += np.count_nonzero(~(lhs <= (1.0 + q_star / 5.0) * tol))
     lhs2 = 25.0 * la[:-1] * la[:-1] / (A[1:-1] * gamma + 1.0)
     bad += np.count_nonzero(~(lhs2 <= (A[:-2] * gamma + 1.0) / 4.0 * tol))
     return int(bad)

@@ -710,6 +710,76 @@ class TestWriteIntoBuffer:
             ComponentTable(op, np.zeros(3))
 
 
+LIST_PATH_CASES = {
+    **{f"family-{i}": inst
+       for i, inst in enumerate(problem_instances_for_tests())},
+    **LINEAR_CASES,
+    "lad-40x30": generate_lad(40, 30, 1.0, seed=6, density=0.3),
+}
+
+
+def separate_values(op, x):
+    """Each component's value from its own ``evaluate`` on the ndarray x,
+    end to end."""
+    return np.concatenate([value(c, x) for c in op.components])
+
+
+class TestScalarReads:
+    """A bulk evaluation hands x as a list exactly when every component
+    type declares ``reads_scalars``; either way the values are the same
+    bits as separate calls on the ndarray."""
+
+    @pytest.mark.parametrize("name", sorted(LIST_PATH_CASES))
+    def test_flat_equals_separate_ndarray_calls(self, name):
+        inst = LIST_PATH_CASES[name]
+        op = inst.operator
+        kinds = {type(c) for c in op.components}
+        assert op.reads_scalars == all(k.reads_scalars for k in kinds)
+        rng = np.random.default_rng(50)
+        for t in range(6):
+            x = inst.geometry.sample_domain(rng, sharp=bool(t % 2))
+            assert (op.evaluate_flat(x).tobytes()
+                    == separate_values(op, x).tobytes())
+
+    def test_lad_and_two_sided_game_take_the_list_path(self, monkeypatch):
+        for name in ("lad-40x30", "lad-sparse", "game-two-sided"):
+            assert LIST_PATH_CASES[name].operator.reads_scalars
+        for name in ("game-row-sided", "box-simplex", "policy-eval"):
+            assert not LIST_PATH_CASES[name].operator.reads_scalars
+        op = LIST_PATH_CASES["lad-40x30"].operator
+        lad_type = type(op.components[0])
+        evaluate, seen = lad_type.evaluate, []
+
+        def spy(c, x, out, at):
+            seen.append(type(x))
+            return evaluate(c, x, out, at)
+
+        monkeypatch.setattr(lad_type, "evaluate", spy)
+        op.evaluate_flat(np.linspace(-1.0, 1.0, op.d))
+        assert seen == [list] * op.m
+
+    def test_mixed_operator_takes_the_ndarray_path(self):
+        inst = LIST_PATH_CASES["lad-40x30"]
+        lad = inst.operator
+
+        def needs_array(x):
+            if not isinstance(x, np.ndarray):
+                raise TypeError(f"x is a {type(x).__name__}")
+            return np.array([x[0] - x[lad.d - 1], 2.0 * x[1]])
+
+        comps = list(lad.components) + [
+            CallableComponent([0, lad.d - 1], [0, 1, lad.d - 1], needs_array)]
+        op = FiniteSumOperator(comps, lad.d)
+        assert not op.reads_scalars
+        rng = np.random.default_rng(51)
+        for t in range(4):
+            x = inst.geometry.sample_domain(rng, sharp=bool(t % 2))
+            flat = op.evaluate_flat(x)
+            assert flat.tobytes() == separate_values(op, x).tobytes()
+            assert (flat[:lad.out_all.size].tobytes()
+                    == lad.evaluate_flat(x).tobytes())
+
+
 def test_matrix_market_roundtrip(tmp_path):
     from scipy.io import mmwrite
     from scipy.sparse import coo_matrix

@@ -28,6 +28,32 @@ def scalar_alias_build(p):
     return prob, alias
 
 
+def pairing_alias_build(p):
+    """The list build that pushed each large entry back after every small
+    it absorbed: the reference for the build that keeps it in hand."""
+    p = np.asarray(p, dtype=float)
+    m = p.size
+    scaled = (p * m / p.sum()).tolist()
+    prob = [1.0] * m
+    alias = list(range(m))
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] -= 1.0 - scaled[s]
+        (small if scaled[g] < 1.0 else large).append(g)
+    return np.array(prob), np.array(alias, dtype=np.intp)
+
+
+def assert_table_bytes(table, p):
+    prob, alias = pairing_alias_build(p)
+    assert table.prob.tobytes() == prob.tobytes()
+    assert table.alias.tobytes() == alias.tobytes()
+
+
 class TestBuildPlan:
     def test_uniform(self):
         plan = build_plan("uniform", profile=LipschitzProfile(np.ones(4)))
@@ -201,6 +227,33 @@ class TestSampling:
             np.testing.assert_array_equal(table.alias, alias)
             assert table.prob.dtype == prob.dtype
             assert table.alias.dtype == alias.dtype
+
+    def test_build_equals_pairing_loop_bytes(self):
+        # 300 distributions: uniform, log-uniform over up to 16 decades, a
+        # few heavy entries among light ones, and small integer weights
+        # (ties, and scaled entries at exactly 1)
+        rng = np.random.default_rng(22)
+        for trial in range(300):
+            m = int(rng.integers(1, 400))
+            kind = trial % 4
+            if kind == 0:
+                p = np.ones(m)
+            elif kind == 1:
+                p = 10.0 ** rng.uniform(-int(rng.integers(1, 17)), 0, size=m)
+            elif kind == 2:
+                p = np.full(m, 1e-9)
+                p[rng.integers(m, size=int(rng.integers(1, 4)))] = 1.0
+            else:
+                p = rng.integers(1, 4, size=m).astype(float)
+            p = p / p.sum()
+            assert_table_bytes(AliasTable(p), p)
+
+    def test_lad_plan_tables_equal_pairing_loop_bytes(self):
+        # the plan of the benchmark's lazy LAD shape (3000 x 3000 at 0.7%)
+        inst = generate_instance("lad", 3000, 3000, 1.0, seed=5, density=0.007)
+        plan = problem_plan(inst)
+        assert_table_bytes(plan._alias_p, plan.p)
+        assert_table_bytes(plan._alias_q, plan.q)
 
     def test_sample_many_matches_sequential(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])

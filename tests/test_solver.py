@@ -67,6 +67,25 @@ class TestStepSize:
                          SolverConfig(iterations=50, mode="lazy", lpq=lpq))
         assert trace.cert_violations == 0
 
+    @pytest.mark.parametrize("gamma, lpq", [(0.0, 1e-300), (0.5, 1e-200)])
+    def test_certificate_holds_at_tiny_lpq(self, gamma, lpq):
+        # the steps exceed 1e154: squaring one overflowed (a RuntimeWarning,
+        # an error under the suite's filter) and counted inf <= inf as met
+        a_seq, _ = step_schedule(50, gamma, lpq, 0.25)
+        assert a_seq[0] > 1e154
+        assert step_condition_violations(a_seq, gamma, lpq, 0.25) == 0
+        a_seq[10] *= 3.0            # a jump the growth condition forbids
+        assert step_condition_violations(a_seq, gamma, lpq, 0.25) > 0
+
+    def test_certificate_counts_zero_steps_like_scalar_loop(self):
+        # a zero step divides nothing by zero: no RuntimeWarning, and the
+        # count of the squared form
+        for gamma in (0.0, 0.5):
+            a_seq, _ = step_schedule(20, gamma, 2.0, 0.25)
+            a_seq[[3, 4, 9]] = 0.0
+            count = step_condition_violations(a_seq, gamma, 2.0, 0.25)
+            assert count == _scalar_violations(a_seq, gamma, 2.0, 0.25) > 0
+
     @pytest.mark.parametrize("lpq", [1e308, 2e307, 5e-324, 1e-310])
     def test_rejects_lpq_without_a_usable_first_step(self, lpq):
         # 10 * lpq overflows to inf (every step 0.0: the run would return
