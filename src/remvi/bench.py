@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineConfig, run_baseline
-from .problems import generate_instance, load_instance, save_instance
+from .problems import (check_instance_fields, generate_instance,
+                       load_instance, save_instance)
 from .sampling import build_plan, problem_plan
 from .solver import DivergenceError, SolverConfig, check_run_fields, run
 
@@ -76,13 +77,13 @@ class ExperimentConfig:
                          self.eval_stride, self.divergence_bound,
                          gamma=self.gamma if rem else None,
                          eta=None if rem else self.eta,
-                         lpq=self.lpq if rem else None)
+                         lpq=self.lpq if rem else None,
+                         averaging=self.averaging if rem else None)
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if min(self.n, self.d) < 1:
             raise ConfigError("sizes must be >= 1")
-        if self.exponent < 0:
-            raise ConfigError("exponent must be >= 0")
+        check_instance_fields(self.exponent, self.density, self.quad)
 
 
 @dataclass

@@ -57,6 +57,8 @@ class Block:
         self.anchor = np.asarray(anchor, dtype=float)
         if self.anchor.shape != self.idx.shape:
             raise ValueError("anchor shape must match block size")
+        if not np.isfinite(self.anchor).all():
+            raise ValueError("anchor must be finite")
         if kind == "entropy":
             if weights is not None or mu != 0.0 or lo is not None or hi is not None:
                 raise ValueError("entropy blocks take no weights, mu, or bounds")
@@ -75,16 +77,24 @@ class Block:
                 weights = np.asarray(weights, dtype=float)
                 if weights.shape != self.idx.shape:
                     raise ValueError("weights shape must match block size")
-                if np.any(weights <= 0.0):
-                    raise ValueError("weights must be strictly positive")
+                if not np.all((weights > 0.0) & (weights < np.inf)):
+                    raise ValueError("weights must be strictly positive and "
+                                     "finite")
             self.weights = weights
-            if mu < 0.0:
-                raise ValueError("quadratic strength mu must be >= 0")
+            if not 0.0 <= mu < np.inf:
+                raise ValueError("quadratic strength mu must be >= 0 and "
+                                 "finite")
             self.mu = float(mu)
             self.lo = None if lo is None else np.broadcast_to(
                 np.asarray(lo, dtype=float), self.idx.shape).copy()
             self.hi = None if hi is None else np.broadcast_to(
                 np.asarray(hi, dtype=float), self.idx.shape).copy()
+            # a NaN bound compares false and so fails here too
+            lo = -np.inf if lo is None else self.lo
+            hi = np.inf if hi is None else self.hi
+            if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
+                raise ValueError("box bounds must be lo <= hi, with a finite "
+                                 "point between them")
 
     @property
     def size(self):

@@ -526,7 +526,7 @@ def make_policy_eval(P, Phi, R, beta, mu):
     op = FiniteSumOperator(comps, dim, linear=linear)
     reference = None
     try:
-        reference = solve_policy_eval_direct(P, Phi, R, beta)
+        reference = _solve_policy_eval(B, Phi.T @ M @ R)
     except ValueError:
         pass
     return ProblemInstance(
@@ -543,10 +543,13 @@ def solve_policy_eval_direct(P, Phi, R, beta):
     P = np.asarray(P, dtype=float)
     Phi = np.asarray(Phi, dtype=float)
     R = np.asarray(R, dtype=float)
-    pi = stationary_distribution(P)
-    M = np.diag(pi)
-    B = Phi.T @ M @ (Phi - beta * P @ Phi)
-    rhs = Phi.T @ M @ R
+    M = np.diag(stationary_distribution(P))
+    return _solve_policy_eval(Phi.T @ M @ (Phi - beta * P @ Phi),
+                              Phi.T @ M @ R)
+
+
+def _solve_policy_eval(B, rhs):
+    """Solve B x = rhs, checking the residual."""
     try:
         x = np.linalg.solve(B, rhs)
     except np.linalg.LinAlgError as exc:
@@ -562,11 +565,22 @@ def solve_policy_eval_direct(P, Phi, R, beta):
 # random instance generators
 # ---------------------------------------------------------------------------
 
+def check_instance_fields(exponent=None, density=None, quad=None):
+    """The generator fields ``remvi-bench run`` checks before it builds
+    anything: each is checked when given, and a ValueError names the first
+    bad one."""
+    if exponent is not None and not 0.0 <= exponent < np.inf:
+        raise ValueError("nonuniformity exponent must be >= 0 and finite")
+    if density is not None and not 0.0 < density <= 1.0:
+        raise ValueError("density must be in (0, 1]")
+    if quad is not None and not 0.0 <= quad < np.inf:
+        raise ValueError("quad must be >= 0 and finite")
+
+
 def lipschitz_shape(m, exponent):
     """Component-Lipschitz profile L_j ~ (j/m)^(-exponent), normalized to
     max 1; exponent 0 is the uniform profile."""
-    if exponent < 0.0:
-        raise ValueError("nonuniformity exponent must be >= 0")
+    check_instance_fields(exponent=exponent)
     ranks = np.arange(1, m + 1, dtype=float)
     prof = (ranks / m) ** (-float(exponent))
     return prof / prof.max()
@@ -641,6 +655,7 @@ def generate_lad(n, d, exponent, seed, density=1.0, quad=0.0, z_scale=1.0,
     """Random LAD instance whose |A_ij| profile over the nonzeros follows the
     shape; b is consistent (b = A z*, planted at ``z_scale``), so the primal
     optimum is 0.  A is built as a CSR matrix straight from the draws."""
+    check_instance_fields(exponent, density, quad)
     step = max(1, _CHUNK_ELEMENTS // d)
     b_step = max(_GEMV_ROWS, step - step % _GEMV_ROWS)
     for attempt in range(max_retries):

@@ -6,9 +6,9 @@ single component whose fresh evaluation corrects the table aggregate into the
 extrapolated operator estimate, and j2 (from q) picks the table slot to
 refresh.  The iterate is the dual-averaging prox of the accumulated dual
 vector z: lazy mode proxes only the Euclidean coordinates the two sampled
-components read, dense mode all of them after every step.  Both consume the
-same draw stream (j1 first, then j2) and compute each prox from the same
-state, so their runs are equal bit for bit.
+components read, dense mode also all of them at the end of each iteration.
+Both consume the same draw stream (j1 first, then j2) and compute each prox
+from the same state, so their runs are equal bit for bit.
 
 The loop in ``run`` is written for the cost of an iteration that touches a
 few coordinates.  Every per-iteration set of at most
@@ -20,9 +20,9 @@ component's sets are slices of the operator's support layout, cut per
 draw; with entropy coordinates the reads and writes come from its
 Euclidean part, filtered once per run.  The step's correction
 and the refresh's base shift are written inline, and every prox of a
-coordinate set is one ``GeometryBundle.prox_into`` call: a lazy iteration
+coordinate set is one ``GeometryBundle.prox_into`` call: an iteration
 calls only the draws, the two component evaluations, the table refresh and
-two ``prox_into``.
+two ``prox_into`` (in dense mode the second settles the whole iterate).
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -62,15 +62,22 @@ class DivergenceError(RuntimeError):
 
 
 def check_run_fields(iterations, eval_point, eval_stride, divergence_bound,
-                     gamma=None, eta=None, lpq=None):
+                     gamma=None, eta=None, lpq=None, averaging=None):
     """The field checks every run config makes (REM's, the baselines' and
     the bench's): a ValueError names the first bad field.  ``gamma``,
-    ``eta`` and ``lpq`` are checked when given, and must be finite; ``lpq``
-    must also give a positive, finite first step."""
+    ``eta``, ``lpq`` and REM's ``averaging`` are checked when given;
+    ``gamma`` and ``eta`` must be finite, and ``lpq`` must also give a
+    positive, finite first step."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if eval_point not in ("iterate", "average"):
         raise ValueError("eval_point must be 'iterate' or 'average'")
+    if averaging is not None:
+        if averaging not in ("weighted-full", "sampled-index-set"):
+            raise ValueError(f"unknown averaging mode {averaging!r}")
+        if eval_point == "average" and averaging != "weighted-full":
+            raise ValueError("averaged-point evaluation needs weighted-full "
+                             "averaging")
     if gamma is not None and not 0.0 <= gamma < math.inf:
         raise ValueError("gamma must be >= 0 and finite")
     if eta is not None and not 0.0 < eta < math.inf:
@@ -90,9 +97,9 @@ class SolverConfig:
     ``gamma`` and ``lpq`` default to the problem's regularizer strong
     convexity and the plan's constant.  ``eval_stride`` defaults to m so
     metric evaluation never dominates.  ``averaging`` is "weighted-full"
-    (dense mode only: the a-weighted iterate average) or "sampled-index-set"
-    (a pre-drawn uniform multiset of ceil(K/m) iteration indices, valid for
-    gamma = 0 where step sizes are equal).
+    (the a-weighted iterate average) or "sampled-index-set" (a pre-drawn
+    uniform multiset of ceil(K/m) iteration indices, valid for gamma = 0
+    where step sizes are equal).
     """
 
     iterations: int
@@ -111,19 +118,11 @@ class SolverConfig:
     def __post_init__(self):
         check_run_fields(self.iterations, self.eval_point, self.eval_stride,
                          self.divergence_bound, gamma=self.gamma,
-                         lpq=self.lpq)
+                         lpq=self.lpq, averaging=self.averaging)
         if self.mode not in ("dense", "lazy"):
             raise ValueError("mode must be 'dense' or 'lazy'")
-        if self.averaging not in ("weighted-full", "sampled-index-set"):
-            raise ValueError("unknown averaging mode")
         if self.avg_samples is not None and self.avg_samples < 1:
             raise ValueError("avg_samples must be >= 1")
-        if self.mode == "lazy" and self.averaging == "weighted-full":
-            raise ValueError("weighted-full averaging needs dense iterates; "
-                             "use sampled-index-set in lazy mode")
-        if self.eval_point == "average" and self.averaging != "weighted-full":
-            raise ValueError("averaged-point evaluation needs weighted-full "
-                             "averaging")
 
 
 @dataclass
@@ -332,7 +331,7 @@ def run(problem, plan, config):
     the prox of ``z + A*S``, which ``GeometryBundle.prox_into`` writes into
     x on a set of coordinates: lazy mode settles only those the sampled
     components read, and every Euclidean coordinate for a pick or a record;
-    dense mode every one after the step and a refresh's write set after it.
+    dense mode every one at the end of each iteration, so j1 needs no catch-up.
     A simplex prox renormalises its whole block, so deferring one saves
     nothing: entropy coordinates keep the true dual vector in z, stepped
     every iteration.  With the same seed both modes draw the same
@@ -401,7 +400,7 @@ def run(problem, plan, config):
         outs = out_all[at:at + n]
         if n <= lim:
             outs = outs.tolist()
-        if lazy and A_prev != 0.0:      # at A = 0 x is still x0
+        if lazy and A_prev != 0.0:  # dense x is current, at A = 0 it is x0
             if r_all is out_all:
                 reads = outs
             else:
@@ -437,15 +436,13 @@ def run(problem, plan, config):
             if not isfinite(z_ent.dot(z_ent)):
                 _check_finite(z_ent, k, bound)
             x[ent] = geom.prox_entropy(z_ent)
-        # j2's Euclidean writes and reads, as lists when small; lazy mode
-        # settles what j2 reads, dense mode everything
+        # j2's Euclidean writes and reads, as lists when small; both modes
+        # settle what j2 reads
         lo, hi = w_ends.item(j2), w_ends.item(j2 + 1)
         writes = w_all[lo:hi]
         if hi - lo <= lim:
             writes = writes.tolist()
-        if not lazy:
-            reads = every
-        elif r_all is w_all:
+        if r_all is w_all:
             reads = writes
         else:
             lo, hi = r_ends.item(j2), r_ends.item(j2 + 1)
@@ -456,7 +453,7 @@ def run(problem, plan, config):
         if bad is not None:
             raise DivergenceError(k, bad, bound, what="dual vector z")
         # refresh slot j2 at x, shifting the base on its Euclidean write set
-        # so that z + A*S stays where it was; dense mode then settles it
+        # so that z + A*S stays where it was
         if type(writes) is list:
             old = list(map(S.item, writes))
             refresh(j2, x, k)
@@ -470,13 +467,9 @@ def run(problem, plan, config):
             refresh(j2, x, k)
             z[writes] = b = z[writes] - A * (S[writes] - old)
             _check_finite(b, k, bound)
-        if not lazy:
-            bad = prox_into(x, writes, z, S, A)
-            if bad is not None:
-                raise DivergenceError(k, bad, bound, what="dual vector z")
         record = k % stride == 0 or k == K
-        if lazy and A != 0.0 and (record or k in picks):
-            # the whole iterate at A
+        if not lazy or record or k in picks:
+            # the whole iterate at A: every iteration in dense mode
             bad = prox_into(x, every, z, S, A)
             if bad is not None:
                 raise DivergenceError(k, bad, bound, what="dual vector z")
@@ -495,8 +488,8 @@ def run(problem, plan, config):
 
 
 def run_dense(problem, plan, config):
-    """Dense mode: the whole iterate is current after every iteration, which
-    weighted-full averaging needs."""
+    """Dense mode: lazy mode that also settles the whole iterate at the end
+    of every iteration (see ``run``)."""
     if config.mode != "dense":
         raise ValueError("config.mode must be 'dense'")
     return run(problem, plan, config)
@@ -504,8 +497,8 @@ def run_dense(problem, plan, config):
 
 def run_lazy(problem, plan, config):
     """Lazy mode: per iteration only the Euclidean coordinates the two
-    sampled components read are proxed (see ``run``).  With the same seed
-    the run equals run_dense bit for bit."""
+    sampled components read are proxed, the whole iterate only for a pick
+    or a record (see ``run``).  The run equals run_dense bit for bit."""
     if config.mode != "lazy":
         raise ValueError("config.mode must be 'lazy'")
     return run(problem, plan, config)

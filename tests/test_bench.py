@@ -251,7 +251,12 @@ class TestCli:
     @pytest.mark.parametrize("solver,flag,value", [
         ("rem-lazy", "--gamma", "nan"), ("rem-dense", "--gamma", "-1"),
         ("rem-lazy", "--gamma", "inf"), ("popov", "--eta", "nan"),
-        ("mirror-prox", "--eta", "0"), ("mirror-prox", "--eta", "inf")])
+        ("mirror-prox", "--eta", "0"), ("mirror-prox", "--eta", "inf"),
+        ("rem-lazy", "--quad", "nan"), ("rem-dense", "--quad", "inf"),
+        ("rem-lazy", "--quad", "-1"), ("rem-lazy", "--density", "nan"),
+        ("rem-lazy", "--density", "-0.5"), ("popov", "--density", "0"),
+        ("rem-lazy", "--density", "1.5"), ("rem-lazy", "--exponent", "inf"),
+        ("mirror-prox", "--exponent", "nan")])
     def test_nan_and_non_positive_values_exit_two(self, tmp_path, capsys,
                                                   solver, flag, value,
                                                   monkeypatch):
@@ -275,6 +280,24 @@ class TestCli:
         save_config(cfg, path)
         assert main(["run", "--config", path]) == 2
         assert "divergence_bound must be positive" in capsys.readouterr().err
+        assert not os.path.exists(cfg.out_dir)
+
+    @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense"])
+    @pytest.mark.parametrize("averaging, eval_point, message", [
+        ("foo", None, "unknown averaging mode 'foo'"),
+        ("sampled-index-set", "average", "averaged-point evaluation needs")])
+    def test_bad_averaging_exit_two(self, tmp_path, capsys, solver,
+                                    averaging, eval_point, message,
+                                    monkeypatch):
+        no_instance_build(monkeypatch)
+        cfg = ExperimentConfig(problem="lad", solver=solver, iterations=10,
+                               n=3, d=3, averaging=averaging,
+                               eval_point=eval_point,
+                               out_dir=str(tmp_path / "out"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        assert main(["run", "--config", path]) == 2
+        assert message in capsys.readouterr().err
         assert not os.path.exists(cfg.out_dir)
 
     # 1e308 and 5e-324 are finite, but the first step sqrt(2/3)/(10 lpq) is

@@ -128,6 +128,30 @@ class TestBundleInvariants:
         with pytest.raises(ValueError):
             euclidean_block(np.arange(2), weights=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("kw, what", [
+        (dict(mu=math.nan), "mu must be >= 0 and finite"),
+        (dict(mu=math.inf), "mu must be >= 0 and finite"),
+        (dict(mu=-1.0), "mu must be >= 0 and finite"),
+        (dict(weights=[math.inf, 1.0]), "weights must be .* finite"),
+        (dict(weights=[1.0, math.nan]), "weights must be .* finite"),
+        (dict(lo=math.nan), "box bounds"),
+        (dict(lo=-1.0, hi=[1.0, math.nan]), "box bounds"),
+        (dict(lo=[0.0, 2.0], hi=1.0), "box bounds"),
+        (dict(lo=math.inf), "box bounds"),
+        (dict(hi=-math.inf), "box bounds"),
+        (dict(anchor=[0.0, math.nan]), "anchor must be finite")])
+    def test_bad_euclidean_parameters_rejected(self, kw, what):
+        # each would give a NaN gamma or x0, a warning in w * x0, a silently
+        # unbounded coordinate, or a box that no point lies in
+        with pytest.raises(ValueError, match=what):
+            euclidean_block(np.arange(2), **kw)
+
+    def test_simplex_anchor_finite_and_box_edges_accepted(self):
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            simplex_block(np.arange(2), anchor=[math.nan, 1.0])
+        # lo == hi and one-sided infinite bounds are a box
+        euclidean_block(np.arange(2), lo=[0.5, -math.inf], hi=[0.5, 1.0])
+
 
 @pytest.mark.parametrize("geom", ALL_GEOMS, ids=lambda g: f"d{g.d}")
 class TestProperties:

@@ -559,6 +559,25 @@ class TestPolicyEval:
         with pytest.raises(ValueError):
             solve_policy_eval_direct(self.sym_P, np.zeros((2, 2)), np.ones(2), 0.5)
 
+    @pytest.mark.parametrize("n, dim, seed", [(6, 3, 4), (10, 5, 5),
+                                              (40, 6, 1)])
+    def test_system_built_once(self, n, dim, seed, monkeypatch):
+        # make_policy_eval solves with the B it builds: one power iteration,
+        # and the reference is the direct solve's, bit for bit
+        inst = generate_instance("policy-eval", n, dim, 0.0, seed)
+        data = inst.data
+        calls = []
+        power = problems.stationary_distribution
+        monkeypatch.setattr(problems, "stationary_distribution",
+                            lambda P: calls.append(1) or power(P))
+        again = make_policy_eval(data["P"], data["Phi"], data["R"],
+                                 data["beta"], data["mu"])
+        assert len(calls) == 1
+        direct = solve_policy_eval_direct(data["P"], data["Phi"], data["R"],
+                                          data["beta"])
+        assert inst.reference.tobytes() == direct.tobytes()
+        assert again.reference.tobytes() == direct.tobytes()
+
     def test_zero_features_operator_is_negative_shift(self):
         mu = 0.4
         inst = make_policy_eval(self.sym_P, np.zeros((2, 2)), np.ones(2), 0.5, mu)

@@ -590,11 +590,11 @@ class TestLazyCatchup:
                              ids=["scalar", "array"])
     def test_dense_iterate_current_after_refresh(self, scalar_writes,
                                                  monkeypatch):
-        # after each refresh the dense iterate is the prox of z + A*S on
-        # every Euclidean coordinate, re-proxed on the write set (the shifted
-        # base may round the dual value there differently): a dense run
-        # stopped after any iteration ends where a lazy run, which proxes
-        # every coordinate afresh from z + A*S, ends, bit for bit
+        # dense mode settles the whole iterate once per iteration, after
+        # the refresh and its base shift, so the iterate is the prox of
+        # z + A*S on every Euclidean coordinate: a dense run stopped after
+        # any iteration ends where a lazy run, which settles every
+        # coordinate for its last record, ends, bit for bit
         monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
         inst = mixed_instance()
         plan = problem_plan(inst)
@@ -688,9 +688,20 @@ class TestAveraging:
         xs = _replay_rotation(inst, tr.a_seq, K)
         np.testing.assert_allclose(tr.x_bar, np.mean(xs, axis=0), atol=1e-12)
 
-    def test_weighted_full_rejected_in_lazy(self):
-        with pytest.raises(ValueError, match="weighted-full"):
-            SolverConfig(iterations=5, mode="lazy", averaging="weighted-full")
+    @pytest.mark.parametrize("eval_point", ["iterate", "average"])
+    @pytest.mark.parametrize("family", ["matrix-game", "box-simplex", "lad",
+                                        "policy-eval", "mixed"])
+    def test_weighted_full_lazy_equals_dense(self, family, eval_point):
+        # weighted-full averaging picks every iteration, and lazy mode
+        # settles the whole iterate at every pick: the run is dense mode's
+        inst = (mixed_instance() if family == "mixed"
+                else _test_instance(family))
+        plan = problem_plan(inst)
+        args = dict(iterations=60, seed=4, eval_stride=7,
+                    averaging="weighted-full", eval_point=eval_point)
+        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+        assert_runs_bitwise_equal(tl, td)
 
     def test_non_positive_stride_and_samples_rejected(self):
         # a zero stride divided by zero in the loop; a negative one was
