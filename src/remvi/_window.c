@@ -1,0 +1,230 @@
+/* The REM loop's iterations k0..k1 on a geometry without entropy
+ * coordinates (see solver.run and _kernel.py).
+ *
+ * Per iteration the two draws and the two component evaluations are calls
+ * into Python: plan.sample_p(draw), plan.sample_q(draw),
+ * comps[j1].evaluate(x, scratch, 0) and comps[j2].evaluate(x, values, at).
+ * Everything between them runs here on the run's flat arrays: j1's
+ * catch-up prox (lazy mode), j1's correction of the base z, j2's settle,
+ * the table refresh's bookkeeping (shadow, eval_iter, aggregate) and base
+ * shift, dense mode's whole-iterate settle and the weighted-full sum.
+ *
+ * Every operation is the IEEE double operation the Python-float and numpy
+ * paths make, in the same order, so a run here equals the Python loop bit
+ * for bit.  That needs -ffp-contract=off (no fused multiply-add) and no
+ * -ffast-math.  A set of at most `lim` coordinates reports a non-finite
+ * value as the Python-float path does (its first one's magnitude), a
+ * larger set as numpy does (the largest magnitude, NaN if any is NaN).
+ *
+ * rem_window returns 0 when the window ran, 1 on a divergence (the
+ * iteration and magnitude in bad_k and bad_norm) and -1 with a Python
+ * exception set.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+#include <stdint.h>
+
+typedef struct {
+    /* Python objects: the two draws, the draw stream, the component list
+     * and the arrays handed to evaluate */
+    PyObject *sample_p, *sample_q, *draw, *comps, *x_obj, *scratch_obj,
+             *values_obj;
+    /* the dual state and the table */
+    double *x, *z, *S, *values, *scratch, *shadow, *old, *wsum;
+    int64_t *eval_iter;
+    /* run constants: probabilities, steps a_0..a_K, sums A_0..A_K */
+    const double *p, *a, *A;
+    /* per-coordinate prox parameters */
+    const double *wx0, *w, *mu, *lo, *hi;
+    /* the write layout, the read layout and the Euclidean coordinates */
+    const Py_ssize_t *offsets, *out_all, *r_offsets, *r_all, *every;
+    Py_ssize_t m, n_every, lim, lazy;
+    /* carried from one window to the next: the last j2 and its slot size */
+    Py_ssize_t j2, shadow_n;
+    /* a divergence: its iteration and the magnitude reported */
+    Py_ssize_t bad_k;
+    double bad_norm;
+} Window;
+
+static PyObject *evaluate_name;
+
+/* The largest |v| over a set, NaN if any v is NaN (numpy's max of abs). */
+static double max_abs(const double *v, Py_ssize_t n)
+{
+    double top = 0.0;
+    for (Py_ssize_t t = 0; t < n; t++) {
+        double u = fabs(v[t]);
+        if (isnan(u))
+            return u;
+        if (u > top)
+            top = u;
+    }
+    return top;
+}
+
+/* The same over z[i] + A*S[i] on the n coordinates idx. */
+static double max_abs_dual(const Window *st, const Py_ssize_t *idx,
+                           Py_ssize_t n, double A)
+{
+    double top = 0.0;
+    for (Py_ssize_t t = 0; t < n; t++) {
+        double u = fabs(st->z[idx[t]] + A * st->S[idx[t]]);
+        if (isnan(u))
+            return u;
+        if (u > top)
+            top = u;
+    }
+    return top;
+}
+
+/* GeometryBundle.prox_into: x[i] = prox of z[i] + A*S[i] on the n
+ * coordinates idx.  Returns 1 with *norm set on a non-finite input. */
+static int settle(Window *st, const Py_ssize_t *idx, Py_ssize_t n, double A,
+                  double *norm)
+{
+    for (Py_ssize_t t = 0; t < n; t++) {
+        Py_ssize_t i = idx[t];
+        double u = st->z[i] + A * st->S[i];
+        if (!isfinite(u)) {
+            *norm = n <= st->lim ? fabs(u) : max_abs_dual(st, idx, n, A);
+            return 1;
+        }
+        u = (st->wx0[i] - u) / (st->w[i] + A * st->mu[i]);
+        st->x[i] = u < st->lo[i] ? st->lo[i] : u > st->hi[i] ? st->hi[i] : u;
+    }
+    return 0;
+}
+
+/* comps[j].evaluate(x, out, at); -1 with the exception set on failure. */
+static int evaluate(Window *st, Py_ssize_t j, PyObject *out, Py_ssize_t at)
+{
+    PyObject *pos = PyLong_FromSsize_t(at);
+    if (pos == NULL)
+        return -1;
+    PyObject *args[4] = {PyList_GET_ITEM(st->comps, j), st->x_obj, out, pos};
+    PyObject *res = PyObject_VectorcallMethod(evaluate_name, args, 4, NULL);
+    Py_DECREF(pos);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* One draw as an index; -1 with the exception set on failure. */
+static Py_ssize_t draw(PyObject *sample, PyObject *stream)
+{
+    PyObject *res = PyObject_CallOneArg(sample, stream);
+    if (res == NULL)
+        return -1;
+    Py_ssize_t j = PyNumber_AsSsize_t(res, NULL);
+    Py_DECREF(res);
+    if (j == -1 && PyErr_Occurred())
+        return -1;
+    return j;
+}
+
+static int in_range(Py_ssize_t j, Py_ssize_t m)
+{
+    if (0 <= j && j < m)
+        return 1;
+    PyErr_Format(PyExc_IndexError,
+                 "drawn component index %zd outside [0, %zd)", j, m);
+    return 0;
+}
+
+#define DIVERGED(norm_) do { st->bad_k = k; st->bad_norm = (norm_); \
+                             return 1; } while (0)
+
+int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
+{
+    if (evaluate_name == NULL) {
+        evaluate_name = PyUnicode_InternFromString("evaluate");
+        if (evaluate_name == NULL)
+            return -1;
+    }
+    double *x = st->x, *z = st->z, *S = st->S, *values = st->values;
+    const Py_ssize_t *offsets = st->offsets, *out_all = st->out_all;
+    double norm = 0.0;
+    for (Py_ssize_t k = k0; k <= k1; k++) {
+        double a_prev = st->a[k - 1], A_prev = st->A[k - 1];
+        double a = st->a[k], A = st->A[k];
+        Py_ssize_t j2_prev = st->j2;
+        Py_ssize_t j1 = draw(st->sample_p, st->draw);
+        if (j1 == -1 && PyErr_Occurred())
+            return -1;
+        Py_ssize_t j2 = draw(st->sample_q, st->draw);
+        if (j2 == -1 && PyErr_Occurred())
+            return -1;
+        if (!in_range(j1, st->m) || !in_range(j2, st->m))
+            return -1;
+
+        /* j1: catch up what it reads (lazy mode), evaluate, correct z on
+         * its outputs by (a_prev/p_j1) * (F_j1(x) - its value two
+         * iterations back, the shadow if the last refresh was j1's) */
+        Py_ssize_t at = offsets[j1], n = offsets[j1 + 1] - at;
+        if (st->lazy && A_prev != 0.0) {
+            Py_ssize_t lo = st->r_offsets[j1];
+            if (settle(st, st->r_all + lo, st->r_offsets[j1 + 1] - lo, A_prev,
+                       &norm))
+                DIVERGED(norm);
+        }
+        if (evaluate(st, j1, st->scratch_obj, 0))
+            return -1;
+        if (a_prev != 0.0) {
+            double cj = a_prev / st->p[j1];
+            const double *prev = j1 == j2_prev ? st->shadow : values + at;
+            for (Py_ssize_t t = 0; t < n; t++) {
+                Py_ssize_t i = out_all[at + t];
+                z[i] = z[i] + cj * (st->scratch[t] - prev[t]);
+            }
+        }
+
+        /* j2: settle what it reads at A, refresh its slot, shift the base
+         * on its writes so that z + A*S stays where it was */
+        Py_ssize_t lo = st->r_offsets[j2];
+        if (settle(st, st->r_all + lo, st->r_offsets[j2 + 1] - lo, A, &norm))
+            DIVERGED(norm);
+        at = offsets[j2];
+        n = offsets[j2 + 1] - at;
+        const Py_ssize_t *out = out_all + at;
+        for (Py_ssize_t t = 0; t < n; t++) {
+            st->old[t] = S[out[t]];
+            st->shadow[t] = values[at + t];
+        }
+        st->j2 = j2;
+        st->shadow_n = n;
+        if (evaluate(st, j2, st->values_obj, at))
+            return -1;
+        st->eval_iter[j2] = k;
+        for (Py_ssize_t t = 0; t < n; t++)
+            S[out[t]] = S[out[t]] + (values[at + t] - st->shadow[t]);
+        int finite = 1;
+        for (Py_ssize_t t = 0; t < n; t++) {
+            Py_ssize_t i = out[t];
+            double b = z[i] - A * (S[i] - st->old[t]);
+            z[i] = st->old[t] = b;
+            if (!isfinite(b)) {
+                if (n <= st->lim)
+                    DIVERGED(fabs(b));
+                finite = 0;
+            }
+        }
+        if (!finite)
+            DIVERGED(max_abs(st->old, n));
+
+        /* the whole iterate at A: every iteration in dense mode and with
+         * weighted-full averaging, else at the window's last iteration
+         * when it is a record or a pick */
+        if (!st->lazy || st->wsum != NULL || (k == k1 && settle_last)) {
+            if (settle(st, st->every, st->n_every, A, &norm))
+                DIVERGED(norm);
+        }
+        if (st->wsum != NULL) {
+            double *wsum = st->wsum;
+            for (Py_ssize_t i = 0; i < st->n_every; i++)
+                wsum[i] = wsum[i] + a * x[i];
+        }
+    }
+    return 0;
+}

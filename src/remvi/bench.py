@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -71,19 +71,43 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.sampling not in ("uniform", "importance", "problem"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
-        # the solver's own field checks, before the instance is built
+        # the solver's own field checks, before the instance is built; REM's
+        # default averaging is resolved here unless it waits on the
+        # instance's gamma (rem-dense with no gamma given)
         rem = self.solver.startswith("rem")
-        check_run_fields(self.iterations, self.eval_point or "iterate",
+        averaging = self.rem_averaging(self.gamma) if rem else None
+        check_run_fields(self.iterations, self.rem_eval_point(averaging),
                          self.eval_stride, self.divergence_bound,
                          gamma=self.gamma if rem else None,
                          eta=None if rem else self.eta,
                          lpq=self.lpq if rem else None,
-                         averaging=self.averaging if rem else None)
+                         averaging=averaging)
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if min(self.n, self.d) < 1:
             raise ConfigError("sizes must be >= 1")
         check_instance_fields(self.exponent, self.density, self.quad)
+
+    def rem_averaging(self, gamma):
+        """REM's averaging at regularizer strength ``gamma`` (None when not
+        known yet): the configured one, or by default weighted-full in dense
+        mode at gamma = 0 and the sampled index set otherwise; None when
+        the default waits on gamma."""
+        if self.averaging is not None:
+            return self.averaging
+        if self.solver == "rem-dense":
+            if gamma is None:
+                return None
+            if gamma == 0.0:
+                return "weighted-full"
+        return "sampled-index-set"
+
+    def rem_eval_point(self, averaging):
+        """The configured evaluation point, or by default the average under
+        weighted-full averaging and the iterate otherwise."""
+        if self.eval_point is not None:
+            return self.eval_point
+        return "average" if averaging == "weighted-full" else "iterate"
 
 
 @dataclass
@@ -159,23 +183,24 @@ def _make_plan(problem, sampling):
     return build_plan(sampling, profile=problem.profile)
 
 
-def _run_one(problem, plan, cfg, seed):
-    if cfg.solver.startswith("rem"):
-        mode = "dense" if cfg.solver == "rem-dense" else "lazy"
-        gamma = problem.gamma if cfg.gamma is None else cfg.gamma
-        averaging = cfg.averaging
-        if averaging is None:
-            averaging = "weighted-full" if (mode == "dense" and gamma == 0.0) \
-                else "sampled-index-set"
-        eval_point = cfg.eval_point
-        if eval_point is None:
-            eval_point = "average" if averaging == "weighted-full" else "iterate"
-        sc = SolverConfig(iterations=cfg.iterations, seed=seed, mode=mode,
-                          gamma=cfg.gamma, lpq=cfg.lpq,
-                          eval_stride=cfg.eval_stride,
-                          averaging=averaging, eval_point=eval_point,
-                          divergence_bound=cfg.divergence_bound)
-        return run(problem, plan, sc)
+def _solver_config(problem, cfg):
+    """REM's SolverConfig for the instance, with seed 0, or None for a
+    baseline; a ValueError names a field the instance's gamma makes bad."""
+    if not cfg.solver.startswith("rem"):
+        return None
+    averaging = cfg.rem_averaging(problem.gamma if cfg.gamma is None
+                                  else cfg.gamma)
+    return SolverConfig(iterations=cfg.iterations,
+                        mode="dense" if cfg.solver == "rem-dense" else "lazy",
+                        gamma=cfg.gamma, lpq=cfg.lpq,
+                        eval_stride=cfg.eval_stride, averaging=averaging,
+                        eval_point=cfg.rem_eval_point(averaging),
+                        divergence_bound=cfg.divergence_bound)
+
+
+def _run_one(problem, plan, cfg, seed, rem):
+    if rem is not None:
+        return run(problem, plan, replace(rem, seed=seed))
     bc = BaselineConfig(method=cfg.solver, iterations=cfg.iterations, seed=seed,
                         eta=cfg.eta, eval_stride=cfg.eval_stride,
                         eval_point=cfg.eval_point or "average",
@@ -279,13 +304,14 @@ def run_experiment(cfg):
     cfg.validate()
     problem = _load_problem(cfg)
     plan = _make_plan(problem, cfg.sampling)
+    rem = _solver_config(problem, cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed = []
     any_diverged = False
     for seed in cfg.seeds:
         row = {"seed": seed, "diverged": False}
         try:
-            trace = _run_one(problem, plan, cfg, seed)
+            trace = _run_one(problem, plan, cfg, seed, rem)
         except DivergenceError as exc:
             row["diverged"] = True
             row["diverged_at"] = exc.iteration

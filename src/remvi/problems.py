@@ -492,6 +492,12 @@ def make_policy_eval(P, Phi, R, beta, mu):
     expression weight*(||phi_s|| ||phi_s - beta phi_s+|| - mu) is recorded
     alongside as ``lambda_printed``.
     """
+    return _make_policy_eval(P, Phi, R, beta, mu)
+
+
+def _make_policy_eval(P, Phi, R, beta, mu, pi=None):
+    """``make_policy_eval``, given the chain's stationary distribution pi
+    when the caller has it already."""
     P = np.asarray(P, dtype=float)
     Phi = np.asarray(Phi, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -503,7 +509,8 @@ def make_policy_eval(P, Phi, R, beta, mu):
         raise ValueError("discount beta must lie in (0, 1)")
     if mu <= 0.0:
         raise ValueError("shift mu must be positive")
-    pi = stationary_distribution(P)
+    if pi is None:
+        pi = stationary_distribution(P)
     M = np.diag(pi)
     B = Phi.T @ M @ (Phi - beta * P @ Phi)
     sym_min = float(np.min(np.linalg.eigvalsh(0.5 * (B + B.T))))
@@ -719,7 +726,7 @@ def generate_policy_eval(n, dim, seed, beta=0.5, mu=0.1, out_degree=2,
         feature_scale = float(np.sqrt(sym_margin * mu / sym_min))
     Phi = Phi * feature_scale
     R = rng.uniform(0.0, reward_scale, size=n)
-    return make_policy_eval(P, Phi, R, beta, mu)
+    return _make_policy_eval(P, Phi, R, beta, mu, pi)
 
 
 def problem_instances_for_tests():

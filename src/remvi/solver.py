@@ -10,8 +10,20 @@ components read, dense mode also all of them at the end of each iteration.
 Both consume the same draw stream (j1 first, then j2) and compute each prox
 from the same state, so their runs are equal bit for bit.
 
-The loop in ``run`` is written for the cost of an iteration that touches a
-few coordinates.  Every per-iteration set of at most
+On a geometry without entropy coordinates ``run`` hands iterations
+1..K-1 to a compiled kernel (``_window.c``, built and loaded by
+``_kernel``), one call per window that ends at a metric record or an
+averaging pick.  The draws and the component evaluations stay Python calls
+made from the kernel; the proxes, the correction, the refresh's
+bookkeeping and base shift, dense mode's settle and the weighted-full sum
+run in C with the same IEEE operations as the Python loop, so both give
+the same bits, errors included.  Iteration K, which also forms
+``fhat_last``, runs in Python.  Without a compiler, or with
+``REMVI_NO_KERNEL=1``, the Python loop runs every iteration;
+``Trace.info["kernel"]`` says which ran ("c" or "python").
+
+The Python loop in ``run`` is written for the cost of an iteration that
+touches a few coordinates.  Every per-iteration set of at most
 ``operators.SCALAR_WRITES`` coordinates (a component's reads, outputs and
 Euclidean writes, and the table slot it refreshes) is handled in Python
 floats from start to finish, with the same IEEE operations as the numpy
@@ -40,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import operators
+from . import _kernel, operators
 from .metrics import EvalRecord, default_metrics, evaluate_point
 from .operators import ComponentTable
 from .sampling import RngStream
@@ -339,12 +351,14 @@ def run(problem, plan, config):
     gamma = problem.gamma if config.gamma is None else config.gamma
     lpq = plan.lpq if config.lpq is None else config.lpq
     geom, op = problem.geometry, problem.operator
-    K = config.iterations
+    K, m = config.iterations, op.m
     q_star = plan.q_min
     a_seq, A_seq = step_schedule(K, gamma, lpq, q_star)
     draw = RngStream(config.seed, stream=0)
     index_rng = RngStream(config.seed, stream=1)
-    avg = _Averager(config, gamma, op.m, op.d, index_rng)
+    avg = _Averager(config, gamma, m, op.d, index_rng)
+    # loaded (and on first use built) before the records' clock starts
+    kernel = _kernel.load() if geom._ent_idx.size == 0 and K > 1 else None
     rec = _Recorder(problem, config)
     stride = rec.stride
     table = ComponentTable(op, geom.x0)
@@ -354,7 +368,8 @@ def run(problem, plan, config):
                   cert_violations=step_condition_violations(a_seq, gamma, lpq,
                                                             q_star),
                   info={"gamma": gamma, "lpq": lpq, "q_star": q_star,
-                        "stride": stride, "averaging": config.averaging})
+                        "stride": stride, "averaging": config.averaging,
+                        "kernel": "c" if kernel is not None else "python"})
     x = geom.x0.copy()
     rec.add(0, op.m, x)
     z = np.zeros(op.d)      # the base on Euclidean coordinates
@@ -388,12 +403,40 @@ def run(problem, plan, config):
     a = A = 0.0
     j2 = -1
     fhat_last = None
-    for k in range(1, K + 1):
+    first = 1
+    if kernel is not None:
+        # iterations 1..K-1 in the compiled kernel, a window per stop (a
+        # record or a pick); iteration K, which also forms fhat_last, below
+        st = _kernel.window_state(
+            plan=plan, draw=draw, op=op, geom=geom, table=table, x=x, z=z,
+            a_steps=np.concatenate(([0.0], a_seq)), A_sums=A_seq, scratch=scratch,
+            wsum=avg.wsum, lazy=lazy, lim=lim)
+        sampled = avg.wsum is None
+        stops = set(range(stride, K, stride))
+        if sampled:
+            stops.update(k for k in picks if k < K)
+        k = 1
+        for stop in sorted(stops | {K - 1}):
+            shown = stop % stride == 0 or stop in picks
+            if kernel(st, k, stop, shown):
+                raise DivergenceError(st.bad_k, st.bad_norm, bound,
+                                      what="dual vector z")
+            k = stop + 1
+            if sampled and stop in picks:
+                avg.add(stop, a_list[stop], x)
+            if stop % stride == 0:
+                rec.add(stop, op.m + 2 * stop, x, avg.wsum, A_list[stop])
+        first, a, A, j2 = K, a_list[K - 1], A_list[K - 1], st.j2
+        table.shadowed(j2, K - 1, st.shadow_n)
+    for k in range(first, K + 1):
         a_prev, A_prev, j2_prev = a, A, j2
         a, A = a_list[k], A_list[k]
         # the draws depend on nothing the iteration changes: j1, then j2
         j1 = sample_p(draw)
         j2 = sample_q(draw)
+        if not (0 <= j1 < m and 0 <= j2 < m):
+            bad = j1 if not 0 <= j1 < m else j2
+            raise IndexError(f"drawn component index {bad} outside [0, {m})")
         # j1's outputs and (lazy mode) reads, as lists when small
         at = offsets.item(j1)
         n = offsets.item(j1 + 1) - at

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
+import copy
 import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -40,3 +42,41 @@ def calls_per_iteration(run, inst, plan, config):
 
     idle = count(dataclasses.replace(config, iterations=0))
     return (count(config) - idle) / config.iterations
+
+
+def assert_runs_bitwise_equal(t1, t2):
+    """Records (bar the clock), final iterate, averaged output, last
+    extrapolated estimate and table are equal bit for bit."""
+    def records(trace):
+        return [{k: v for k, v in vars(r).items() if k != "elapsed_ns"}
+                for r in trace.records]
+
+    assert records(t1) == records(t2)
+    np.testing.assert_array_equal(t1.final_x, t2.final_x)
+    assert (t1.x_bar is None) == (t2.x_bar is None)
+    if t1.x_bar is not None:
+        np.testing.assert_array_equal(t1.x_bar, t2.x_bar)
+    np.testing.assert_array_equal(t1.info["fhat_last"], t2.info["fhat_last"])
+    np.testing.assert_array_equal(t1.info["table_eval_iter"],
+                                  t2.info["table_eval_iter"])
+    np.testing.assert_array_equal(t1.info["table_values"],
+                                  t2.info["table_values"], strict=True)
+
+
+def scripted_plan(plan, j1s, j2s):
+    """A copy of ``plan`` whose draws cycle through the indices j1s (from p)
+    and j2s (from q) instead of sampling."""
+    j1s, j2s = itertools.cycle(j1s), itertools.cycle(j2s)
+    plan = copy.copy(plan)
+    plan.sample_p = lambda rng: next(j1s)
+    plan.sample_q = lambda rng: next(j2s)
+    return plan
+
+
+def loop_paths(monkeypatch):
+    """Yields "c" and then "python", with the REM loop set to run in the
+    compiled window kernel (where it can be built) and then in Python
+    (``REMVI_NO_KERNEL=1``)."""
+    for path, off in (("c", "0"), ("python", "1")):
+        monkeypatch.setenv("REMVI_NO_KERNEL", off)
+        yield path

@@ -300,6 +300,38 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not os.path.exists(cfg.out_dir)
 
+    @pytest.mark.parametrize("solver, gamma", [
+        ("rem-lazy", None), ("rem-lazy", 0.0), ("rem-dense", 0.5)])
+    def test_default_averaging_checked_before_build(self, tmp_path, capsys,
+                                                    solver, gamma,
+                                                    monkeypatch):
+        # averaged-point evaluation needs weighted-full averaging; REM's
+        # default is the sampled index set in lazy mode, and in dense mode
+        # at a given gamma > 0, so the config is refused before any build
+        no_instance_build(monkeypatch)
+        cfg = ExperimentConfig(problem="lad", solver=solver, iterations=10,
+                               n=3, d=3, gamma=gamma, eval_point="average",
+                               out_dir=str(tmp_path / "out"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        assert main(["run", "--config", path]) == 2
+        assert "averaged-point evaluation needs" in capsys.readouterr().err
+        assert not os.path.exists(cfg.out_dir)
+
+    def test_default_averaging_from_instance_gamma_before_out_dir(
+            self, tmp_path, capsys):
+        # rem-dense's default waits on the instance's gamma (0.1 for
+        # policy evaluation: the sampled index set), and is resolved before
+        # the output directory is made
+        cfg = ExperimentConfig(problem="policy-eval", solver="rem-dense",
+                               iterations=10, n=6, d=3, eval_point="average",
+                               out_dir=str(tmp_path / "out"))
+        path = str(tmp_path / "exp.cfg")
+        save_config(cfg, path)
+        assert main(["run", "--config", path]) == 2
+        assert "averaged-point evaluation needs" in capsys.readouterr().err
+        assert not os.path.exists(cfg.out_dir)
+
     # 1e308 and 5e-324 are finite, but the first step sqrt(2/3)/(10 lpq) is
     # 0.0 or inf: every step would be 0.0 (the run would return x0) or inf
     @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense"])

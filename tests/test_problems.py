@@ -562,17 +562,24 @@ class TestPolicyEval:
     @pytest.mark.parametrize("n, dim, seed", [(6, 3, 4), (10, 5, 5),
                                               (40, 6, 1)])
     def test_system_built_once(self, n, dim, seed, monkeypatch):
-        # make_policy_eval solves with the B it builds: one power iteration,
-        # and the reference is the direct solve's, bit for bit
-        inst = generate_instance("policy-eval", n, dim, 0.0, seed)
-        data = inst.data
+        # generate_policy_eval and make_policy_eval each run one power
+        # iteration, and solve with the B they build: the reference is the
+        # direct solve's, bit for bit, and both build the same instance
         calls = []
         power = problems.stationary_distribution
         monkeypatch.setattr(problems, "stationary_distribution",
                             lambda P: calls.append(1) or power(P))
+        inst = generate_instance("policy-eval", n, dim, 0.0, seed)
+        assert len(calls) == 1
+        data = inst.data
         again = make_policy_eval(data["P"], data["Phi"], data["R"],
                                  data["beta"], data["mu"])
-        assert len(calls) == 1
+        assert len(calls) == 2
+        assert again.data["pi"].tobytes() == data["pi"].tobytes()
+        x = np.linspace(-1.0, 1.0, dim)
+        assert (again.operator.evaluate_flat(x).tobytes()
+                == inst.operator.evaluate_flat(x).tobytes())
+        assert again.profile.lam.tobytes() == inst.profile.lam.tobytes()
         direct = solve_policy_eval_direct(data["P"], data["Phi"], data["R"],
                                           data["beta"])
         assert inst.reference.tobytes() == direct.tobytes()

@@ -1,11 +1,10 @@
-import copy
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import calls_per_iteration, value
+from helpers import (assert_runs_bitwise_equal, calls_per_iteration,
+                     loop_paths, scripted_plan, value)
 from remvi import operators, solver
 from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
@@ -315,25 +314,28 @@ class TestRunDense:
         # mode proxes, and so checks, every Euclidean coordinate, which on
         # this instance (every coordinate read or written each iteration)
         # names the same iteration as lazy mode, with its sets in Python
-        # floats or (SCALAR_WRITES = 0) in numpy
+        # floats or (SCALAR_WRITES = 0) in numpy, in the compiled kernel
+        # and in the Python loop
         inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]),
                         np.array([3.0, -3.0]))
         plan = problem_plan(inst)
         at = {}
         default = operators.SCALAR_WRITES
-        for mode, run, scalar_writes in (("dense", run_dense, default),
-                                         ("lazy", run_lazy, default),
-                                         ("lazy", run_lazy, 0)):
-            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
-            cfg = SolverConfig(iterations=4000, seed=seed, mode=mode,
-                               lpq=1e-300, eval_stride=100, eval_metrics=(),
-                               divergence_bound=1e3)
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(DivergenceError, match="dual vector z") as exc:
-                run(inst, plan, cfg)
-            at[mode, scalar_writes] = exc.value.iteration
+        for path in loop_paths(monkeypatch):
+            for mode, run, scalar_writes in (("dense", run_dense, default),
+                                             ("lazy", run_lazy, default),
+                                             ("lazy", run_lazy, 0)):
+                monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+                cfg = SolverConfig(iterations=4000, seed=seed, mode=mode,
+                                   lpq=1e-300, eval_stride=100,
+                                   eval_metrics=(), divergence_bound=1e3)
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(DivergenceError,
+                                      match="dual vector z") as exc:
+                    run(inst, plan, cfg)
+                at[path, mode, scalar_writes] = exc.value.iteration
         assert len(set(at.values())) == 1
-        assert at["dense", default] < 100
+        assert at["c", "dense", default] < 100
 
     def test_cert_violations_zero_on_runs(self):
         for inst in problem_instances_for_tests():
@@ -344,25 +346,6 @@ class TestRunDense:
             assert step_condition_violations(trace.a_seq, trace.info["gamma"],
                                              trace.info["lpq"],
                                              trace.info["q_star"]) == 0
-
-
-def assert_runs_bitwise_equal(t1, t2):
-    """Records (bar the clock), final iterate, averaged output, last
-    extrapolated estimate and table are equal bit for bit."""
-    def records(trace):
-        return [{k: v for k, v in vars(r).items() if k != "elapsed_ns"}
-                for r in trace.records]
-
-    assert records(t1) == records(t2)
-    np.testing.assert_array_equal(t1.final_x, t2.final_x)
-    assert (t1.x_bar is None) == (t2.x_bar is None)
-    if t1.x_bar is not None:
-        np.testing.assert_array_equal(t1.x_bar, t2.x_bar)
-    np.testing.assert_array_equal(t1.info["fhat_last"], t2.info["fhat_last"])
-    np.testing.assert_array_equal(t1.info["table_eval_iter"],
-                                  t2.info["table_eval_iter"])
-    np.testing.assert_array_equal(t1.info["table_values"],
-                                  t2.info["table_values"], strict=True)
 
 
 def _test_instance(family):
@@ -410,15 +393,21 @@ class TestDenseLazyEquivalence:
                     assert abs(dv - lv) <= 1e-9 * max(abs(dv), abs(lv), 1e-9)
 
     @pytest.mark.parametrize("name", BITWISE_CASES)
-    def test_modes_bitwise_equal(self, name):
+    def test_modes_bitwise_equal(self, name, monkeypatch):
         # both modes prox the same base z + A*S with the same arithmetic;
-        # dense mode only does it for every coordinate, so the runs are equal
+        # dense mode only does it for every coordinate, so the runs are
+        # equal, in the compiled kernel and in the Python loop
         inst = BITWISE_CASES[name]()
         plan = problem_plan(inst)
         args = dict(iterations=1000, seed=7, eval_stride=50)
-        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-        assert_runs_bitwise_equal(tl, td)
+        runs = []
+        for _ in loop_paths(monkeypatch):
+            runs.append(run_dense(inst, plan, SolverConfig(mode="dense",
+                                                           **args)))
+            runs.append(run_lazy(inst, plan, SolverConfig(mode="lazy",
+                                                          **args)))
+        for tr in runs[1:]:
+            assert_runs_bitwise_equal(tr, runs[0])
 
     @pytest.mark.parametrize("name", BITWISE_CASES)
     def test_array_writes_bitwise_equal(self, name, monkeypatch):
@@ -430,12 +419,13 @@ class TestDenseLazyEquivalence:
         plan = problem_plan(inst)
         args = dict(iterations=1000, seed=7, eval_stride=50)
         ts = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-        for scalar_writes in (0, 10**9):
-            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
-            td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-            tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-            assert_runs_bitwise_equal(td, ts)
-            assert_runs_bitwise_equal(tl, ts)
+        for _ in loop_paths(monkeypatch):
+            for scalar_writes in (0, 10**9):
+                monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+                td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+                tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+                assert_runs_bitwise_equal(td, ts)
+                assert_runs_bitwise_equal(tl, ts)
 
     def test_flushed_final_iterate_matches(self):
         inst = problem_instances_for_tests()[2]
@@ -456,10 +446,13 @@ class TestDenseLazyEquivalence:
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         np.testing.assert_allclose(tl.x_bar, td.x_bar, atol=1e-11)
 
-    def test_scalar_prox_entries_only_for_read_coordinates(self):
+    def test_scalar_prox_entries_only_for_read_coordinates(self,
+                                                           monkeypatch):
         # a lazy read settles the two coordinates a LAD component reads in
         # Python floats; prox_into keeps parameters for those coordinates
-        # only, not for all d
+        # only, not for all d.  This is the Python loop's list path: the
+        # compiled kernel reads the parameter arrays
+        monkeypatch.setenv("REMVI_NO_KERNEL", "1")
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         plan = problem_plan(inst)
         drawn = {"p": [], "q": []}
@@ -503,16 +496,6 @@ def mixed_instance():
     ref = geom.x0.copy()
     return make_custom(comps, geom, [2.3, 2.3, 0.5, 0.2, 1.0, 0.01],
                        reference=ref)
-
-
-def scripted_plan(plan, j1s, j2s):
-    """A copy of ``plan`` whose draws cycle through the indices j1s (from p)
-    and j2s (from q) instead of sampling."""
-    j1s, j2s = itertools.cycle(j1s), itertools.cycle(j2s)
-    plan = copy.copy(plan)
-    plan.sample_p = lambda rng: next(j1s)
-    plan.sample_q = lambda rng: next(j2s)
-    return plan
 
 
 class TestLazyCatchup:
@@ -568,9 +551,10 @@ class TestLazyCatchup:
         monkeypatch.setattr(ComponentTable, "resum", None)  # never called
         plan = problem_plan(inst)
         args = dict(iterations=K, seed=0, eval_stride=K, eval_metrics=())
-        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-        assert_runs_bitwise_equal(tl, td)
+        for _ in loop_paths(monkeypatch):
+            td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+            tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+            assert_runs_bitwise_equal(tl, td)
         if array_path:
             monkeypatch.setattr(operators, "SCALAR_WRITES", 0)
             ta = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
@@ -643,12 +627,14 @@ class TestLazySupportBookkeeping:
             touched = set(coord_block[c.in_idx]) | set(coord_block[c.out_idx])
             assert 2 * len(touched) <= bound
 
-    def test_lazy_iteration_python_calls(self):
-        # a lazy LAD iteration (two-coordinate sets) makes at most 13
-        # Python-level calls: sample_p and sample_q with a uniform and an
-        # alias lookup each, two component evaluations (one in the table
-        # refresh), the refresh, prox_into on the coordinates j1 and j2 read
-        # and the schedule's step size; no numpy wrapper, no solver helper
+    def test_lazy_iteration_python_calls(self, monkeypatch):
+        # a lazy LAD iteration (two-coordinate sets) of the Python loop
+        # makes at most 13 Python-level calls: sample_p and sample_q with a
+        # uniform and an alias lookup each, two component evaluations (one
+        # in the table refresh), the refresh, prox_into on the coordinates
+        # j1 and j2 read and the schedule's step size; no numpy wrapper, no
+        # solver helper (tests/test_kernel.py counts the kernel's)
+        monkeypatch.setenv("REMVI_NO_KERNEL", "1")
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         cfg = SolverConfig(iterations=2000, seed=0, mode="lazy")
         assert calls_per_iteration(run_lazy, inst, problem_plan(inst),
@@ -691,17 +677,24 @@ class TestAveraging:
     @pytest.mark.parametrize("eval_point", ["iterate", "average"])
     @pytest.mark.parametrize("family", ["matrix-game", "box-simplex", "lad",
                                         "policy-eval", "mixed"])
-    def test_weighted_full_lazy_equals_dense(self, family, eval_point):
+    def test_weighted_full_lazy_equals_dense(self, family, eval_point,
+                                             monkeypatch):
         # weighted-full averaging picks every iteration, and lazy mode
-        # settles the whole iterate at every pick: the run is dense mode's
+        # settles the whole iterate at every pick: the run is dense mode's,
+        # in the compiled kernel and in the Python loop
         inst = (mixed_instance() if family == "mixed"
                 else _test_instance(family))
         plan = problem_plan(inst)
         args = dict(iterations=60, seed=4, eval_stride=7,
                     averaging="weighted-full", eval_point=eval_point)
-        td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-        tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-        assert_runs_bitwise_equal(tl, td)
+        runs = []
+        for _ in loop_paths(monkeypatch):
+            runs.append(run_dense(inst, plan, SolverConfig(mode="dense",
+                                                           **args)))
+            runs.append(run_lazy(inst, plan, SolverConfig(mode="lazy",
+                                                          **args)))
+        for tr in runs[1:]:
+            assert_runs_bitwise_equal(tr, runs[0])
 
     def test_non_positive_stride_and_samples_rejected(self):
         # a zero stride divided by zero in the loop; a negative one was
