@@ -8,13 +8,14 @@ by default; the directory has mode 0700), keyed by a hash of the source,
 the flags and the Python ABI, and written atomically.  It is loaded with
 ``ctypes.PyDLL``: the interpreter lock stays held, so the kernel calls the
 draws and the component evaluations as Python calls, and an exception one
-of them raises propagates.  With no compiler, a failed build or
-``REMVI_NO_KERNEL=1`` in the environment, ``load`` returns None and the run
-takes the Python loop, with the same bits.
+of them raises propagates.  With no compiler or a failed build ``load``
+returns None and the run takes the Python loop, with the same bits.  A new
+build removes the cache's older builds for the same Python.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -79,9 +80,12 @@ def _build():
         source, " ".join(FLAGS).encode(), include.encode(),
         str(sysconfig.get_config_var("SOABI")).encode(),
         sys.version.encode()])).hexdigest()[:24]
+    # one build per Python in the cache: a new one replaces the builds of
+    # an older source or flags for the same Python
+    stem = f"window-{sys.implementation.cache_tag}-"
     try:
         cache = _cache_dir()
-        path = os.path.join(cache, f"window-{key}.so")
+        path = os.path.join(cache, f"{stem}{key}.so")
         if os.path.exists(path):
             return path
         cc = shutil.which(CC)
@@ -96,6 +100,12 @@ def _build():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        for name in os.listdir(cache):
+            if name.startswith(stem) and name.endswith(".so") \
+                    and name != os.path.basename(path):
+                # a process that has it loaded keeps its mapping
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(cache, name))
     except (OSError, subprocess.SubprocessError):
         return None
     return path
@@ -117,10 +127,7 @@ def _library():
 
 
 def load():
-    """The kernel's entry point, or None: switched off by
-    ``REMVI_NO_KERNEL=1``, or no compiler, or a failed build."""
-    if os.environ.get("REMVI_NO_KERNEL", "") not in ("", "0"):
-        return None
+    """The kernel's entry point, or None: no compiler, or a failed build."""
     return _library()
 
 

@@ -18,9 +18,9 @@ made from the kernel; the proxes, the correction, the refresh's
 bookkeeping and base shift, dense mode's settle and the weighted-full sum
 run in C with the same IEEE operations as the Python loop, so both give
 the same bits, errors included.  Iteration K, which also forms
-``fhat_last``, runs in Python.  Without a compiler, or with
-``REMVI_NO_KERNEL=1``, the Python loop runs every iteration;
-``Trace.info["kernel"]`` says which ran ("c" or "python").
+``fhat_last``, runs in Python.  Without a compiler, or when the build
+fails, the Python loop runs every iteration; ``Trace.info["kernel"]`` says
+which ran ("c" or "python").
 
 The Python loop in ``run`` is written for the cost of an iteration that
 touches a few coordinates.  Every per-iteration set of at most
@@ -46,6 +46,8 @@ checked once, over the whole schedule.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -382,8 +384,8 @@ def run(problem, plan, config):
         ent = geom._ent_sel
         on_eu = np.ones(op.d, dtype=bool)
         on_eu[ent] = False
-    a_list = [0.0] + a_seq.tolist()
-    A_list = A_seq.tolist()
+    # a_0..a_K (a_0 = 0), read as floats with .item: no per-iteration list
+    a_all = np.concatenate(([0.0], a_seq))
     prox_into, bound = geom.prox_into, config.divergence_bound
     sample_p, sample_q, refresh = plan.sample_p, plan.sample_q, table.refresh
     p, comps, offsets, values = plan.p, op.components, op.offsets, table.values
@@ -409,28 +411,35 @@ def run(problem, plan, config):
         # record or a pick); iteration K, which also forms fhat_last, below
         st = _kernel.window_state(
             plan=plan, draw=draw, op=op, geom=geom, table=table, x=x, z=z,
-            a_steps=np.concatenate(([0.0], a_seq)), A_sums=A_seq, scratch=scratch,
-            wsum=avg.wsum, lazy=lazy, lim=lim)
+            a_steps=a_all, A_sums=A_seq, scratch=scratch, wsum=avg.wsum,
+            lazy=lazy, lim=lim)
         sampled = avg.wsum is None
-        stops = set(range(stride, K, stride))
-        if sampled:
-            stops.update(k for k in picks if k < K)
+        ordered = () if not sampled else (
+            picks if type(picks) is range else sorted(picks))
+        # the stops in order, made as they are needed: a stop that is both
+        # a record and a pick comes twice, and its second copy is skipped
+        stops = heapq.merge(range(stride, K - 1, stride),
+                            itertools.takewhile((K - 1).__gt__, ordered),
+                            (K - 1,))
         k = 1
-        for stop in sorted(stops | {K - 1}):
+        for stop in stops:
+            if stop < k:
+                continue
             shown = stop % stride == 0 or stop in picks
             if kernel(st, k, stop, shown):
                 raise DivergenceError(st.bad_k, st.bad_norm, bound,
                                       what="dual vector z")
             k = stop + 1
             if sampled and stop in picks:
-                avg.add(stop, a_list[stop], x)
+                avg.add(stop, a_all.item(stop), x)
             if stop % stride == 0:
-                rec.add(stop, op.m + 2 * stop, x, avg.wsum, A_list[stop])
-        first, a, A, j2 = K, a_list[K - 1], A_list[K - 1], st.j2
+                rec.add(stop, op.m + 2 * stop, x, avg.wsum,
+                        A_seq.item(stop))
+        first, a, A, j2 = K, a_all.item(K - 1), A_seq.item(K - 1), st.j2
         table.shadowed(j2, K - 1, st.shadow_n)
     for k in range(first, K + 1):
         a_prev, A_prev, j2_prev = a, A, j2
-        a, A = a_list[k], A_list[k]
+        a, A = a_all.item(k), A_seq.item(k)
         # the draws depend on nothing the iteration changes: j1, then j2
         j1 = sample_p(draw)
         j2 = sample_q(draw)
@@ -521,7 +530,7 @@ def run(problem, plan, config):
         if record:
             rec.add(k, op.m + 2 * k, x, avg.wsum, A)
     trace.final_x = x
-    trace.x_bar = avg.result(A_list[-1])
+    trace.x_bar = avg.result(A_seq.item(K))
     trace.oracle_calls = op.m + 2 * K
     if fhat_last is not None:
         trace.info["fhat_last"] = fhat_last

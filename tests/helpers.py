@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 
+from remvi import _kernel
+
 
 def value(component, x):
     """The component's value at x in a new array: ``evaluate`` into a fresh
@@ -75,8 +77,8 @@ def scripted_plan(plan, j1s, j2s):
 
 def loop_paths(monkeypatch):
     """Yields "c" and then "python", with the REM loop set to run in the
-    compiled window kernel (where it can be built) and then in Python
-    (``REMVI_NO_KERNEL=1``)."""
-    for path, off in (("c", "0"), ("python", "1")):
-        monkeypatch.setenv("REMVI_NO_KERNEL", off)
-        yield path
+    compiled window kernel (where it can be built) and then in Python (the
+    kernel's loader patched to find none)."""
+    yield "c"
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    yield "python"

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import stat
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +20,16 @@ from remvi.problems import generate_instance, make_custom
 from remvi.sampling import problem_plan
 from remvi.solver import DivergenceError, SolverConfig, run
 
-needs_compiler = pytest.mark.skipif(shutil.which(_kernel.CC) is None,
-                                    reason="no C compiler")
+
+@pytest.fixture
+def compiler():
+    """Skips the test where no C compiler is found (looked up when the test
+    runs, after the suite's ``--no-compiler`` option took effect)."""
+    if shutil.which(_kernel.CC) is None:
+        pytest.skip("no C compiler")
+
+
+needs_compiler = pytest.mark.usefixtures("compiler")
 
 
 def callable_instance():
@@ -98,6 +107,20 @@ def test_kernel_equals_python_loop(name, mode, averaging, eval_point, stride,
                             eval_point=eval_point, eval_stride=stride)
     assert_runs_bitwise_equal(kern, loop)
     assert loop.info["kernel"] == "python"
+
+
+@pytest.mark.parametrize("mode", ["dense", "lazy"])
+@pytest.mark.parametrize("stride, avg_samples", [(1, 7), (40, 60)])
+def test_kernel_stops_every_iteration(mode, stride, avg_samples,
+                                      monkeypatch):
+    # a record every iteration, or every iteration picked (avg_samples at
+    # least K): every window is one iteration long
+    inst = CASES["lad"]()
+    plan = problem_plan(inst)
+    kern, loop = both_paths(monkeypatch, inst, lambda: plan, iterations=60,
+                            seed=8, mode=mode, eval_stride=stride,
+                            avg_samples=avg_samples)
+    assert_runs_bitwise_equal(kern, loop)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -217,27 +240,22 @@ def test_non_finite_component_value_named_alike(name, mode, scalar_writes,
 
 
 @needs_compiler
-def test_kernel_runs_on_euclidean_geometries_only(monkeypatch):
+def test_kernel_runs_on_euclidean_geometries_only():
     from test_solver import mixed_instance
-    monkeypatch.delenv("REMVI_NO_KERNEL", raising=False)
     cfg = SolverConfig(iterations=20, seed=0, mode="lazy")
     for inst, path in ((CASES["lad"](), "c"), (mixed_instance(), "python"),
                        (generate_instance("matrix-game", 4, 5, 1.0, seed=1),
                         "python")):
         assert run(inst, problem_plan(inst), cfg).info["kernel"] == path
-    monkeypatch.setenv("REMVI_NO_KERNEL", "1")
-    inst = CASES["lad"]()
-    assert run(inst, problem_plan(inst), cfg).info["kernel"] == "python"
 
 
 @needs_compiler
-def test_kernel_iteration_python_calls(monkeypatch):
+def test_kernel_iteration_python_calls():
     # in the kernel a lazy LAD iteration makes only the calls that stay in
     # Python: sample_p and sample_q with a uniform and an alias lookup
     # each, the two component evaluations, and the schedule's step size
     # (iteration K in Python and the kernel's state add about 160 calls a
     # run, 0.08 an iteration here)
-    monkeypatch.delenv("REMVI_NO_KERNEL", raising=False)
     inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
     cfg = SolverConfig(iterations=2000, seed=0, mode="lazy", eval_metrics=())
     assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 9.1
@@ -247,23 +265,28 @@ def test_kernel_iteration_python_calls(monkeypatch):
 def fresh_build(tmp_path, monkeypatch):
     """A kernel cache in tmp_path, with the loaded library forgotten before
     and after the test."""
-    monkeypatch.delenv("REMVI_NO_KERNEL", raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     _kernel._library.cache_clear()
     yield tmp_path / "remvi"
     _kernel._library.cache_clear()
 
 
-def test_missing_compiler_takes_python_loop(fresh_build, monkeypatch):
+def test_missing_compiler_takes_python_loop(tmp_path, monkeypatch):
     inst = CASES["lad"]()
     plan = problem_plan(inst)
     cfg = SolverConfig(iterations=300, seed=2, mode="lazy", eval_stride=50)
+    kern = run(inst, plan, cfg)
+    # a new process on a machine with no compiler and no cached build
     monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
-    fallback = run(inst, plan, cfg)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel._library.cache_clear()
+    try:
+        fallback = run(inst, plan, cfg)
+    finally:
+        _kernel._library.cache_clear()
     assert fallback.info["kernel"] == "python"
-    assert os.listdir(fresh_build) == []
-    monkeypatch.setenv("REMVI_NO_KERNEL", "1")
-    assert_runs_bitwise_equal(fallback, run(inst, plan, cfg))
+    assert os.listdir(tmp_path / "remvi") == []
+    assert_runs_bitwise_equal(kern, fallback)
 
 
 @needs_compiler
@@ -279,3 +302,17 @@ def test_build_cached_per_user(fresh_build, monkeypatch):
     assert _kernel.load() is not None
     assert os.listdir(fresh_build) == built
     assert stat.S_IMODE(os.stat(fresh_build).st_mode) == 0o700
+
+
+@needs_compiler
+def test_new_build_prunes_older_builds(fresh_build):
+    # an older build for this Python goes, another Python's build stays
+    fresh_build.mkdir(mode=0o700)
+    tag = sys.implementation.cache_tag
+    for name in (f"window-{tag}-0ld.so", "window-cpython-299-0ld.so"):
+        (fresh_build / name).write_bytes(b"")
+    assert _kernel.load() is not None
+    left = sorted(os.listdir(fresh_build))
+    assert len(left) == 2 and left[0] == "window-cpython-299-0ld.so"
+    assert left[1].startswith(f"window-{tag}-") and left[1] != \
+        f"window-{tag}-0ld.so"

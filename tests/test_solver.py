@@ -452,7 +452,7 @@ class TestDenseLazyEquivalence:
         # Python floats; prox_into keeps parameters for those coordinates
         # only, not for all d.  This is the Python loop's list path: the
         # compiled kernel reads the parameter arrays
-        monkeypatch.setenv("REMVI_NO_KERNEL", "1")
+        monkeypatch.setattr(solver._kernel, "load", lambda: None)
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         plan = problem_plan(inst)
         drawn = {"p": [], "q": []}
@@ -634,7 +634,7 @@ class TestLazySupportBookkeeping:
         # in the table refresh), the refresh, prox_into on the coordinates
         # j1 and j2 read and the schedule's step size; no numpy wrapper, no
         # solver helper (tests/test_kernel.py counts the kernel's)
-        monkeypatch.setenv("REMVI_NO_KERNEL", "1")
+        monkeypatch.setattr(solver._kernel, "load", lambda: None)
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         cfg = SolverConfig(iterations=2000, seed=0, mode="lazy")
         assert calls_per_iteration(run_lazy, inst, problem_plan(inst),
