@@ -142,14 +142,15 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
                  scratch, wsum, lazy, lim):
     """The ``Window`` of one run, with every pointer resolved once.  The
     caller keeps the arrays alive while the kernel runs: the ones made here
-    are kept on the state."""
+    are kept on the state.  The components are handed x, scratch and the
+    table's values through the operator's ``io_view``."""
     f8, ip = np.dtype(np.float64), np.dtype(np.intp)
     p = np.ascontiguousarray(plan.p, dtype=float)
     old = np.empty(op.max_support)
     st = Window(
         sample_p=plan.sample_p, sample_q=plan.sample_q, draw=draw,
-        comps=op.components, x_obj=x, scratch_obj=scratch,
-        values_obj=table.values,
+        comps=op.components, x_obj=op.io_view(x),
+        scratch_obj=op.io_view(scratch), values_obj=table.out,
         m=op.m, n_every=geom._eu_idx.size, lim=lim, lazy=int(lazy), j2=-1,
         shadow_n=0, bad_k=0, bad_norm=0.0)
     if type(op.components) is not list or len(op.components) != op.m:

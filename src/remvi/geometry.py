@@ -191,9 +191,11 @@ class GeometryBundle:
         self._eu_sel = (slice(None) if np.array_equal(self._eu_idx, np.arange(d))
                         else self._eu_idx)
         # validate_domain compares only the coordinates with a finite bound
-        # on some side: a finite x never violates -inf or +inf
-        self._bounded_idx = np.flatnonzero((self._lo > -np.inf)
-                                           | (self._hi < np.inf))
+        # on some side (a finite x never violates -inf or +inf), against
+        # their bounds gathered here once
+        self._bounded_idx = bi = np.flatnonzero((self._lo > -np.inf)
+                                                | (self._hi < np.inf))
+        self._bounded_lo, self._bounded_hi = self._lo[bi], self._hi[bi]
         self._clamp = bool(self._bounded_idx.size)
         # prox_into's list path reads a coordinate's parameters into Python
         # floats on first use, so only the coordinates it proxes hold one
@@ -335,9 +337,9 @@ class GeometryBundle:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("point has non-finite entries")
-        bi = self._bounded_idx
-        xb = x[bi]
-        if np.any(xb < self._lo[bi] - tol) or np.any(xb > self._hi[bi] + tol):
+        xb = x[self._bounded_idx]
+        if (np.any(xb < self._bounded_lo - tol)
+                or np.any(xb > self._bounded_hi + tol)):
             raise ValueError("point violates box bounds")
         for b in self._ent_blocks:
             xb = x[b.idx]

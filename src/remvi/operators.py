@@ -22,13 +22,18 @@ allocates its result.  The full evaluation, the solver's table and its
 running sum all use this layout; a sum over it is one ``np.bincount`` over
 ``out_all``.
 
-The x a component reads is the iterate as a float ndarray, except in a bulk
-evaluation (``evaluate_flat``) over components whose types all declare
-``reads_scalars``: such a type's ``evaluate`` reads x only as ``x[i]`` with
-an int i, so the operator hands it ``x.tolist()``, whose items are Python
-floats ready for scalar arithmetic.  The LAD and two-sided game components
-declare it; the others, and any operator that mixes them in, get the
-ndarray.
+A component reads x and writes ``out`` as float ndarrays, unless its type
+declares ``scalar_io``.  Such a type's ``evaluate`` reads x only as ``x[i]``
+and writes ``out`` only as ``out[at + t] = v``, i and at + t ints, so it may
+be handed any object indexable by int.  The library's callers then hand
+it Python floats: a bulk evaluation (``evaluate_flat``) gives x as
+``x.tolist()`` and ``out`` as a memoryview of the flat result, and the
+solver, the compiled kernel and ``ComponentTable.refresh`` give memoryviews
+of the iterate, the scratch buffer and the table's values
+(``FiniteSumOperator.io_view``).  A memoryview reads and stores a Python
+float without numpy's cost per scalar operation, and holds the same IEEE
+double, so the values are the same bits.  The LAD components declare it;
+the others, and any operator that mixes them in, get the ndarrays.
 """
 
 from __future__ import annotations
@@ -53,9 +58,10 @@ class Component:
 
     __slots__ = ()
 
-    # True on a type whose evaluate reads x only as x[i], i an int, so that
-    # a list of floats serves as well as the ndarray
-    reads_scalars = False
+    # True on a type whose evaluate reads x only as x[i] and writes out only
+    # as out[at + t] = v, with int indices, so that a list or a memoryview
+    # serves as well as the ndarray
+    scalar_io = False
 
     def __init__(self, out_idx, in_idx):
         self.out_idx = np.asarray(out_idx, dtype=np.intp)
@@ -66,8 +72,10 @@ class Component:
     def evaluate(self, x, out, at):
         """Write the component value at x, aligned with ``out_idx``, into
         ``out[at:at + len(out_idx)]`` and return ``out``; nothing else in
-        ``out`` is touched.  x is a float ndarray of length d, or, where
-        the type sets ``reads_scalars``, possibly that array's ``tolist()``."""
+        ``out`` is touched.  x is a float ndarray of length d and ``out`` a
+        float ndarray, or, where the type sets ``scalar_io``, any objects
+        indexable by int that read and take floats: a list or memoryview
+        of x, a memoryview of ``out``."""
         raise NotImplementedError
 
 
@@ -106,9 +114,9 @@ class FiniteSumOperator:
     the layout is concatenated from the components' ``out_idx``.
     ``reads_are_writes`` records whether every component reads its write
     set (the read layout is then the same two arrays), and ``max_support``
-    the largest write support.  ``reads_scalars`` holds when every
-    component's type declares it; ``evaluate_flat`` then hands the
-    components x as a list.
+    the largest write support.  ``scalar_io`` holds when every component's
+    type declares it; ``io_view`` then gives the memoryviews the library
+    hands the components in place of x and of the buffer they write.
     """
 
     def __init__(self, components, d, linear=None, layout=None):
@@ -158,18 +166,26 @@ class FiniteSumOperator:
                 raise ValueError("component support out of range")
         # the largest write support: the size of a one-slot scratch buffer
         self.max_support = int(sizes.max())
-        self.reads_scalars = all(
-            t.reads_scalars for t in set(map(type, self.components)))
+        self.scalar_io = all(
+            t.scalar_io for t in set(map(type, self.components)))
+
+    def io_view(self, arr):
+        """What the components are handed in place of the float array
+        ``arr``: a memoryview of it, which reads and takes Python floats,
+        when they declare ``scalar_io``, else ``arr`` itself."""
+        return memoryview(arr) if self.scalar_io else arr
 
     def evaluate_flat(self, x):
         """All m component values at x in one array laid out like
         ``out_all`` (m component-oracle calls)."""
         flat = np.empty(self.out_all.size)
-        if self.reads_scalars:
-            # one conversion instead of a numpy scalar read per component
+        out = self.io_view(flat)
+        if self.scalar_io:
+            # one conversion instead of a read per component: a list reads
+            # faster than a memoryview
             x = x.tolist()
         for c, at in zip(self.components, self.offsets.tolist()):
-            c.evaluate(x, flat, at)
+            c.evaluate(x, out, at)
         return flat
 
     def evaluate_full(self, x):
@@ -330,11 +346,14 @@ class ComponentTable:
     iteration; a one-level shadow of that slot suffices.  ``shadow`` holds
     the overwritten values of the last slot refreshed: a list of floats when
     the support has at most ``SCALAR_WRITES`` entries, else an array.
+    ``out`` is what a refresh evaluates into: ``values`` through the
+    operator's ``io_view``.
     """
 
     def __init__(self, op, x0):
         self.op = op
         self.values = op.evaluate_flat(x0)
+        self.out = op.io_view(self.values)
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
         self.aggregate = self.explicit_sum()
         # a large slot's shadow is kept in the first entries of one buffer
@@ -344,7 +363,8 @@ class ComponentTable:
 
     def refresh(self, j, x, k):
         """Evaluate F_j at iteration k's iterate x into slot j (one
-        component-oracle call)."""
+        component-oracle call).  x is the iterate, or a memoryview of it
+        when the components declare ``scalar_io``."""
         op = self.op
         at, end = op.offsets.item(j), op.offsets.item(j + 1)
         n = end - at
@@ -355,7 +375,7 @@ class ComponentTable:
         else:
             self.shadow = old = self._buffer[:n]
             old[:] = slot
-        op.components[j].evaluate(x, self.values, at)
+        op.components[j].evaluate(x, self.out, at)
         self.eval_iter[j] = k
         if type(old) is list:
             agg = self.aggregate

@@ -107,7 +107,6 @@ class _GameRowComponent(Component):
     """F_j = (A_row * y_j, 0): reads y_j, writes the row's support in z-space."""
 
     __slots__ = ("out_idx", "in_idx", "vals", "ypos")
-    reads_scalars = True
 
     def __init__(self, cols, vals, ypos):
         super().__init__(out_idx=cols, in_idx=np.array([ypos]))
@@ -123,7 +122,6 @@ class _GameColComponent(Component):
     """F_{n+j} = (0, -A_col * z_j): reads z_j, writes the column's support."""
 
     __slots__ = ("out_idx", "in_idx", "vals", "zpos")
-    reads_scalars = True
 
     def __init__(self, rows_shifted, vals, zpos):
         super().__init__(out_idx=rows_shifted, in_idx=np.array([zpos]))
@@ -281,7 +279,7 @@ class _LadComponent(Component):
     """
 
     __slots__ = ("zpos", "ypos", "a", "bshare")
-    reads_scalars = True
+    scalar_io = True
 
     def __init__(self, zpos, ypos, a, bshare):
         self.zpos = zpos
@@ -297,8 +295,9 @@ class _LadComponent(Component):
 
     def evaluate(self, x, out, at):
         # Python-float arithmetic: the same IEEE products as numpy scalars,
-        # without their per-operation overhead.  x[i] is a float from a list
-        # in a bulk evaluation, a numpy float64 from the solver's ndarray.
+        # without their per-operation overhead.  The library's callers hand
+        # a list or memoryview of x and a memoryview of out, so x[i] reads a
+        # float and out[at] = v stores one.
         a = self.a
         out[at] = a * x[self.ypos]
         out[at + 1] = self.bshare - a * x[self.zpos]

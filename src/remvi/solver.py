@@ -35,6 +35,9 @@ and the refresh's base shift are written inline, and every prox of a
 coordinate set is one ``GeometryBundle.prox_into`` call: an iteration
 calls only the draws, the two component evaluations, the table refresh and
 two ``prox_into`` (in dense mode the second settles the whole iterate).
+The two component calls hand a type that declares ``scalar_io``
+memoryviews of the iterate, the scratch buffer and the table's values, in
+the kernel and in the Python loop alike, so it too works in Python floats.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -402,6 +405,8 @@ def run(problem, plan, config):
                          else _restrict(r_all, r_ends, on_eu))
     # j1's value, in the first entries of one buffer for the whole run
     scratch = np.empty(op.max_support)
+    # what the two component calls read and write
+    x_io, scratch_io = op.io_view(x), op.io_view(scratch)
     a = A = 0.0
     j2 = -1
     fhat_last = None
@@ -463,7 +468,7 @@ def run(problem, plan, config):
             bad = prox_into(x, reads, z, S, A_prev)
             if bad is not None:
                 raise DivergenceError(k, bad, bound, what="dual vector z")
-        comps[j1].evaluate(x, scratch, 0)
+        comps[j1].evaluate(x_io, scratch_io, 0)
         if k == K:
             fhat_last = extrapolate(table, j1, scratch[:n], a_prev, a, p[j1],
                                     k)
@@ -508,7 +513,7 @@ def run(problem, plan, config):
         # so that z + A*S stays where it was
         if type(writes) is list:
             old = list(map(S.item, writes))
-            refresh(j2, x, k)
+            refresh(j2, x_io, k)
             for i, o in zip(writes, old):
                 z[i] = b = z.item(i) - A * (S.item(i) - o)
                 if not isfinite(b):
@@ -516,7 +521,7 @@ def run(problem, plan, config):
                                           what="dual vector z")
         else:
             old = S[writes]
-            refresh(j2, x, k)
+            refresh(j2, x_io, k)
             z[writes] = b = z[writes] - A * (S[writes] - old)
             _check_finite(b, k, bound)
         record = k % stride == 0 or k == K

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from helpers import slot, value
+from helpers import loop_paths, slot, value
 from remvi import operators
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import (CallableComponent, ComponentTable,
@@ -18,6 +18,7 @@ from remvi.problems import (generate_box_simplex, generate_instance,
                             make_lad, make_matrix_game,
                             problem_instances_for_tests, save_instance)
 from remvi.sampling import problem_plan
+from remvi.solver import SolverConfig, run
 
 
 class TestComponentEvaluation:
@@ -724,53 +725,124 @@ def separate_values(op, x):
     return np.concatenate([value(c, x) for c in op.components])
 
 
+def mixed_instance():
+    """LAD 40x30's components plus a CallableComponent that needs the
+    ndarray, on LAD's geometry."""
+    lad = LIST_PATH_CASES["lad-40x30"]
+    d = lad.operator.d
+
+    def needs_array(x):
+        if not isinstance(x, np.ndarray):
+            raise TypeError(f"x is a {type(x).__name__}")
+        return np.array([x[0] - x[d - 1], 2.0 * x[1]])
+
+    comps = list(lad.operator.components) + [
+        CallableComponent([0, d - 1], [0, 1, d - 1], needs_array)]
+    return make_custom(comps, lad.geometry,
+                       np.append(lad.profile.lam, 2.0))
+
+
+def spy_calls(monkeypatch, kinds, seen):
+    """Patch each component type in ``kinds`` to append, per ``evaluate``
+    call, the types of x and out, the length of out and the set of the
+    types of x's entries at the component's read set."""
+    for kind in kinds:
+        def spied(c, x, out, at, evaluate=kind.evaluate):
+            reads = {type(x[i]) for i in c.in_idx.tolist()}
+            seen.append((type(x), type(out), len(out), reads))
+            return evaluate(c, x, out, at)
+
+        monkeypatch.setattr(kind, "evaluate", spied)
+
+
+def run_paths(monkeypatch, inst, mode):
+    """Yields each loop path with its run: the compiled kernel (where it
+    can be built) and the Python loop."""
+    plan = problem_plan(inst)
+    config = SolverConfig(iterations=30, seed=3, mode=mode,
+                          eval_stride=7, eval_metrics=())
+    for path in loop_paths(monkeypatch):
+        yield path, run(inst, plan, config)
+
+
 class TestScalarReads:
-    """A bulk evaluation hands x as a list exactly when every component
-    type declares ``reads_scalars``; either way the values are the same
-    bits as separate calls on the ndarray."""
+    """Components of a type that declares ``scalar_io`` are handed Python
+    floats on every path: a list of x and a memoryview of the result in a
+    bulk evaluation, memoryviews of x, the scratch buffer and the table's
+    values in both REM loops.  Every other operator gets the ndarrays.
+    Either way the values are the same bits as separate calls on the
+    ndarray."""
 
     @pytest.mark.parametrize("name", sorted(LIST_PATH_CASES))
     def test_flat_equals_separate_ndarray_calls(self, name):
         inst = LIST_PATH_CASES[name]
         op = inst.operator
         kinds = {type(c) for c in op.components}
-        assert op.reads_scalars == all(k.reads_scalars for k in kinds)
+        assert op.scalar_io == all(k.scalar_io for k in kinds)
         rng = np.random.default_rng(50)
         for t in range(6):
             x = inst.geometry.sample_domain(rng, sharp=bool(t % 2))
             assert (op.evaluate_flat(x).tobytes()
                     == separate_values(op, x).tobytes())
 
-    def test_lad_and_two_sided_game_take_the_list_path(self, monkeypatch):
-        for name in ("lad-40x30", "lad-sparse", "game-two-sided"):
-            assert LIST_PATH_CASES[name].operator.reads_scalars
-        for name in ("game-row-sided", "box-simplex", "policy-eval"):
-            assert not LIST_PATH_CASES[name].operator.reads_scalars
-        op = LIST_PATH_CASES["lad-40x30"].operator
-        lad_type = type(op.components[0])
-        evaluate, seen = lad_type.evaluate, []
+    def test_only_lad_declares_scalar_io(self):
+        lad_type = type(LIST_PATH_CASES["lad-40x30"].operator.components[0])
+        kinds = {type(c) for inst in LIST_PATH_CASES.values()
+                 for c in inst.operator.components}
+        assert len(kinds) == 6
+        assert {k for k in kinds if k.scalar_io} == {lad_type}
+        for name in ("lad-40x30", "lad-sparse", "lad-quad"):
+            assert LIST_PATH_CASES[name].operator.scalar_io
+        for name in ("game-two-sided", "game-row-sided", "box-simplex",
+                     "policy-eval"):
+            assert not LIST_PATH_CASES[name].operator.scalar_io
+        assert not mixed_instance().operator.scalar_io
 
-        def spy(c, x, out, at):
-            seen.append(type(x))
-            return evaluate(c, x, out, at)
-
-        monkeypatch.setattr(lad_type, "evaluate", spy)
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    def test_lad_gets_python_floats_on_every_path(self, mode, monkeypatch):
+        inst = LIST_PATH_CASES["lad-40x30"]
+        op = inst.operator
+        seen = []
+        spy_calls(monkeypatch, {type(op.components[0])}, seen)
         op.evaluate_flat(np.linspace(-1.0, 1.0, op.d))
-        assert seen == [list] * op.m
+        bulk = (list, memoryview, op.out_all.size, {float})
+        assert seen == [bulk] * op.m
+        seen.clear()
+        for path, trace in run_paths(monkeypatch, inst, mode):
+            assert trace.info["kernel"] in (path, "python")
+            # the table build, then j1 into the scratch buffer and the
+            # refresh of j2 into the table's values, K times each
+            build, loop = seen[:op.m], seen[op.m:]
+            assert build == [bulk] * op.m
+            assert len(loop) == 2 * trace.iterations
+            for size in (op.max_support, op.out_all.size):
+                assert (loop.count((memoryview, memoryview, size, {float}))
+                        == trace.iterations)
+            # no buffer export is left on the iterate
+            trace.final_x.resize(trace.final_x.size + 1)
+            seen.clear()
+
+    @pytest.mark.parametrize("name", [
+        "game-two-sided", "game-row-sided", "box-simplex", "policy-eval",
+        "mixed"])
+    def test_other_operators_get_ndarrays_on_every_path(self, name,
+                                                        monkeypatch):
+        inst = (mixed_instance() if name == "mixed"
+                else LIST_PATH_CASES[name])
+        op = inst.operator
+        seen = []
+        spy_calls(monkeypatch, set(map(type, op.components)), seen)
+        op.evaluate_flat(inst.geometry.sample_domain(
+            np.random.default_rng(51)))
+        for path, trace in run_paths(monkeypatch, inst, "lazy"):
+            assert trace.info["kernel"] in (path, "python")
+        assert len(seen) == 3 * op.m + 4 * trace.iterations
+        assert {call[:2] for call in seen} == {(np.ndarray, np.ndarray)}
 
     def test_mixed_operator_takes_the_ndarray_path(self):
-        inst = LIST_PATH_CASES["lad-40x30"]
-        lad = inst.operator
-
-        def needs_array(x):
-            if not isinstance(x, np.ndarray):
-                raise TypeError(f"x is a {type(x).__name__}")
-            return np.array([x[0] - x[lad.d - 1], 2.0 * x[1]])
-
-        comps = list(lad.components) + [
-            CallableComponent([0, lad.d - 1], [0, 1, lad.d - 1], needs_array)]
-        op = FiniteSumOperator(comps, lad.d)
-        assert not op.reads_scalars
+        inst = mixed_instance()
+        op = inst.operator
+        lad = LIST_PATH_CASES["lad-40x30"].operator
         rng = np.random.default_rng(51)
         for t in range(4):
             x = inst.geometry.sample_domain(rng, sharp=bool(t % 2))
