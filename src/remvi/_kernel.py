@@ -1,16 +1,17 @@
 """The compiled window kernel: build, cache and load ``_window.c``, and run
 the REM loop's iterations between two stops through it.
 
-``solver.run`` calls ``load`` when the geometry has no entropy
-coordinates.  The shared library is built with the system ``gcc`` on first
-use and cached per user under ``$XDG_CACHE_HOME/remvi`` (``~/.cache/remvi``
-by default; the directory has mode 0700), keyed by a hash of the source,
-the flags and the Python ABI, and written atomically.  It is loaded with
-``ctypes.PyDLL``: the interpreter lock stays held, so the kernel calls the
-draws and the component evaluations as Python calls, and an exception one
-of them raises propagates.  With no compiler or a failed build ``load``
-returns None and the run takes the Python loop, with the same bits.  A new
-build removes the cache's older builds for the same Python.
+``solver.run`` calls ``load`` for every run of more than one iteration,
+on any geometry.  The shared library is built with the system ``gcc`` on
+first use and cached per user under ``$XDG_CACHE_HOME/remvi``
+(``~/.cache/remvi`` by default; the directory has mode 0700), keyed by a
+hash of the source, the flags and the Python ABI, and written atomically.
+It is loaded with ``ctypes.PyDLL``: the interpreter lock stays held, so
+the kernel calls the draws, the component evaluations and the entropy prox
+as Python calls, and an exception one of them raises propagates.  With no
+compiler or a failed build ``load`` returns None and the run takes the
+Python loop, with the same bits.  A new build removes the cache's older
+builds for the same Python.
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ class Window(ctypes.Structure):
     _fields_ = (
         [(f, ctypes.py_object) for f in (
             "sample_p", "sample_q", "draw", "comps", "x_obj", "scratch_obj",
-            "values_obj")]
+            "values_obj", "prox_ent")]
         + [(f, _P) for f in (
             "x", "z", "S", "values", "scratch", "shadow", "old", "wsum",
             "eval_iter", "p", "a", "A", "wx0", "w", "mu", "lo", "hi",
-            "offsets", "out_all", "r_offsets", "r_all", "every")]
-        + [(f, _N) for f in ("m", "n_every", "lim", "lazy", "j2", "shadow_n",
-                             "bad_k")]
+            "offsets", "out_all", "r_offsets", "r_all", "w_offsets", "w_all",
+            "every", "ent")]
+        + [(f, _N) for f in ("m", "d", "n_every", "n_ent", "lazy", "j2",
+                             "shadow_n", "bad_k")]
         + [("bad_norm", ctypes.c_double)])
 
 
@@ -139,11 +141,14 @@ def _pointer(arr, dtype):
 
 
 def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
-                 scratch, wsum, lazy, lim):
-    """The ``Window`` of one run, with every pointer resolved once.  The
-    caller keeps the arrays alive while the kernel runs: the ones made here
-    are kept on the state.  The components are handed x, scratch and the
-    table's values through the operator's ``io_view``."""
+                 scratch, wsum, lazy, reads, writes, prox_ent):
+    """The ``Window`` of one run, with every pointer resolved once.
+    ``reads`` and ``writes`` are the run's Euclidean read and write layouts
+    (``(flat, ends)`` each), and ``prox_ent`` the no-argument call that
+    proxes the entropy coordinates.  The caller keeps the arrays alive
+    while the kernel runs: the ones made here are kept on the state.  The
+    components are handed x, scratch and the table's values through the
+    operator's ``io_view``."""
     f8, ip = np.dtype(np.float64), np.dtype(np.intp)
     p = np.ascontiguousarray(plan.p, dtype=float)
     old = np.empty(op.max_support)
@@ -151,14 +156,17 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
         sample_p=plan.sample_p, sample_q=plan.sample_q, draw=draw,
         comps=op.components, x_obj=op.io_view(x),
         scratch_obj=op.io_view(scratch), values_obj=table.out,
-        m=op.m, n_every=geom._eu_idx.size, lim=lim, lazy=int(lazy), j2=-1,
-        shadow_n=0, bad_k=0, bad_norm=0.0)
+        prox_ent=prox_ent, m=op.m, d=op.d, n_every=geom._eu_idx.size,
+        n_ent=geom._ent_idx.size, lazy=int(lazy), j2=-1, shadow_n=0,
+        bad_k=0, bad_norm=0.0)
     if type(op.components) is not list or len(op.components) != op.m:
         raise ValueError("kernel needs the operator's component list")
-    if geom._eu_idx.size != op.d or x.size != op.d or z.size != op.d:
-        raise ValueError("kernel needs an all-Euclidean geometry")
-    if (table.values.size != op.out_all.size or scratch.size < op.max_support
+    (r_all, r_ends), (w_all, w_ends) = reads, writes
+    if (x.size != op.d or z.size != op.d or geom.d != op.d
+            or table.values.size != op.out_all.size
+            or scratch.size < op.max_support
             or table.eval_iter.dtype != np.int64 or p.size != op.m
+            or r_ends.size != op.m + 1 or w_ends.size != op.m + 1
             or a_steps.size != A_sums.size):
         raise ValueError("kernel arrays do not match the operator")
     for name, arr, dtype in (
@@ -169,10 +177,12 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
             ("a", a_steps, f8), ("A", A_sums, f8), ("wx0", geom._wx0, f8),
             ("w", geom._w, f8), ("mu", geom._mu, f8), ("lo", geom._lo, f8),
             ("hi", geom._hi, f8), ("offsets", op.offsets, ip),
-            ("out_all", op.out_all, ip), ("r_offsets", op.in_offsets, ip),
-            ("r_all", op.in_all, ip), ("every", geom._eu_idx, ip)):
+            ("out_all", op.out_all, ip), ("r_offsets", r_ends, ip),
+            ("r_all", r_all, ip), ("w_offsets", w_ends, ip),
+            ("w_all", w_all, ip), ("every", geom._eu_idx, ip),
+            ("ent", geom._ent_idx, ip)):
         setattr(st, name, _pointer(arr, dtype))
     if wsum is not None:
         st.wsum = _pointer(wsum, f8)
-    st.keep = (p, old, a_steps, A_sums, wsum)
+    st.keep = (p, old, a_steps, A_sums, wsum, reads, writes)
     return st

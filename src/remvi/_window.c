@@ -1,20 +1,20 @@
-/* The REM loop's iterations k0..k1 on a geometry without entropy
- * coordinates (see solver.run and _kernel.py).
+/* The REM loop's iterations k0..k1 (see solver.run and _kernel.py).
  *
- * Per iteration the two draws and the two component evaluations are calls
- * into Python: plan.sample_p(draw), plan.sample_q(draw),
- * comps[j1].evaluate(x, scratch, 0) and comps[j2].evaluate(x, values, at).
- * Everything between them runs here on the run's flat arrays: j1's
- * catch-up prox (lazy mode), j1's correction of the base z, j2's settle,
- * the table refresh's bookkeeping (shadow, eval_iter, aggregate) and base
+ * Per iteration the two draws, the two component evaluations and, on a
+ * geometry with entropy coordinates, their prox are calls into Python:
+ * plan.sample_p(draw), plan.sample_q(draw), comps[j1].evaluate(x, scratch,
+ * 0), comps[j2].evaluate(x, values, at) and prox_ent(), which writes
+ * x[ent] = geom.prox_entropy(z[ent]) with numpy's exp and log.  Everything
+ * between them runs here on the run's flat arrays: j1's catch-up prox
+ * (lazy mode), the entropy step, j1's correction of z, j2's settle, the
+ * table refresh's bookkeeping (shadow, eval_iter, aggregate) and base
  * shift, dense mode's whole-iterate settle and the weighted-full sum.
  *
- * Every operation is the IEEE double operation the Python-float and numpy
- * paths make, in the same order, so a run here equals the Python loop bit
- * for bit.  That needs -ffp-contract=off (no fused multiply-add) and no
- * -ffast-math.  A set of at most `lim` coordinates reports a non-finite
- * value as the Python-float path does (its first one's magnitude), a
- * larger set as numpy does (the largest magnitude, NaN if any is NaN).
+ * Every operation is the IEEE double operation the numpy loop makes, in
+ * the same order, so a run here equals the Python loop bit for bit.  That
+ * needs -ffp-contract=off (no fused multiply-add) and no -ffast-math.  A
+ * non-finite value in a set is reported as numpy reports it: the largest
+ * magnitude over the set, NaN if any value is NaN.
  *
  * rem_window returns 0 when the window ran, 1 on a divergence (the
  * iteration and magnitude in bad_k and bad_norm) and -1 with a Python
@@ -26,10 +26,11 @@
 #include <stdint.h>
 
 typedef struct {
-    /* Python objects: the two draws, the draw stream, the component list
-     * and the arrays handed to evaluate */
+    /* Python objects: the two draws, the draw stream, the component list,
+     * the arrays handed to evaluate and the entropy prox (None without
+     * entropy coordinates) */
     PyObject *sample_p, *sample_q, *draw, *comps, *x_obj, *scratch_obj,
-             *values_obj;
+             *values_obj, *prox_ent;
     /* the dual state and the table */
     double *x, *z, *S, *values, *scratch, *shadow, *old, *wsum;
     int64_t *eval_iter;
@@ -37,9 +38,11 @@ typedef struct {
     const double *p, *a, *A;
     /* per-coordinate prox parameters */
     const double *wx0, *w, *mu, *lo, *hi;
-    /* the write layout, the read layout and the Euclidean coordinates */
-    const Py_ssize_t *offsets, *out_all, *r_offsets, *r_all, *every;
-    Py_ssize_t m, n_every, lim, lazy;
+    /* the write layout, the Euclidean read and write layouts, and the
+     * Euclidean and entropy coordinates */
+    const Py_ssize_t *offsets, *out_all, *r_offsets, *r_all, *w_offsets,
+                     *w_all, *every, *ent;
+    Py_ssize_t m, d, n_every, n_ent, lazy;
     /* carried from one window to the next: the last j2 and its slot size */
     Py_ssize_t j2, shadow_n;
     /* a divergence: its iteration and the magnitude reported */
@@ -49,12 +52,13 @@ typedef struct {
 
 static PyObject *evaluate_name;
 
-/* The largest |v| over a set, NaN if any v is NaN (numpy's max of abs). */
-static double max_abs(const double *v, Py_ssize_t n)
+/* The largest |v[idx[t]]| over a set, NaN if any is NaN (numpy's max of
+ * abs); idx NULL reads v[0..n-1]. */
+static double max_abs(const double *v, const Py_ssize_t *idx, Py_ssize_t n)
 {
     double top = 0.0;
     for (Py_ssize_t t = 0; t < n; t++) {
-        double u = fabs(v[t]);
+        double u = fabs(v[idx == NULL ? t : idx[t]]);
         if (isnan(u))
             return u;
         if (u > top)
@@ -87,7 +91,7 @@ static int settle(Window *st, const Py_ssize_t *idx, Py_ssize_t n, double A,
         Py_ssize_t i = idx[t];
         double u = st->z[i] + A * st->S[i];
         if (!isfinite(u)) {
-            *norm = n <= st->lim ? fabs(u) : max_abs_dual(st, idx, n, A);
+            *norm = max_abs_dual(st, idx, n, A);
             return 1;
         }
         u = (st->wx0[i] - u) / (st->w[i] + A * st->mu[i]);
@@ -145,6 +149,7 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
     }
     double *x = st->x, *z = st->z, *S = st->S, *values = st->values;
     const Py_ssize_t *offsets = st->offsets, *out_all = st->out_all;
+    const Py_ssize_t *ent = st->ent;
     double norm = 0.0;
     for (Py_ssize_t k = k0; k <= k1; k++) {
         double a_prev = st->a[k - 1], A_prev = st->A[k - 1];
@@ -159,18 +164,21 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
         if (!in_range(j1, st->m) || !in_range(j2, st->m))
             return -1;
 
-        /* j1: catch up what it reads (lazy mode), evaluate, correct z on
-         * its outputs by (a_prev/p_j1) * (F_j1(x) - its value two
-         * iterations back, the shadow if the last refresh was j1's) */
-        Py_ssize_t at = offsets[j1], n = offsets[j1 + 1] - at;
-        if (st->lazy && A_prev != 0.0) {
-            Py_ssize_t lo = st->r_offsets[j1];
-            if (settle(st, st->r_all + lo, st->r_offsets[j1 + 1] - lo, A_prev,
-                       &norm))
-                DIVERGED(norm);
-        }
+        /* j1: catch up what it reads (lazy mode), evaluate, step the
+         * entropy coordinates by a*S, correct z on its outputs by
+         * (a_prev/p_j1) * (F_j1(x) - its value two iterations back, the
+         * shadow if the last refresh was j1's), then prox the entropy
+         * coordinates */
+        Py_ssize_t lo = st->r_offsets[j1];
+        if (st->lazy && A_prev != 0.0
+                && settle(st, st->r_all + lo, st->r_offsets[j1 + 1] - lo,
+                          A_prev, &norm))
+            DIVERGED(norm);
         if (evaluate(st, j1, st->scratch_obj, 0))
             return -1;
+        for (Py_ssize_t t = 0; t < st->n_ent; t++)
+            z[ent[t]] = z[ent[t]] + a * S[ent[t]];
+        Py_ssize_t at = offsets[j1], n = offsets[j1 + 1] - at;
         if (a_prev != 0.0) {
             double cj = a_prev / st->p[j1];
             const double *prev = j1 == j2_prev ? st->shadow : values + at;
@@ -179,19 +187,30 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
                 z[i] = z[i] + cj * (st->scratch[t] - prev[t]);
             }
         }
+        if (st->n_ent) {
+            for (Py_ssize_t t = 0; t < st->n_ent; t++)
+                if (!isfinite(z[ent[t]]))
+                    DIVERGED(max_abs(z, ent, st->n_ent));
+            PyObject *res = PyObject_CallNoArgs(st->prox_ent);
+            if (res == NULL)
+                return -1;
+            Py_DECREF(res);
+        }
 
         /* j2: settle what it reads at A, refresh its slot, shift the base
-         * on its writes so that z + A*S stays where it was */
-        Py_ssize_t lo = st->r_offsets[j2];
+         * on its Euclidean writes so that z + A*S stays where it was */
+        lo = st->r_offsets[j2];
         if (settle(st, st->r_all + lo, st->r_offsets[j2 + 1] - lo, A, &norm))
             DIVERGED(norm);
         at = offsets[j2];
         n = offsets[j2 + 1] - at;
-        const Py_ssize_t *out = out_all + at;
-        for (Py_ssize_t t = 0; t < n; t++) {
-            st->old[t] = S[out[t]];
+        lo = st->w_offsets[j2];
+        Py_ssize_t n_eu = st->w_offsets[j2 + 1] - lo;
+        const Py_ssize_t *out = out_all + at, *eu = st->w_all + lo;
+        for (Py_ssize_t t = 0; t < n; t++)
             st->shadow[t] = values[at + t];
-        }
+        for (Py_ssize_t t = 0; t < n_eu; t++)
+            st->old[t] = S[eu[t]];
         st->j2 = j2;
         st->shadow_n = n;
         if (evaluate(st, j2, st->values_obj, at))
@@ -200,29 +219,24 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
         for (Py_ssize_t t = 0; t < n; t++)
             S[out[t]] = S[out[t]] + (values[at + t] - st->shadow[t]);
         int finite = 1;
-        for (Py_ssize_t t = 0; t < n; t++) {
-            Py_ssize_t i = out[t];
+        for (Py_ssize_t t = 0; t < n_eu; t++) {
+            Py_ssize_t i = eu[t];
             double b = z[i] - A * (S[i] - st->old[t]);
             z[i] = st->old[t] = b;
-            if (!isfinite(b)) {
-                if (n <= st->lim)
-                    DIVERGED(fabs(b));
-                finite = 0;
-            }
+            finite &= isfinite(b) != 0;
         }
         if (!finite)
-            DIVERGED(max_abs(st->old, n));
+            DIVERGED(max_abs(st->old, NULL, n_eu));
 
-        /* the whole iterate at A: every iteration in dense mode and with
-         * weighted-full averaging, else at the window's last iteration
-         * when it is a record or a pick */
-        if (!st->lazy || st->wsum != NULL || (k == k1 && settle_last)) {
-            if (settle(st, st->every, st->n_every, A, &norm))
-                DIVERGED(norm);
-        }
+        /* the Euclidean iterate at A: every iteration in dense mode and
+         * with weighted-full averaging, else at the window's last
+         * iteration when it is a record or a pick */
+        if ((!st->lazy || st->wsum != NULL || (k == k1 && settle_last))
+                && settle(st, st->every, st->n_every, A, &norm))
+            DIVERGED(norm);
         if (st->wsum != NULL) {
             double *wsum = st->wsum;
-            for (Py_ssize_t i = 0; i < st->n_every; i++)
+            for (Py_ssize_t i = 0; i < st->d; i++)
                 wsum[i] = wsum[i] + a * x[i];
         }
     }

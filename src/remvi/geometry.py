@@ -132,9 +132,11 @@ def _entropy_prox_segments(log_anchor, z, starts, sizes):
     normalization), in log-space with max-subtraction: z accumulates over
     many iterations and exp(-z) overflows otherwise."""
     logits = log_anchor - z
-    logits -= np.repeat(np.maximum.reduceat(logits, starts), sizes)
+    # the ndarray method, not np.repeat: the same values without numpy's
+    # Python-level dispatch, which the solver pays every iteration
+    logits -= np.maximum.reduceat(logits, starts).repeat(sizes)
     u = np.exp(logits)
-    u /= np.repeat(np.add.reduceat(u, starts), sizes)
+    u /= np.add.reduceat(u, starts).repeat(sizes)
     return u
 
 
@@ -197,9 +199,6 @@ class GeometryBundle:
                                                 | (self._hi < np.inf))
         self._bounded_lo, self._bounded_hi = self._lo[bi], self._hi[bi]
         self._clamp = bool(self._bounded_idx.size)
-        # prox_into's list path reads a coordinate's parameters into Python
-        # floats on first use, so only the coordinates it proxes hold one
-        self._scalar = {}
         self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
         ent = self._ent_blocks
         self._ent_idx = np.concatenate(
@@ -233,27 +232,12 @@ class GeometryBundle:
 
     def prox_into(self, x, idx, z, S, A):
         """Write the prox of the dual vector ``z + A*S`` on the Euclidean
-        coordinates ``idx`` into x: in Python floats for a list, in numpy for
-        an index array or slice, with the same IEEE operations and clamp, so
-        both give the same bits.  Returns None, or the magnitude of a
-        non-finite prox input (|u| at the first one on a list, max |u| on an
-        array), with x written only before it."""
-        if type(idx) is list:
-            scalar = self._scalar
-            for i in idx:
-                u = z.item(i) + A * S.item(i)
-                if not isfinite(u):
-                    return abs(u)
-                try:
-                    wx0, w, mu, lo, hi = scalar[i]
-                except KeyError:
-                    wx0, w, mu, lo, hi = scalar[i] = (
-                        self._wx0.item(i), self._w.item(i), self._mu.item(i),
-                        self._lo.item(i), self._hi.item(i))
-                u = (wx0 - u) / (w + A * mu)
-                x[i] = lo if u < lo else hi if u > hi else u
-            return None
+        coordinates ``idx`` (an index array or slice) into x.  Returns None,
+        or, with x left unwritten, the largest magnitude of the prox input
+        when some of it is not finite (NaN if any of it is NaN)."""
         u = A * S[idx]
+        if not u.size:
+            return None
         u += z[idx]
         # u.u is finite only when u is, and is the cheapest full reduction;
         # it also overflows on a large finite u, so the exact check decides

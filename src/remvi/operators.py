@@ -328,13 +328,6 @@ def empirical_full_lipschitz(op, geom, trials, rng):
     return _max_pair_ratio(geom, trials, rng, numer)
 
 
-# Per-iteration sets of up to this many coordinates (a component's support,
-# the coordinates it reads or writes) are handled in Python floats: the same
-# IEEE operations as numpy's, without its fixed cost per call.  The one
-# threshold for the table refresh and for every set the solver touches.
-SCALAR_WRITES = 16
-
-
 class ComponentTable:
     """SAGA-style table of stored component values plus their running sum.
 
@@ -344,10 +337,9 @@ class ComponentTable:
     the value a component held *two* iterations ago, which only differs from
     the current slot for the single component refreshed in the previous
     iteration; a one-level shadow of that slot suffices.  ``shadow`` holds
-    the overwritten values of the last slot refreshed: a list of floats when
-    the support has at most ``SCALAR_WRITES`` entries, else an array.
-    ``out`` is what a refresh evaluates into: ``values`` through the
-    operator's ``io_view``.
+    the overwritten values of the last slot refreshed, in the first entries
+    of one buffer for the whole run.  ``out`` is what a refresh evaluates
+    into: ``values`` through the operator's ``io_view``.
     """
 
     def __init__(self, op, x0):
@@ -356,9 +348,8 @@ class ComponentTable:
         self.out = op.io_view(self.values)
         self.eval_iter = np.zeros(op.m, dtype=np.int64)
         self.aggregate = self.explicit_sum()
-        # a large slot's shadow is kept in the first entries of one buffer
         self._buffer = np.empty(op.max_support)
-        self.shadow = None
+        self.shadow = self._buffer[:0]
         self._shadow_iter = self._shadow_j = -1
 
     def refresh(self, j, x, k):
@@ -367,40 +358,29 @@ class ComponentTable:
         when the components declare ``scalar_io``."""
         op = self.op
         at, end = op.offsets.item(j), op.offsets.item(j + 1)
-        n = end - at
         slot = self.values[at:end]
         self._shadow_iter, self._shadow_j = k, j
-        if n <= SCALAR_WRITES:
-            self.shadow = old = slot.tolist()
-        else:
-            self.shadow = old = self._buffer[:n]
-            old[:] = slot
+        self.shadow = old = self._buffer[:end - at]
+        old[:] = slot
         op.components[j].evaluate(x, self.out, at)
         self.eval_iter[j] = k
-        if type(old) is list:
-            agg = self.aggregate
-            for i, o, v in zip(op.out_all[at:end].tolist(), old,
-                               slot.tolist()):
-                agg[i] = agg.item(i) + (v - o)
-        else:
-            # Component rejects repeated out_idx entries, so plain fancy
-            # indexing (which would drop repeats) is a correct and much
-            # faster scatter-add
-            self.aggregate[op.out_all[at:end]] += slot - old
+        # Component rejects repeated out_idx entries, so plain fancy
+        # indexing (which would drop repeats) is a correct and much faster
+        # scatter-add
+        self.aggregate[op.out_all[at:end]] += slot - old
 
     def shadowed(self, j, k, n):
         """Record a refresh of slot j (n entries) at iteration k made
         outside ``refresh``, whose overwritten values were written into
         the first n entries of the shadow buffer."""
-        old = self._buffer[:n]
-        self.shadow = old.tolist() if n <= SCALAR_WRITES else old
+        self.shadow = self._buffer[:n]
         self._shadow_iter, self._shadow_j = k, j
 
     def resolve_prev(self, j, k):
         """Stored value of component j as of the end of iteration k-2: the
         shadow or a view of slot j."""
         if self._shadow_j == j and self._shadow_iter == k - 1:
-            return np.asarray(self.shadow, dtype=float)
+            return self.shadow
         ends = self.op.offsets
         return self.values[ends.item(j):ends.item(j + 1)]
 

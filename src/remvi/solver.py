@@ -10,34 +10,25 @@ components read, dense mode also all of them at the end of each iteration.
 Both consume the same draw stream (j1 first, then j2) and compute each prox
 from the same state, so their runs are equal bit for bit.
 
-On a geometry without entropy coordinates ``run`` hands iterations
-1..K-1 to a compiled kernel (``_window.c``, built and loaded by
-``_kernel``), one call per window that ends at a metric record or an
-averaging pick.  The draws and the component evaluations stay Python calls
-made from the kernel; the proxes, the correction, the refresh's
+``run`` hands iterations 1..K-1 to a compiled kernel (``_window.c``,
+built and loaded by ``_kernel``), one call per window that ends at a
+metric record or an averaging pick.  The draws, the component evaluations
+and the entropy prox (numpy's ``exp`` and ``log``) stay Python calls made
+from the kernel; the Euclidean proxes, the correction, the refresh's
 bookkeeping and base shift, dense mode's settle and the weighted-full sum
 run in C with the same IEEE operations as the Python loop, so both give
 the same bits, errors included.  Iteration K, which also forms
-``fhat_last``, runs in Python.  Without a compiler, or when the build
-fails, the Python loop runs every iteration; ``Trace.info["kernel"]`` says
-which ran ("c" or "python").
+``fhat_last``, runs in the Python loop, in numpy.  Without a compiler, or
+when the build fails, the Python loop runs every iteration;
+``Trace.info["kernel"]`` says which ran ("c" or "python").
 
-The Python loop in ``run`` is written for the cost of an iteration that
-touches a few coordinates.  Every per-iteration set of at most
-``operators.SCALAR_WRITES`` coordinates (a component's reads, outputs and
-Euclidean writes, and the table slot it refreshes) is handled in Python
-floats from start to finish, with the same IEEE operations as the numpy
-path that larger sets take, so both paths give the same bits.  A
-component's sets are slices of the operator's support layout, cut per
-draw; with entropy coordinates the reads and writes come from its
-Euclidean part, filtered once per run.  The step's correction
-and the refresh's base shift are written inline, and every prox of a
-coordinate set is one ``GeometryBundle.prox_into`` call: an iteration
-calls only the draws, the two component evaluations, the table refresh and
-two ``prox_into`` (in dense mode the second settles the whole iterate).
-The two component calls hand a type that declares ``scalar_io``
-memoryviews of the iterate, the scratch buffer and the table's values, in
-the kernel and in the Python loop alike, so it too works in Python floats.
+A component's sets are slices of the operator's support layout, cut per
+draw; with entropy coordinates the reads and writes that are settled come
+from their Euclidean part, filtered once per run.  Every prox of a
+coordinate set is one ``GeometryBundle.prox_into`` call.  The two
+component calls hand a type that declares ``scalar_io`` memoryviews of
+the iterate, the scratch buffer and the table's values, in the kernel and
+in the Python loop alike, so it works in Python floats.
 
 Step sizes follow the schedule that certifies the convergence guarantee:
 constant sqrt(2/3)/(10 L) without strong convexity, and the capped geometric
@@ -57,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel, operators
+from . import _kernel
 from .metrics import EvalRecord, default_metrics, evaluate_point
 from .operators import ComponentTable
 from .sampling import RngStream
@@ -67,7 +58,9 @@ SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
 class DivergenceError(RuntimeError):
     """The iterate's norm exceeded the configured bound, or the dual vector
-    overflowed (mis-specified constants)."""
+    overflowed (mis-specified constants).  ``norm`` is the largest
+    magnitude over the set checked (the iterate, or the coordinates of z
+    the step was settling or shifting), NaN if any value there is NaN."""
 
     def __init__(self, iteration, norm, bound, what="iterate"):
         super().__init__(
@@ -333,7 +326,8 @@ def _restrict(flat, ends, keep):
 
 
 def _check_finite(v, k, bound, what="dual vector z"):
-    if not np.isfinite(v).all():
+    # v.v is finite only when v is (see GeometryBundle.prox_into)
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise DivergenceError(k, float(np.max(np.abs(v))), bound, what=what)
 
 
@@ -363,7 +357,7 @@ def run(problem, plan, config):
     index_rng = RngStream(config.seed, stream=1)
     avg = _Averager(config, gamma, m, op.d, index_rng)
     # loaded (and on first use built) before the records' clock starts
-    kernel = _kernel.load() if geom._ent_idx.size == 0 and K > 1 else None
+    kernel = _kernel.load() if K > 1 else None
     rec = _Recorder(problem, config)
     stride = rec.stride
     table = ComponentTable(op, geom.x0)
@@ -379,34 +373,34 @@ def run(problem, plan, config):
     rec.add(0, op.m, x)
     z = np.zeros(op.d)      # the base on Euclidean coordinates
     S = table.aggregate     # the table updates it in place
-    lim = operators.SCALAR_WRITES
-    eu = geom._eu_idx
-    every = eu.tolist() if eu.size <= lim else geom._eu_sel
-    ent = on_eu = None
+    every, bound, picks = geom._eu_sel, config.divergence_bound, avg.picks
+    # a_0..a_K (a_0 = 0), read as floats with .item: no per-iteration list
+    a_all = np.concatenate(([0.0], a_seq))
+    # A component's outputs are its slice of the operator's write layout;
+    # what it reads and the Euclidean part of what it writes are its slices
+    # of two more layouts, which keep only the Euclidean coordinates (an
+    # entropy coordinate is never settled)
+    out_all, offsets = op.out_all, op.offsets
+    r_all, r_ends, w_all, w_ends = op.in_all, op.in_offsets, out_all, offsets
+    ent = None
     if geom._ent_idx.size:
         ent = geom._ent_sel
         on_eu = np.ones(op.d, dtype=bool)
         on_eu[ent] = False
-    # a_0..a_K (a_0 = 0), read as floats with .item: no per-iteration list
-    a_all = np.concatenate(([0.0], a_seq))
-    prox_into, bound = geom.prox_into, config.divergence_bound
-    sample_p, sample_q, refresh = plan.sample_p, plan.sample_q, table.refresh
-    p, comps, offsets, values = plan.p, op.components, op.offsets, table.values
-    picks, isfinite = avg.picks, math.isfinite
-    # A component's reads, outputs and Euclidean writes are its slices of
-    # three layouts: the operator's read and write layouts, and the write
-    # layout's Euclidean part.  With entropy coordinates the reads keep only
-    # their Euclidean part too (an entropy coordinate is never settled).
-    out_all = op.out_all
-    r_all, r_ends, w_all, w_ends = op.in_all, op.in_offsets, out_all, offsets
-    if on_eu is not None:
         w_all, w_ends = _restrict(out_all, offsets, on_eu)
         r_all, r_ends = ((w_all, w_ends) if op.reads_are_writes
                          else _restrict(r_all, r_ends, on_eu))
+
+    def prox_ent():
+        x[ent] = geom.prox_entropy(z[ent])
+
+    def settle(idx, A, k):
+        bad = geom.prox_into(x, idx, z, S, A)
+        if bad is not None:
+            raise DivergenceError(k, bad, bound, what="dual vector z")
+
     # j1's value, in the first entries of one buffer for the whole run
     scratch = np.empty(op.max_support)
-    # what the two component calls read and write
-    x_io, scratch_io = op.io_view(x), op.io_view(scratch)
     a = A = 0.0
     j2 = -1
     fhat_last = None
@@ -417,7 +411,8 @@ def run(problem, plan, config):
         st = _kernel.window_state(
             plan=plan, draw=draw, op=op, geom=geom, table=table, x=x, z=z,
             a_steps=a_all, A_sums=A_seq, scratch=scratch, wsum=avg.wsum,
-            lazy=lazy, lim=lim)
+            lazy=lazy, reads=(r_all, r_ends), writes=(w_all, w_ends),
+            prox_ent=prox_ent)
         sampled = avg.wsum is None
         ordered = () if not sampled else (
             picks if type(picks) is range else sorted(picks))
@@ -442,36 +437,26 @@ def run(problem, plan, config):
                         A_seq.item(stop))
         first, a, A, j2 = K, a_all.item(K - 1), A_seq.item(K - 1), st.j2
         table.shadowed(j2, K - 1, st.shadow_n)
+    # the iterations the kernel did not run, in numpy: the same operations
+    # in the same order
+    x_io, scratch_io = op.io_view(x), op.io_view(scratch)
     for k in range(first, K + 1):
         a_prev, A_prev, j2_prev = a, A, j2
         a, A = a_all.item(k), A_seq.item(k)
         # the draws depend on nothing the iteration changes: j1, then j2
-        j1 = sample_p(draw)
-        j2 = sample_q(draw)
+        j1 = plan.sample_p(draw)
+        j2 = plan.sample_q(draw)
         if not (0 <= j1 < m and 0 <= j2 < m):
             bad = j1 if not 0 <= j1 < m else j2
             raise IndexError(f"drawn component index {bad} outside [0, {m})")
-        # j1's outputs and (lazy mode) reads, as lists when small
-        at = offsets.item(j1)
-        n = offsets.item(j1 + 1) - at
-        outs = out_all[at:at + n]
-        if n <= lim:
-            outs = outs.tolist()
         if lazy and A_prev != 0.0:  # dense x is current, at A = 0 it is x0
-            if r_all is out_all:
-                reads = outs
-            else:
-                lo, hi = r_ends.item(j1), r_ends.item(j1 + 1)
-                reads = r_all[lo:hi]
-                if hi - lo <= lim:
-                    reads = reads.tolist()
-            bad = prox_into(x, reads, z, S, A_prev)
-            if bad is not None:
-                raise DivergenceError(k, bad, bound, what="dual vector z")
-        comps[j1].evaluate(x_io, scratch_io, 0)
+            settle(r_all[r_ends.item(j1):r_ends.item(j1 + 1)], A_prev, k)
+        op.components[j1].evaluate(x_io, scratch_io, 0)
+        at, end = offsets.item(j1), offsets.item(j1 + 1)
+        value = scratch[:end - at]
         if k == K:
-            fhat_last = extrapolate(table, j1, scratch[:n], a_prev, a, p[j1],
-                                    k)
+            fhat_last = extrapolate(table, j1, value, a_prev, a,
+                                    plan.p[j1], k)
         # the step adds a_k * F_hat to z: a_k * S, stepped on the entropy
         # coordinates and implied by the new A on Euclidean ones, plus j1's
         # correction (a_prev/p_j1) * (F_j1(x) - its value two iterations
@@ -479,57 +464,25 @@ def run(problem, plan, config):
         if ent is not None:
             z[ent] += a * S[ent]
         if a_prev != 0.0:
-            cj = a_prev / p.item(j1)
-            if type(outs) is list:
-                prev = (table.shadow if j1 == j2_prev
-                        else values[at:at + n].tolist())
-                for i, v, v_prev in zip(outs, scratch[:n].tolist(), prev):
-                    z[i] = z.item(i) + cj * (v - v_prev)
-            else:
-                prev = table.shadow if j1 == j2_prev else values[at:at + n]
-                z[outs] += cj * (scratch[:n] - prev)
+            prev = table.shadow if j1 == j2_prev else table.values[at:end]
+            z[out_all[at:end]] += (a_prev / plan.p.item(j1)) * (value - prev)
         if ent is not None:
-            z_ent = z[ent]
-            if not isfinite(z_ent.dot(z_ent)):
-                _check_finite(z_ent, k, bound)
-            x[ent] = geom.prox_entropy(z_ent)
-        # j2's Euclidean writes and reads, as lists when small; both modes
-        # settle what j2 reads
-        lo, hi = w_ends.item(j2), w_ends.item(j2 + 1)
-        writes = w_all[lo:hi]
-        if hi - lo <= lim:
-            writes = writes.tolist()
-        if r_all is w_all:
-            reads = writes
-        else:
-            lo, hi = r_ends.item(j2), r_ends.item(j2 + 1)
-            reads = r_all[lo:hi]
-            if hi - lo <= lim:
-                reads = reads.tolist()
-        bad = prox_into(x, reads, z, S, A)
-        if bad is not None:
-            raise DivergenceError(k, bad, bound, what="dual vector z")
-        # refresh slot j2 at x, shifting the base on its Euclidean write set
-        # so that z + A*S stays where it was
-        if type(writes) is list:
-            old = list(map(S.item, writes))
-            refresh(j2, x_io, k)
-            for i, o in zip(writes, old):
-                z[i] = b = z.item(i) - A * (S.item(i) - o)
-                if not isfinite(b):
-                    raise DivergenceError(k, abs(b), bound,
-                                          what="dual vector z")
-        else:
-            old = S[writes]
-            refresh(j2, x_io, k)
+            _check_finite(z[ent], k, bound)
+            prox_ent()
+        # both modes settle what j2 reads, then refresh slot j2 at x,
+        # shifting the base on its Euclidean writes so that z + A*S stays
+        # where it was
+        settle(r_all[r_ends.item(j2):r_ends.item(j2 + 1)], A, k)
+        writes = w_all[w_ends.item(j2):w_ends.item(j2 + 1)]
+        old = S[writes]
+        table.refresh(j2, x_io, k)
+        if writes.size:     # else j2 writes only entropy coordinates
             z[writes] = b = z[writes] - A * (S[writes] - old)
             _check_finite(b, k, bound)
         record = k % stride == 0 or k == K
         if not lazy or record or k in picks:
             # the whole iterate at A: every iteration in dense mode
-            bad = prox_into(x, every, z, S, A)
-            if bad is not None:
-                raise DivergenceError(k, bad, bound, what="dual vector z")
+            settle(every, A, k)
         if k in picks:
             avg.add(k, a, x)
         if record:

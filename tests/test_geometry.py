@@ -224,17 +224,16 @@ def test_coordinate_prox_equals_blockwise_bitwise():
     blockwise = np.empty(geom.d)
     for bi, b in enumerate(geom.blocks):
         blockwise[b.idx] = geom.prox_block(bi, z[b.idx], 1.7)
-    # any subset, any order, repeats allowed, as a list or an index array;
-    # S = 0 makes the prox input z itself
+    # any subset, any order, repeats allowed; S = 0 makes the prox input z
+    # itself
     idx = np.array([7, 1, 5, 0, 6, 2, 1])
     zero = np.zeros(geom.d)
-    for sel in (idx.tolist(), idx):
-        x = np.full(geom.d, np.nan)
-        assert geom.prox_into(x, sel, z, zero, 1.7) is None
-        np.testing.assert_array_equal(x[idx], blockwise[idx])
-        bad = z.copy()
-        bad[idx[1]] = np.inf
-        assert geom.prox_into(x, sel[:2], bad, zero, 1.0) == np.inf
+    x = np.full(geom.d, np.nan)
+    assert geom.prox_into(x, idx, z, zero, 1.7) is None
+    np.testing.assert_array_equal(x[idx], blockwise[idx])
+    bad = z.copy()
+    bad[idx[1]] = np.inf
+    assert geom.prox_into(x, idx[:2], bad, zero, 1.0) == np.inf
     with pytest.raises(ValueError, match="finite"):
         geom.prox_block(0, np.array([0.0, np.inf, 0.0]), 1.0)
     with pytest.raises(ValueError, match=">= 0"):
@@ -242,9 +241,10 @@ def test_coordinate_prox_equals_blockwise_bitwise():
 
 
 def test_scalar_prox_equals_array_prox_bitwise():
-    # prox_into on a list is its index-array path in Python floats: the same
-    # bits on every Euclidean coordinate, inside the box and clamped to
-    # either side
+    # prox_into on an index array performs, coordinate by coordinate, the
+    # IEEE operations of the compiled kernel's settle, written out below in
+    # Python floats: the same bits on every Euclidean coordinate, inside
+    # the box and clamped to either side
     geom = GeometryBundle([
         euclidean_block(np.arange(3), anchor=np.array([0.3, -0.7, 0.1]),
                         weights=np.array([0.5, 2.0, 3.0]), mu=0.25),
@@ -253,15 +253,20 @@ def test_scalar_prox_equals_array_prox_bitwise():
         euclidean_block(np.array([7]), mu=1.5, lo=0.0),
     ])
     eu = geom._eu_idx
-    zero = np.zeros(geom.d)
     rng = np.random.default_rng(11)
     for A in (0.0, 1e-3, 1.7, 40.0):
         for scale in (1e-3, 1.0, 1e3):
             z = np.zeros(geom.d)
             z[eu] = scale * rng.standard_normal(eu.size)
-            want, got = np.full(geom.d, np.nan), np.full(geom.d, np.nan)
-            geom.prox_into(want, eu, z, zero, A)
-            geom.prox_into(got, eu.tolist(), z, zero, A)
+            S = rng.standard_normal(geom.d)
+            got, want = np.full(geom.d, np.nan), np.full(geom.d, np.nan)
+            geom.prox_into(got, eu, z, S, A)
+            for i in eu.tolist():
+                u = z[i].item() + A * S[i].item()
+                u = (geom._wx0[i].item() - u) / (geom._w[i].item()
+                                                 + A * geom._mu[i].item())
+                lo, hi = geom._lo[i].item(), geom._hi[i].item()
+                want[i] = lo if u < lo else hi if u > hi else u
             np.testing.assert_array_equal(got, want)
             # the entropy coordinates are not written
             assert np.isnan(got[3:5]).all()

@@ -1,24 +1,28 @@
-"""The compiled window kernel against the Python loop: on every geometry
-without entropy coordinates the two run the same iterations bit for bit,
-errors included, and without a compiler the run takes the Python loop."""
+"""The compiled window kernel against the Python loop: on every geometry,
+with and without entropy coordinates, the two run the same iterations bit
+for bit, errors included, and without a compiler the run takes the Python
+loop."""
 
 import math
 import os
 import shutil
 import stat
+import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
 
 from helpers import (assert_runs_bitwise_equal, calls_per_iteration,
                      loop_paths, scripted_plan)
-from remvi import _kernel, operators
+from remvi import _kernel
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import CallableComponent
-from remvi.problems import generate_instance, make_custom
+from remvi.problems import generate_instance, make_custom, make_matrix_game
 from remvi.sampling import problem_plan
 from remvi.solver import DivergenceError, SolverConfig, run
+from test_solver import mixed_instance
 
 
 @pytest.fixture
@@ -55,8 +59,8 @@ def callable_instance():
 
 def wide_instance():
     """Three CallableComponents that each read and write all 20
-    coordinates (above SCALAR_WRITES), skew linear maps plus an offset, at
-    gamma = 0; half the coordinates are boxed."""
+    coordinates, skew linear maps plus an offset, at gamma = 0; half the
+    coordinates are boxed."""
     rng = np.random.default_rng(0)
     d = 20
     geom = GeometryBundle([euclidean_block(np.arange(10)),
@@ -75,11 +79,20 @@ CASES = {
     "lad": lambda: generate_instance("lad", 30, 25, 1.0, seed=3, density=0.2),
     "lad-quad": lambda: generate_instance("lad", 8, 7, 1.0, seed=5,
                                           density=0.5, quad=0.5),
-    # gamma = mu > 0, and every support (20 coordinates) above SCALAR_WRITES
+    # gamma = mu > 0, and every component reads and writes 20 coordinates
     "policy-eval-wide": lambda: generate_instance("policy-eval", 30, 20, 0.0,
                                                   seed=2),
     "callable": callable_instance,
     "wide": wide_instance,
+    # entropy coordinates: all of them, only the row player's, and mixed
+    # with Euclidean ones (a boxed block, and the mixed geometry below)
+    "two-sided": lambda: generate_instance("matrix-game", 12, 9, 1.5, seed=2,
+                                           mode="two-sided"),
+    "row-sided": lambda: generate_instance("matrix-game", 12, 9, 1.5, seed=2,
+                                           mode="row-sided"),
+    "box-simplex": lambda: generate_instance("box-simplex", 10, 12, 1.0,
+                                             seed=4),
+    "mixed": mixed_instance,
 }
 
 
@@ -176,20 +189,26 @@ def test_component_error_propagates(monkeypatch):
                                          mode="lazy"))
 
 
+def loud_game():
+    """The two-sided game with its payoffs scaled by 1e8, so that at lpq =
+    1e-300 z overflows within a few hundred iterations, on entropy
+    coordinates (a game has no others)."""
+    return make_matrix_game(1e8 * CASES["two-sided"]().data["A"])
+
+
 @pytest.mark.parametrize("name, lpq", [("lad", 1e-300), ("wide", 1e-150),
-                                       ("wide", 1e-3)])
+                                       ("wide", 1e-3), ("loud-game", 1e-300)])
 @pytest.mark.parametrize("mode", ["dense", "lazy"])
-@pytest.mark.parametrize("scalar_writes", [operators.SCALAR_WRITES, 0])
-def test_divergence_named_alike(name, lpq, mode, scalar_writes, monkeypatch):
+@pytest.mark.parametrize("seed", [16, 0])
+def test_divergence_named_alike(name, lpq, mode, seed, monkeypatch):
     # at these lpq z overflows after a few iterations (about 100 on the
-    # last); both paths name the same iteration and magnitude (the first
-    # non-finite one of a small set, the largest of a large one)
-    monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
-    inst = CASES[name]()
+    # third and the fourth); both paths name the same iteration and
+    # magnitude (the largest of the set)
+    inst = loud_game() if name == "loud-game" else CASES[name]()
     plan = problem_plan(inst)
     errors = []
     for path in loop_paths(monkeypatch):
-        cfg = SolverConfig(iterations=3000, seed=4, mode=mode, lpq=lpq,
+        cfg = SolverConfig(iterations=3000, seed=seed, mode=mode, lpq=lpq,
                            eval_stride=100, eval_metrics=(),
                            divergence_bound=1e300)
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -201,38 +220,43 @@ def test_divergence_named_alike(name, lpq, mode, scalar_writes, monkeypatch):
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("name", ["callable", "wide"])
+@pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("mode", ["dense", "lazy"])
-@pytest.mark.parametrize("scalar_writes", [operators.SCALAR_WRITES, 0])
+@pytest.mark.parametrize("seed", [16, 0])
 @pytest.mark.parametrize("at_call", [5, 12, 31])
-def test_non_finite_component_value_named_alike(name, mode, scalar_writes,
-                                                at_call, monkeypatch):
-    # one component returns (inf, NaN, ...) at its at_call-th call, as j1
-    # or as j2: z turns non-finite through j1's correction (caught by the
-    # next prox) or through a refresh's base shift.  A small set names the
-    # first non-finite magnitude (inf), a large one numpy's max (NaN); both
-    # paths name the same iteration and magnitude
-    monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+def test_non_finite_component_value_named_alike(name, mode, seed, at_call,
+                                                monkeypatch):
+    # from the loop's at_call-th evaluation on (5 and 31 are j1's, 12 is
+    # j2's) every component writes (inf, NaN, ...): z turns non-finite
+    # through j1's correction (caught by the next prox or, on an entropy
+    # coordinate, by the entropy step's check) or through a refresh's base
+    # shift.  The set names numpy's max (NaN); both paths name the same
+    # iteration and magnitude
     inst = CASES[name]()
-    comp = inst.operator.components[1]
-    fn, calls = comp.fn, {"n": 0}
+    calls = {"n": -inst.m}          # the table build evaluates each once
 
-    def broken(x):
+    def broken(c, x, out, at, evaluate):
+        evaluate(c, x, out, at)
         calls["n"] += 1
-        v = np.array(fn(x), dtype=float)
-        if calls["n"] >= at_call:
-            v[0], v[1] = np.inf, np.nan
-        return v
+        if calls["n"] >= at_call and len(c.out_idx):
+            out[at] = math.inf
+            if len(c.out_idx) > 1:
+                out[at + 1] = math.nan
+        return out
 
-    comp.fn = broken
+    for kind in set(map(type, inst.operator.components)):
+        monkeypatch.setattr(kind, "evaluate",
+                            lambda c, x, out, at, evaluate=kind.evaluate:
+                            broken(c, x, out, at, evaluate))
     plan = problem_plan(inst)
     errors = []
     for path in loop_paths(monkeypatch):
-        calls["n"] = 0
+        calls["n"] = -inst.m
         with np.errstate(all="ignore"), \
                 pytest.raises(DivergenceError) as exc:
-            run(inst, plan, SolverConfig(iterations=400, seed=3, mode=mode,
-                                         eval_stride=50, eval_metrics=()))
+            run(inst, plan, SolverConfig(iterations=400, seed=seed,
+                                         mode=mode, eval_stride=50,
+                                         eval_metrics=()))
         err = exc.value
         errors.append((err.iteration, str(err).split(" inf-norm")[0],
                        "nan" if math.isnan(err.norm) else err.norm))
@@ -240,13 +264,14 @@ def test_non_finite_component_value_named_alike(name, mode, scalar_writes,
 
 
 @needs_compiler
-def test_kernel_runs_on_euclidean_geometries_only():
-    from test_solver import mixed_instance
-    cfg = SolverConfig(iterations=20, seed=0, mode="lazy")
-    for inst, path in ((CASES["lad"](), "c"), (mixed_instance(), "python"),
-                       (generate_instance("matrix-game", 4, 5, 1.0, seed=1),
-                        "python")):
-        assert run(inst, problem_plan(inst), cfg).info["kernel"] == path
+def test_kernel_runs_on_every_geometry():
+    # with a compiler every run of two iterations or more takes the kernel
+    for make in CASES.values():
+        inst = make()
+        plan = problem_plan(inst)
+        for K, path in ((0, "python"), (1, "python"), (2, "c"), (20, "c")):
+            cfg = SolverConfig(iterations=K, seed=0, mode="lazy")
+            assert run(inst, plan, cfg).info["kernel"] == path
 
 
 @needs_compiler
@@ -259,6 +284,24 @@ def test_kernel_iteration_python_calls():
     inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
     cfg = SolverConfig(iterations=2000, seed=0, mode="lazy", eval_metrics=())
     assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 9.1
+    # a game adds the entropy prox: the callback, prox_entropy and its
+    # segmented pass (a record every m = 50 iterations adds about 0.3)
+    inst = generate_instance("matrix-game", 30, 20, 1.0, seed=1)
+    assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 12.4
+
+
+@needs_compiler
+def test_source_compiles_without_warnings(tmp_path):
+    # a failed build falls back to the Python loop with the same bits and
+    # no error, so a C edit that breaks the build would pass most of the
+    # suite: build the source here, with every warning an error
+    res = subprocess.run(
+        [shutil.which(_kernel.CC), *_kernel.FLAGS, "-Wall", "-Wextra",
+         "-Werror", "-I", sysconfig.get_paths()["include"], _kernel.SOURCE,
+         "-o", str(tmp_path / "window.so")],
+        capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert os.path.getsize(tmp_path / "window.so") > 0
 
 
 @pytest.fixture

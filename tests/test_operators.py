@@ -6,7 +6,6 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from helpers import loop_paths, slot, value
-from remvi import operators
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import (CallableComponent, ComponentTable,
                              FiniteSumOperator, LipschitzProfile,
@@ -108,12 +107,10 @@ class TestEvaluateFull:
             x = rng.standard_normal(6)
             np.testing.assert_array_equal(op.evaluate_full(x), add_at_sum(op, x))
 
-    def test_repeated_output_coordinate_rejected(self, monkeypatch):
-        # a table refresh of a support above SCALAR_WRITES adds through
-        # fancy indexing, which drops repeats, while the explicit sum counts
-        # them: a support [0, 0] refreshed from (1, 1) to (10, 20) would
-        # leave the aggregate at 21, not 30
-        monkeypatch.setattr(operators, "SCALAR_WRITES", 0)
+    def test_repeated_output_coordinate_rejected(self):
+        # a table refresh adds through fancy indexing, which drops repeats,
+        # while the explicit sum counts them: a support [0, 0] refreshed
+        # from (1, 1) to (10, 20) would leave the aggregate at 21, not 30
 
         def fn(x):
             return np.array([1.0, 1.0]) + x[0] * np.array([9.0, 19.0])
@@ -667,32 +664,31 @@ class TestWriteIntoBuffer:
                 assert slot(table, i).tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
-    def test_refresh_float_and_array_paths_bitwise(self, name, monkeypatch):
-        # a slot of at most SCALAR_WRITES entries is refreshed in Python
-        # floats, and every non-empty one in numpy at 0: the same values,
-        # aggregate and resolved previous values after every refresh
+    def test_refresh_float_and_array_paths_bitwise(self, name):
+        # the refresh adds a slot's change to the aggregate in numpy; the
+        # compiled kernel adds it one coordinate at a time, written out
+        # below in Python floats: the same values, aggregate and resolved
+        # previous values after every refresh
         inst = BUFFER_CASES[name]
         op = inst.operator
         xs = self.points(inst, 47)
         seq = np.random.default_rng(48).integers(op.m, size=3 * op.m).tolist()
-        runs = []
-        for scalar_writes in (operators.SCALAR_WRITES, 0):
-            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
-            table = ComponentTable(op, xs[0])
-            states, float_path = [], 0
-            for k, j in enumerate(seq, start=1):
-                table.refresh(j, xs[k % len(xs)], k)
-                float_path += isinstance(table.shadow, list)
-                states.append((table.values.tobytes(),
-                               table.aggregate.tobytes(),
-                               table.resolve_prev(j, k + 1).tobytes(),
-                               table.resolve_prev(j, k + 2).tobytes()))
-            runs.append(states)
-            # the default takes the float path on every slot (all are
-            # small); at 0 only an empty slot does
-            empty = sum(op.offsets[j] == op.offsets[j + 1] for j in seq)
-            assert float_path == (len(seq) if scalar_writes else empty)
-        assert runs[0] == runs[1]
+        table = ComponentTable(op, xs[0])
+        values, aggregate = table.values.copy(), table.aggregate.tolist()
+        for k, j in enumerate(seq, start=1):
+            x = xs[k % len(xs)]
+            at, end = op.offsets[j], op.offsets[j + 1]
+            old = values[at:end].copy()
+            table.refresh(j, x, k)
+            values[at:end] = value(op.components[j], x)
+            for i, o, v in zip(op.out_all[at:end].tolist(), old.tolist(),
+                               values[at:end].tolist()):
+                aggregate[i] = aggregate[i] + (v - o)
+            assert table.values.tobytes() == values.tobytes()
+            assert table.aggregate.tobytes() == np.array(aggregate).tobytes()
+            assert table.resolve_prev(j, k + 1).tobytes() == old.tobytes()
+            assert (table.resolve_prev(j, k + 2).tobytes()
+                    == values[at:end].tobytes())
 
     @pytest.mark.parametrize("fn", [lambda x: 1.5, lambda x: [1.0, 2.0]],
                              ids=["scalar", "wrong-length"])

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (assert_runs_bitwise_equal, calls_per_iteration,
                      loop_paths, scripted_plan, value)
-from remvi import operators, solver
+from remvi import solver
 from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
 from remvi.metrics import default_metrics, evaluate_point
@@ -313,19 +313,14 @@ class TestRunDense:
         # the base a refresh writes and every prox input they compute; dense
         # mode proxes, and so checks, every Euclidean coordinate, which on
         # this instance (every coordinate read or written each iteration)
-        # names the same iteration as lazy mode, with its sets in Python
-        # floats or (SCALAR_WRITES = 0) in numpy, in the compiled kernel
-        # and in the Python loop
+        # names the same iteration as lazy mode, in the compiled kernel and
+        # in the Python loop
         inst = make_lad(np.array([[1.0, 0.0], [0.0, 2.0]]),
                         np.array([3.0, -3.0]))
         plan = problem_plan(inst)
         at = {}
-        default = operators.SCALAR_WRITES
         for path in loop_paths(monkeypatch):
-            for mode, run, scalar_writes in (("dense", run_dense, default),
-                                             ("lazy", run_lazy, default),
-                                             ("lazy", run_lazy, 0)):
-                monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+            for mode, run in (("dense", run_dense), ("lazy", run_lazy)):
                 cfg = SolverConfig(iterations=4000, seed=seed, mode=mode,
                                    lpq=1e-300, eval_stride=100,
                                    eval_metrics=(), divergence_bound=1e3)
@@ -333,9 +328,9 @@ class TestRunDense:
                         pytest.raises(DivergenceError,
                                       match="dual vector z") as exc:
                     run(inst, plan, cfg)
-                at[path, mode, scalar_writes] = exc.value.iteration
+                at[path, mode] = exc.value.iteration
         assert len(set(at.values())) == 1
-        assert at["c", "dense", default] < 100
+        assert at["c", "dense"] < 100
 
     def test_cert_violations_zero_on_runs(self):
         for inst in problem_instances_for_tests():
@@ -411,21 +406,20 @@ class TestDenseLazyEquivalence:
 
     @pytest.mark.parametrize("name", BITWISE_CASES)
     def test_array_writes_bitwise_equal(self, name, monkeypatch):
-        # at SCALAR_WRITES = 0 every non-empty set (a component's reads,
-        # outputs and writes, the refreshed table slot, the Euclidean
-        # coordinates) takes the numpy path, and at 10**9 every one takes the
-        # Python-float path; both give the same bits in both modes
+        # components handed the ndarrays (x, the scratch buffer, the table's
+        # values) write the same bits as components handed memoryviews of
+        # them (a scalar_io operator such as LAD's), in both modes, in the
+        # compiled kernel and in the Python loop
         inst = BITWISE_CASES[name]()
         plan = problem_plan(inst)
         args = dict(iterations=1000, seed=7, eval_stride=50)
         ts = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+        monkeypatch.setattr(inst.operator, "scalar_io", False)
         for _ in loop_paths(monkeypatch):
-            for scalar_writes in (0, 10**9):
-                monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
-                td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-                tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-                assert_runs_bitwise_equal(td, ts)
-                assert_runs_bitwise_equal(tl, ts)
+            td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+            tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+            assert_runs_bitwise_equal(td, ts)
+            assert_runs_bitwise_equal(tl, ts)
 
     def test_flushed_final_iterate_matches(self):
         inst = problem_instances_for_tests()[2]
@@ -445,33 +439,6 @@ class TestDenseLazyEquivalence:
         td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
         tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
         np.testing.assert_allclose(tl.x_bar, td.x_bar, atol=1e-11)
-
-    def test_scalar_prox_entries_only_for_read_coordinates(self,
-                                                           monkeypatch):
-        # a lazy read settles the two coordinates a LAD component reads in
-        # Python floats; prox_into keeps parameters for those coordinates
-        # only, not for all d.  This is the Python loop's list path: the
-        # compiled kernel reads the parameter arrays
-        monkeypatch.setattr(solver._kernel, "load", lambda: None)
-        inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
-        plan = problem_plan(inst)
-        drawn = {"p": [], "q": []}
-
-        def recorded(key, sample):
-            def draw(rng):
-                drawn[key].append(sample(rng))
-                return drawn[key][-1]
-            return draw
-
-        plan.sample_p = recorded("p", plan.sample_p)
-        plan.sample_q = recorded("q", plan.sample_q)
-        run_lazy(inst, plan, SolverConfig(iterations=25, seed=2, mode="lazy"))
-        comps = inst.operator.components
-        # the first extrapolation index is read at A = 0, where x is x0
-        read = {i for j in drawn["p"][1:] + drawn["q"]
-                for i in comps[j].in_idx.tolist()}
-        assert set(inst.geometry._scalar) == read
-        assert len(read) <= 4 * 25 < inst.d / 3
 
 
 def mixed_instance():
@@ -524,11 +491,10 @@ class TestLazyCatchup:
         # true dual vector, which the reference replay sums, up to rounding.
         # Every refresh here writes Euclidean coordinates, and a dropped
         # shift would move the iterate by about A times the change in S.
-        # On both paths: Python floats, and numpy when SCALAR_WRITES is 0
+        # In the compiled kernel (from K = 2 on) and in the Python loop
         inst = mixed_instance()
         plan = problem_plan(inst)
-        for scalar_writes in (operators.SCALAR_WRITES, 0):
-            monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+        for _ in loop_paths(monkeypatch):
             for K in range(1, 13):
                 cfg = SolverConfig(iterations=K, seed=0, mode="lazy",
                                    eval_metrics=())
@@ -544,10 +510,10 @@ class TestLazyCatchup:
                                                     inst.x0).values)
 
     @staticmethod
-    def _long_horizon_equal(inst, K, monkeypatch, array_path=False):
+    def _long_horizon_equal(inst, K, monkeypatch):
         """Dense and lazy runs of K iterations, without any re-sum of the
-        aggregate, are equal bit for bit; with ``array_path`` so is a lazy
-        run with every set on the numpy path."""
+        aggregate, are equal bit for bit, in the compiled kernel and in the
+        Python loop."""
         monkeypatch.setattr(ComponentTable, "resum", None)  # never called
         plan = problem_plan(inst)
         args = dict(iterations=K, seed=0, eval_stride=K, eval_metrics=())
@@ -555,10 +521,6 @@ class TestLazyCatchup:
             td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
             tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
             assert_runs_bitwise_equal(tl, td)
-        if array_path:
-            monkeypatch.setattr(operators, "SCALAR_WRITES", 0)
-            ta = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-            assert_runs_bitwise_equal(ta, td)
 
     def test_lad_long_horizon_drift(self, monkeypatch):
         # 1e5 iterations, each refreshing the incrementally summed aggregate
@@ -567,50 +529,56 @@ class TestLazyCatchup:
 
     @pytest.mark.parametrize("family", ["box-simplex", "policy-eval"])
     def test_long_horizon_drift(self, family, monkeypatch):
-        self._long_horizon_equal(_test_instance(family), 4000, monkeypatch,
-                                 array_path=True)
+        self._long_horizon_equal(_test_instance(family), 4000, monkeypatch)
 
-    @pytest.mark.parametrize("scalar_writes", [operators.SCALAR_WRITES, 0],
-                             ids=["scalar", "array"])
-    def test_dense_iterate_current_after_refresh(self, scalar_writes,
-                                                 monkeypatch):
+    def test_dense_iterate_current_after_refresh(self, monkeypatch):
         # dense mode settles the whole iterate once per iteration, after
         # the refresh and its base shift, so the iterate is the prox of
         # z + A*S on every Euclidean coordinate: a dense run stopped after
         # any iteration ends where a lazy run, which settles every
-        # coordinate for its last record, ends, bit for bit
-        monkeypatch.setattr(operators, "SCALAR_WRITES", scalar_writes)
+        # coordinate for its last record, ends, bit for bit, in the
+        # compiled kernel and in the Python loop
         inst = mixed_instance()
         plan = problem_plan(inst)
-        for K in range(1, 40):
-            args = dict(iterations=K, seed=8, eval_metrics=())
-            td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
-            tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
-            np.testing.assert_array_equal(td.final_x, tl.final_x)
+        for _ in loop_paths(monkeypatch):
+            for K in range(1, 40):
+                args = dict(iterations=K, seed=8, eval_metrics=())
+                td = run_dense(inst, plan, SolverConfig(mode="dense", **args))
+                tl = run_lazy(inst, plan, SolverConfig(mode="lazy", **args))
+                np.testing.assert_array_equal(td.final_x, tl.final_x)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_settle_list_and_array_paths_bitwise(self, seed):
-        # prox_into settles a set from z + A*S into x in Python floats (a
-        # list) or numpy (an index array): the same bits inside the box and
-        # at a clamped box coordinate, and the same magnitude reported for a
-        # non-finite input, before which nothing of the array is written
+        # prox_into settles a set from z + A*S into x in numpy with the
+        # per-coordinate IEEE operations of the compiled kernel's settle,
+        # written out below in Python floats: the same bits inside the box
+        # and at a clamped box coordinate.  A non-finite input is reported
+        # as the largest magnitude, and nothing of x is written
         inst = mixed_instance()
         geom = inst.geometry
         eu = geom._eu_idx
         rng = np.random.default_rng(seed)
         z, S = rng.normal(size=inst.d), 3.0 * rng.normal(size=inst.d)
         S[7] = 50.0 * (1 if seed % 2 else -1)    # clamps the boxed coordinate
+        A = 0.8
+        floats = geom.x0.copy()
+        for i in eu.tolist():
+            u = z[i].item() + A * S[i].item()
+            u = (geom._wx0[i].item() - u) / (geom._w[i].item()
+                                             + A * geom._mu[i].item())
+            lo, hi = geom._lo[i].item(), geom._hi[i].item()
+            floats[i] = lo if u < lo else hi if u > hi else u
+        x = geom.x0.copy()
+        assert geom.prox_into(x, eu.copy(), z, S, A) is None
+        np.testing.assert_array_equal(x, floats)
+        assert abs(x[7]) == 1.0
         bad = z.copy()
         bad[eu[1]] = np.inf
-        xs = []
-        for idx in (eu.tolist(), eu.copy()):
-            x = geom.x0.copy()
-            assert geom.prox_into(x, idx, z, S, 0.8) is None
-            xs.append(x.copy())
-            assert geom.prox_into(x, idx, bad, S, 0.8) == np.inf
-        np.testing.assert_array_equal(x, xs[1])
-        assert abs(xs[1][7]) == 1.0
-        np.testing.assert_array_equal(xs[0], xs[1])
+        bad[eu[2]] = -1e300
+        assert geom.prox_into(x, eu.copy(), bad, S, A) == np.inf
+        bad[eu[3]] = np.nan
+        assert np.isnan(geom.prox_into(x, eu.copy(), bad, S, A))
+        np.testing.assert_array_equal(x, floats)
 
 
 class TestLazySupportBookkeeping:
@@ -628,17 +596,19 @@ class TestLazySupportBookkeeping:
             assert 2 * len(touched) <= bound
 
     def test_lazy_iteration_python_calls(self, monkeypatch):
-        # a lazy LAD iteration (two-coordinate sets) of the Python loop
-        # makes at most 13 Python-level calls: sample_p and sample_q with a
-        # uniform and an alias lookup each, two component evaluations (one
-        # in the table refresh), the refresh, prox_into on the coordinates
-        # j1 and j2 read and the schedule's step size; no numpy wrapper, no
-        # solver helper (tests/test_kernel.py counts the kernel's)
+        # a lazy LAD iteration of the Python loop, which runs in numpy,
+        # makes at most 18.1 Python-level calls: sample_p and sample_q with
+        # a uniform and an alias lookup each, two component evaluations
+        # (one in the table refresh), the refresh, settle -> prox_into ->
+        # _prox_euclidean on the coordinates j1 and j2 read, the base
+        # shift's finiteness check (_check_finite and ndarray.all) and the
+        # schedule's step size; the records add about 0.05
+        # (tests/test_kernel.py counts the kernel's)
         monkeypatch.setattr(solver._kernel, "load", lambda: None)
         inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
         cfg = SolverConfig(iterations=2000, seed=0, mode="lazy")
         assert calls_per_iteration(run_lazy, inst, problem_plan(inst),
-                                   cfg) <= 13
+                                   cfg) <= 18.1
 
 
 class TestAveraging:
