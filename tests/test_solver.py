@@ -531,14 +531,20 @@ class TestLazyCatchup:
     def test_long_horizon_drift(self, family, monkeypatch):
         self._long_horizon_equal(_test_instance(family), 4000, monkeypatch)
 
-    def test_dense_iterate_current_after_refresh(self, monkeypatch):
+    @pytest.mark.parametrize("scalar_io", [True, False],
+                             ids=["scalar", "array"])
+    def test_dense_iterate_current_after_refresh(self, scalar_io,
+                                                 monkeypatch):
         # dense mode settles the whole iterate once per iteration, after
         # the refresh and its base shift, so the iterate is the prox of
         # z + A*S on every Euclidean coordinate: a dense run stopped after
         # any iteration ends where a lazy run, which settles every
         # coordinate for its last record, ends, bit for bit, in the
-        # compiled kernel and in the Python loop
+        # compiled kernel and in the Python loop, with the components
+        # handed memoryviews (they read x[i] and write a slice of a float
+        # array, which a memoryview takes too) or the ndarrays
         inst = mixed_instance()
+        monkeypatch.setattr(inst.operator, "scalar_io", scalar_io)
         plan = problem_plan(inst)
         for _ in loop_paths(monkeypatch):
             for K in range(1, 40):
