@@ -2,16 +2,17 @@
 the REM loop's iterations between two stops through it.
 
 ``solver.run`` calls ``load`` for every run of more than one iteration,
-on any geometry.  The shared library is built with the system ``gcc`` on
-first use and cached per user under ``$XDG_CACHE_HOME/remvi``
+on any geometry, and ``sampling.AliasTable`` calls ``alias_builder`` for
+every table it builds.  The shared library is built with the system
+``gcc`` on first use and cached per user under ``$XDG_CACHE_HOME/remvi``
 (``~/.cache/remvi`` by default; the directory has mode 0700), keyed by a
 hash of the source, the flags and the Python ABI, and written atomically.
 It is loaded with ``ctypes.PyDLL``: the interpreter lock stays held, so
 the kernel calls the draws, the component evaluations and the entropy prox
 as Python calls, and an exception one of them raises propagates.  With no
-compiler or a failed build ``load`` returns None and the run takes the
-Python loop, with the same bits.  A new build removes the cache's older
-builds for the same Python.
+compiler or a failed build ``load`` and ``alias_builder`` return None, and
+the run and the table take their Python loops, with the same bits.  A new
+build removes the cache's older builds for the same Python.
 """
 
 from __future__ import annotations
@@ -125,12 +126,23 @@ def _library():
     fn = lib.rem_window
     fn.argtypes = (ctypes.POINTER(Window), _N, _N, ctypes.c_int)
     fn.restype = ctypes.c_int
-    return fn
+    fn = lib.alias_build
+    fn.argtypes = (_P, _P, _N, _P, _N, _P, _P)
+    fn.restype = None
+    return lib
 
 
 def load():
     """The kernel's entry point, or None: no compiler, or a failed build."""
-    return _library()
+    lib = _library()
+    return None if lib is None else lib.rem_window
+
+
+def alias_builder():
+    """``alias_build(scaled, small, n_small, large, n_large, prob, alias)``
+    on the arrays' addresses, or None as for ``load``."""
+    lib = _library()
+    return None if lib is None else lib.alias_build
 
 
 def _pointer(arr, dtype):

@@ -19,6 +19,8 @@
  * rem_window returns 0 when the window ran, 1 on a divergence (the
  * iteration and magnitude in bad_k and bad_norm) and -1 with a Python
  * exception set.
+ *
+ * alias_build, at the end, is the build loop of sampling.AliasTable.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -241,4 +243,33 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
         }
     }
     return 0;
+}
+
+/* AliasTable's Vose loop (sampling.py), operation for operation: the last
+ * large entry g absorbs the last smalls, sg -= 1.0 - ss each, until it
+ * falls below 1 and is itself pushed as the next small.  scaled is the
+ * table's p * m / sum(p) and is overwritten; small and large hold the
+ * indices of the entries below 1 and of the rest, in increasing order, and
+ * small is used as its stack (it never grows past its first size).  prob
+ * and alias come in as all 1.0 and as 0..m-1; a leftover keeps those. */
+void alias_build(double *scaled, Py_ssize_t *small, Py_ssize_t n_small,
+                 const Py_ssize_t *large, Py_ssize_t n_large, double *prob,
+                 Py_ssize_t *alias)
+{
+    while (n_small > 0 && n_large > 0) {
+        Py_ssize_t g = large[--n_large];
+        double sg = scaled[g];
+        while (n_small > 0) {
+            Py_ssize_t s = small[--n_small];
+            double ss = scaled[s];
+            prob[s] = ss;
+            alias[s] = g;
+            sg -= 1.0 - ss;
+            if (sg < 1.0) {
+                scaled[g] = sg;
+                small[n_small++] = g;
+                break;
+            }
+        }
+    }
 }

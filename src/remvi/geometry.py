@@ -23,6 +23,7 @@ restricted to a block; every supported combination has a closed form.
 
 from __future__ import annotations
 
+import functools
 from math import isfinite
 
 import numpy as np
@@ -127,17 +128,28 @@ def _check_prox_input(z, A):
         raise ValueError("step-size sum A must be >= 0")
 
 
-def _entropy_prox_segments(log_anchor, z, starts, sizes):
+def _entropy_prox_segments(log_anchor, z, starts, sizes, out=None):
     """The entropy prox on consecutive simplex segments (each needs its own
     normalization), in log-space with max-subtraction: z accumulates over
-    many iterations and exp(-z) overflows otherwise."""
-    logits = log_anchor - z
+    many iterations and exp(-z) overflows otherwise.  It is computed in
+    ``out`` (which may be z), a new array when not given."""
+    logits = np.subtract(log_anchor, z, out=out)
     # the ndarray method, not np.repeat: the same values without numpy's
-    # Python-level dispatch, which the solver pays every iteration
+    # Python-level dispatch, which the solver pays every iteration (and
+    # faster than ``take`` into a buffer made once)
     logits -= np.maximum.reduceat(logits, starts).repeat(sizes)
-    u = np.exp(logits)
+    u = np.exp(logits, out=logits)
     u /= np.add.reduceat(u, starts).repeat(sizes)
     return u
+
+
+def _selector(idx):
+    """``idx`` as a slice when it is a range in increasing order, else
+    ``idx`` itself."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 \
+            and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 class GeometryBundle:
@@ -189,9 +201,8 @@ class GeometryBundle:
             [b.idx for b in self.blocks if b.kind == "euclidean"]
             + [np.empty(0, dtype=np.intp)])
         # Full-space passes read the Euclidean coordinates through _eu_sel:
-        # a slice (views, no gathers) when they are 0..d-1 in order.
-        self._eu_sel = (slice(None) if np.array_equal(self._eu_idx, np.arange(d))
-                        else self._eu_idx)
+        # a slice (views, no gathers) when they are a range in order.
+        self._eu_sel = _selector(self._eu_idx)
         # validate_domain compares only the coordinates with a finite bound
         # on some side (a finite x never violates -inf or +inf), against
         # their bounds gathered here once
@@ -199,12 +210,22 @@ class GeometryBundle:
                                                 | (self._hi < np.inf))
         self._bounded_lo, self._bounded_hi = self._lo[bi], self._hi[bi]
         self._clamp = bool(self._bounded_idx.size)
+        # sample_domain's per-call constants on the Euclidean coordinates:
+        # lo, hi and x0 there, the mask of the boxed ones (None if there is
+        # none), their lower bounds and spans (0 elsewhere), and the share
+        # of coordinates a sharp draw moves
+        ei = self._eu_idx
+        lo, hi = self._lo[ei], self._hi[ei]
+        boxed = np.isfinite(lo) & np.isfinite(hi)
+        self._domain = (lo, hi, self.x0[ei], boxed if boxed.any() else None,
+                        np.where(boxed, lo, 0.0),
+                        np.where(boxed, hi - lo, 0.0),
+                        max(2.0 / ei.size, 0.05) if ei.size else 0.0)
         self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
         ent = self._ent_blocks
         self._ent_idx = np.concatenate(
             [b.idx for b in ent] + [np.empty(0, dtype=np.intp)])
-        self._ent_sel = (slice(None) if np.array_equal(self._ent_idx, np.arange(d))
-                         else self._ent_idx)     # as _eu_sel
+        self._ent_sel = _selector(self._ent_idx)     # as _eu_sel
         self._ent_log_anchor = np.concatenate([b.log_anchor for b in ent]
                                               + [np.empty(0)])
         self._ent_sizes = np.array([b.size for b in ent], dtype=np.intp)
@@ -255,6 +276,23 @@ class GeometryBundle:
         la = self._ent_log_anchor if log_anchor is None else log_anchor
         return _entropy_prox_segments(la, z_ent, self._ent_starts,
                                       self._ent_sizes)
+
+    def entropy_step(self, x, z):
+        """A call with no arguments that writes ``prox_entropy(z[ent])``
+        into ``x[ent]``, the same bits, with fewer arrays made per call:
+        when the entropy coordinates are a range in order the prox is
+        computed in that view of x, else in the gathered ``z[ent]``."""
+        la, starts, sizes = (self._ent_log_anchor, self._ent_starts,
+                             self._ent_sizes)
+        sel = self._ent_sel
+        if type(sel) is slice:
+            return functools.partial(_entropy_prox_segments, la, z[sel],
+                                     starts, sizes, x[sel])
+
+        def step():
+            u = z[sel]
+            x[sel] = _entropy_prox_segments(la, u, starts, sizes, u)
+        return step
 
     def prox_full(self, z, A, anchor=None, check=True):
         """Full-vector prox: one vectorized pass over all Euclidean
@@ -339,26 +377,23 @@ class GeometryBundle:
         needs such pairs to approach the worst case.
         """
         x = np.empty(self.d)
-        ei = self._eu_idx
-        if ei.size:
-            lo, hi, x0 = self._lo[ei], self._hi[ei], self.x0[ei]
-            bounded = np.isfinite(lo) & np.isfinite(hi)
-            noise = rng.standard_normal(ei.size)
-            vals = x0 + noise
+        n = self._eu_idx.size
+        if n:
+            lo, hi, x0, boxed, lo_b, span, moved = self._domain
+            noise = rng.standard_normal(n)
             if sharp:
-                mask = rng.random(ei.size) < max(2.0 / ei.size, 0.05)
+                mask = rng.random(n) < moved
                 vals = np.where(mask, x0 + 3.0 * noise, x0)
-            if bounded.any():
+            else:
+                vals = x0 + noise
+            if boxed is not None:
                 if sharp:
-                    corner = np.where(rng.random(ei.size) < 0.5, lo, hi)
-                    vals = np.where(bounded, np.where(
-                        rng.random(ei.size) < 0.5, corner, vals), vals)
+                    corner = np.where(rng.random(n) < 0.5, lo, hi)
+                    vals = np.where(boxed, np.where(
+                        rng.random(n) < 0.5, corner, vals), vals)
                 else:
-                    u = rng.random(ei.size)
-                    lo_b = np.where(bounded, lo, 0.0)
-                    span = np.where(bounded, hi - lo, 0.0)
-                    vals = np.where(bounded, lo_b + u * span, vals)
-            x[ei] = np.clip(vals, lo, hi)
+                    vals = np.where(boxed, lo_b + rng.random(n) * span, vals)
+            x[self._eu_sel] = np.clip(vals, lo, hi)
         alpha = 0.07 if sharp else 1.0
         for b in self._ent_blocks:
             x[b.idx] = np.maximum(rng.dirichlet(np.full(b.size, alpha)), 1e-300)

@@ -20,6 +20,9 @@ Families
 
 from __future__ import annotations
 
+import contextlib
+import gc
+
 import numpy as np
 from scipy.sparse import bmat, coo_matrix, csr_matrix, identity
 
@@ -304,6 +307,22 @@ class _LadComponent(Component):
         return out
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector disabled, and leave
+    it as it was found, also when the block raises.  Building one object
+    per nonzero otherwise sets off a collection every 700 of them, and the
+    older generations' collections rescan all built so far.  A LAD
+    component holds no reference cycle, so the pause leaves no garbage."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     """Least absolute deviation saddle instance with nnz(A) components.
 
@@ -340,10 +359,11 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     row_list = rows.tolist()
     coord = list(range(d + n))
     share = (b / counts).tolist()
-    comps = list(map(_LadComponent,
-                     map(coord.__getitem__, cols.tolist()),
-                     map(coord[d:].__getitem__, row_list),
-                     vals.tolist(), map(share.__getitem__, row_list)))
+    with _collector_paused():
+        comps = list(map(_LadComponent,
+                         map(coord.__getitem__, cols.tolist()),
+                         map(coord[d:].__getitem__, row_list),
+                         vals.tolist(), map(share.__getitem__, row_list)))
     # Coordinates are separable: one block for z, one for the boxed y.
     geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
                                euclidean_block(np.arange(d, d + n), mu=quad,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernel
 from .operators import LipschitzProfile, lpq_bound
 
 # Probabilities below this are rejected rather than clamped: 1/p_j multiplies
@@ -19,55 +20,81 @@ MIN_PROB = 1e-15
 
 
 class AliasTable:
-    """Walker/Vose alias table; O(m) build, O(1) sampling from one uniform."""
+    """Walker/Vose alias table; O(m) build, O(1) sampling from one uniform.
 
-    __slots__ = ("m", "prob", "alias")
+    The build loop runs in the compiled library (``_kernel.alias_builder``)
+    when it can be built, else in Python; both make the same IEEE double
+    operations in the same order, so the tables are equal bit for bit.
+    """
+
+    __slots__ = ("m", "prob", "alias", "_prob", "_alias")
 
     def __init__(self, p):
         p = np.asarray(p, dtype=float)
         m = p.size
-        # The loop runs on Python lists: per-entry numpy indexing costs more
-        # than the arithmetic, which is the same IEEE double operations.
         scaled = p * m / p.sum()
-        small = np.flatnonzero(scaled < 1.0).tolist()
-        large = np.flatnonzero(scaled >= 1.0).tolist()
-        scaled = scaled.tolist()
-        prob = [1.0] * m
-        alias = list(range(m))
-        while small and large:
-            # the last large entry absorbs the last smalls until it falls
-            # below 1 and is itself the next small
-            g = large.pop()
-            sg = scaled[g]
-            while small:
-                s = small.pop()
-                ss = scaled[s]
-                prob[s] = ss
-                alias[s] = g
-                sg -= 1.0 - ss
-                if sg < 1.0:
-                    scaled[g] = sg
-                    small.append(g)
-                    break
-        # leftovers are 1 up to rounding (a large that outlived every small
-        # among them); prob/alias defaults already cover them
+        small = np.flatnonzero(scaled < 1.0)
+        large = np.flatnonzero(scaled >= 1.0)
+        build = _kernel.alias_builder()
+        if build is not None:
+            # leftovers (a large that outlived every small among them) are
+            # 1 up to rounding: they keep these defaults
+            prob = np.ones(m)
+            alias = np.arange(m, dtype=np.intp)
+            f8, ip = np.dtype(np.float64), np.dtype(np.intp)
+            at = _kernel._pointer
+            build(at(scaled, f8), at(small, ip), small.size, at(large, ip),
+                  large.size, at(prob, f8), at(alias, ip))
+        else:
+            prob, alias = _vose(scaled.tolist(), small.tolist(),
+                                large.tolist())
         self.m = m
-        self.prob = np.array(prob)
-        self.alias = np.array(alias, dtype=np.intp)
+        self.prob = np.asarray(prob, dtype=float)
+        self.alias = np.asarray(alias, dtype=np.intp)
+        # ``sample`` reads single entries as Python numbers through these
+        self._prob = memoryview(self.prob)
+        self._alias = memoryview(self.alias)
 
     def sample(self, u):
         """Map one uniform in [0,1) to an index with the table's distribution."""
         scaled = u * self.m
         i = int(scaled)
-        if scaled - i < self.prob.item(i):
+        if scaled - i < self._prob[i]:
             return i
-        return self.alias.item(i)
+        return self._alias[i]
 
     def sample_many(self, u):
         """Vectorized ``sample`` over an array of uniforms (same mapping)."""
         scaled = np.asarray(u) * self.m
         i = scaled.astype(np.intp)
         return np.where(scaled - i < self.prob[i], i, self.alias[i])
+
+
+def _vose(scaled, small, large):
+    """AliasTable's build loop on Python lists, where the compiled one is
+    not available: per-entry numpy indexing costs more than the arithmetic,
+    which is the same IEEE double operations."""
+    m = len(scaled)
+    prob = [1.0] * m
+    alias = list(range(m))
+    while small and large:
+        # the last large entry absorbs the last smalls until it falls
+        # below 1 and is itself the next small
+        g = large.pop()
+        sg = scaled[g]
+        while small:
+            s = small.pop()
+            ss = scaled[s]
+            prob[s] = ss
+            alias[s] = g
+            sg -= 1.0 - ss
+            if sg < 1.0:
+                scaled[g] = sg
+                small.append(g)
+                break
+    # leftovers are 1 up to rounding (a large that outlived every small
+    # among them); prob/alias defaults already cover them
+    return prob, alias
 
 
 # Uniforms drawn at once by RngStream.  A scalar Generator.random() call costs

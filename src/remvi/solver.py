@@ -382,17 +382,15 @@ def run(problem, plan, config):
     # entropy coordinate is never settled)
     out_all, offsets = op.out_all, op.offsets
     r_all, r_ends, w_all, w_ends = op.in_all, op.in_offsets, out_all, offsets
-    ent = None
+    ent = prox_ent = None
     if geom._ent_idx.size:
         ent = geom._ent_sel
+        prox_ent = geom.entropy_step(x, z)
         on_eu = np.ones(op.d, dtype=bool)
         on_eu[ent] = False
         w_all, w_ends = _restrict(out_all, offsets, on_eu)
         r_all, r_ends = ((w_all, w_ends) if op.reads_are_writes
                          else _restrict(r_all, r_ends, on_eu))
-
-    def prox_ent():
-        x[ent] = geom.prox_entropy(z[ent])
 
     def settle(idx, A, k):
         bad = geom.prox_into(x, idx, z, S, A)

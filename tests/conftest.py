@@ -2,6 +2,8 @@
 without a C compiler: every REM run takes the Python loop, and the tests
 that need the compiled kernel are skipped."""
 
+import shutil
+
 import pytest
 
 from remvi import _kernel
@@ -23,3 +25,11 @@ def _compiler(request, tmp_path_factory):
         _kernel._library.cache_clear()
         yield
     _kernel._library.cache_clear()
+
+
+@pytest.fixture
+def compiler():
+    """Skips the test where no C compiler is found (looked up when the test
+    runs, after the suite's ``--no-compiler`` option took effect)."""
+    if shutil.which(_kernel.CC) is None:
+        pytest.skip("no C compiler")

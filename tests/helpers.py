@@ -6,8 +6,12 @@ import itertools
 import sys
 
 import numpy as np
+import pytest
 
 from remvi import _kernel
+
+# the test needs the C compiler (the ``compiler`` fixture skips it if none)
+needs_compiler = pytest.mark.usefixtures("compiler")
 
 
 def value(component, x):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from remvi.geometry import GeometryBundle, euclidean_block, simplex_block
+from remvi.problems import generate_instance
 
 
 def euclid_quad(mu=1.0, size=2):
@@ -298,6 +299,92 @@ def test_sample_domain_feasible():
     for geom in ALL_GEOMS:
         for _ in range(25):
             geom.validate_domain(geom.sample_domain(rng), tol=1e-12)
+
+
+def sample_domain_before(geom, rng, sharp=False):
+    """``sample_domain`` as it gathered its constants on every call."""
+    x = np.empty(geom.d)
+    ei = geom._eu_idx
+    if ei.size:
+        lo, hi, x0 = geom._lo[ei], geom._hi[ei], geom.x0[ei]
+        bounded = np.isfinite(lo) & np.isfinite(hi)
+        noise = rng.standard_normal(ei.size)
+        vals = x0 + noise
+        if sharp:
+            mask = rng.random(ei.size) < max(2.0 / ei.size, 0.05)
+            vals = np.where(mask, x0 + 3.0 * noise, x0)
+        if bounded.any():
+            if sharp:
+                corner = np.where(rng.random(ei.size) < 0.5, lo, hi)
+                vals = np.where(bounded, np.where(
+                    rng.random(ei.size) < 0.5, corner, vals), vals)
+            else:
+                u = rng.random(ei.size)
+                lo_b = np.where(bounded, lo, 0.0)
+                span = np.where(bounded, hi - lo, 0.0)
+                vals = np.where(bounded, lo_b + u * span, vals)
+        x[ei] = np.clip(vals, lo, hi)
+    alpha = 0.07 if sharp else 1.0
+    for b in geom._ent_blocks:
+        x[b.idx] = np.maximum(rng.dirichlet(np.full(b.size, alpha)), 1e-300)
+    return x
+
+
+def entropy_prox_before(geom, z_ent):
+    """``prox_entropy`` as it allocated each of its arrays."""
+    logits = geom._ent_log_anchor - z_ent
+    logits -= np.maximum.reduceat(logits, geom._ent_starts).repeat(
+        geom._ent_sizes)
+    u = np.exp(logits)
+    u /= np.add.reduceat(u, geom._ent_starts).repeat(geom._ent_sizes)
+    return u
+
+
+def family_geometries():
+    """The four generated families' geometries and two more: simplex blocks
+    of unequal sizes out of order, and boxes with an unbounded side."""
+    kw = {"lad": {"density": 0.2}}
+    geoms = [generate_instance(f, 12, 9, 1.0, seed=7, **kw.get(f, {})).geometry
+             for f in ("matrix-game", "box-simplex", "lad", "policy-eval")]
+    geoms.append(GeometryBundle([
+        simplex_block(np.array([7, 1, 4])), euclidean_block(np.array([0, 5])),
+        simplex_block(np.array([2, 3, 6, 8]))]))
+    geoms.append(GeometryBundle([
+        euclidean_block(np.arange(3), lo=[-1.0, 0.0, -np.inf],
+                        hi=[np.inf, 2.0, 1.0], anchor=[0.5, 1.0, -3.0]),
+        euclidean_block(np.arange(3, 6), weights=[1.0, 2.0, 3.0])]))
+    return geoms
+
+
+@pytest.mark.parametrize("sharp", [False, True])
+def test_sample_domain_equals_per_call_gathers(sharp):
+    # the constants gathered once give the same draws, byte for byte
+    for geom in family_geometries():
+        r_new, r_old = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(20):
+            assert geom.sample_domain(r_new, sharp=sharp).tobytes() == \
+                sample_domain_before(geom, r_old, sharp=sharp).tobytes()
+
+
+def test_entropy_step_equals_allocating_prox():
+    # the solver's entropy step writes prox_entropy(z[ent]) into x[ent],
+    # byte for byte, and leaves z and the other coordinates alone
+    rng = np.random.default_rng(32)
+    for geom in family_geometries():
+        if not geom._ent_idx.size:
+            continue
+        ent = geom._ent_idx
+        x, z = rng.standard_normal(geom.d), np.zeros(geom.d)
+        step = geom.entropy_step(x, z)
+        for scale in (1e-3, 1.0, 50.0, 1e4):
+            z[:] = scale * rng.standard_normal(geom.d)
+            x_old, z_old = x.copy(), z.copy()
+            x_old[ent] = entropy_prox_before(geom, z[ent])
+            step()
+            assert x.tobytes() == x_old.tobytes()
+            assert z.tobytes() == z_old.tobytes()
+            assert geom.prox_entropy(z[ent]).tobytes() == \
+                x_old[ent].tobytes()
 
 
 def test_block_order_does_not_change_results():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (assert_runs_bitwise_equal, calls_per_iteration,
-                     loop_paths, scripted_plan)
+                     loop_paths, needs_compiler, scripted_plan)
 from remvi import _kernel
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import CallableComponent
@@ -23,17 +23,6 @@ from remvi.problems import generate_instance, make_custom, make_matrix_game
 from remvi.sampling import problem_plan
 from remvi.solver import DivergenceError, SolverConfig, run
 from test_solver import mixed_instance
-
-
-@pytest.fixture
-def compiler():
-    """Skips the test where no C compiler is found (looked up when the test
-    runs, after the suite's ``--no-compiler`` option took effect)."""
-    if shutil.which(_kernel.CC) is None:
-        pytest.skip("no C compiler")
-
-
-needs_compiler = pytest.mark.usefixtures("compiler")
 
 
 def callable_instance():
@@ -284,10 +273,11 @@ def test_kernel_iteration_python_calls():
     inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
     cfg = SolverConfig(iterations=2000, seed=0, mode="lazy", eval_metrics=())
     assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 9.1
-    # a game adds the entropy prox: the callback, prox_entropy and its
-    # segmented pass (a record every m = 50 iterations adds about 0.3)
+    # a game adds the entropy prox: the callback is a functools.partial
+    # of the segmented pass, one Python call (a record every m = 50
+    # iterations adds about 0.2)
     inst = generate_instance("matrix-game", 30, 20, 1.0, seed=1)
-    assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 12.4
+    assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 10.4
 
 
 @needs_compiler

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -156,6 +157,36 @@ class TestLad:
         np.testing.assert_allclose(
             inst.operator.evaluate_full(x),
             np.concatenate([A.T @ x[4:], -(A @ x[:4] - b)]), atol=1e-12)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_component_build_pauses_collector(self, enabled, monkeypatch):
+        # the components are built with the cyclic collector off, and
+        # make_lad leaves it as it found it, also when the build raises
+        seen = []
+
+        class Probe(problems._LadComponent):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                seen.append(gc.isenabled())
+                if fail and len(seen) == 3:
+                    raise RuntimeError("build failed")
+                super().__init__(*args)
+
+        monkeypatch.setattr(problems, "_LadComponent", Probe)
+        A = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            fail = False
+            assert make_lad(A, np.ones(2)).m == 4
+            assert seen == [False] * 4 and gc.isenabled() is enabled
+            fail, seen[:] = True, []
+            with pytest.raises(RuntimeError, match="build failed"):
+                make_lad(A, np.ones(2))
+            assert seen == [False] * 3 and gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_consistent_sup_gap(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,11 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import needs_compiler
+from remvi import _kernel
 from remvi.operators import LipschitzProfile, lpq_bound
 from remvi.problems import (generate_instance, make_box_simplex, make_lad,
                             make_matrix_game)
@@ -52,6 +57,35 @@ def assert_table_bytes(table, p):
     prob, alias = pairing_alias_build(p)
     assert table.prob.tobytes() == prob.tobytes()
     assert table.alias.tobytes() == alias.tobytes()
+
+
+def pairing_cases():
+    """300 distributions: uniform, log-uniform over up to 16 decades, a few
+    heavy entries among light ones, and small integer weights (ties, and
+    scaled entries at exactly 1)."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for trial in range(300):
+        m = int(rng.integers(1, 400))
+        kind = trial % 4
+        if kind == 0:
+            p = np.ones(m)
+        elif kind == 1:
+            p = 10.0 ** rng.uniform(-int(rng.integers(1, 17)), 0, size=m)
+        elif kind == 2:
+            p = np.full(m, 1e-9)
+            p[rng.integers(m, size=int(rng.integers(1, 4)))] = 1.0
+        else:
+            p = rng.integers(1, 4, size=m).astype(float)
+        cases.append(p / p.sum())
+    return cases
+
+
+@functools.cache
+def lad_lazy_plan():
+    """The plan of the benchmark's lazy LAD shape (3000 x 3000 at 0.7%)."""
+    inst = generate_instance("lad", 3000, 3000, 1.0, seed=5, density=0.007)
+    return problem_plan(inst)
 
 
 class TestBuildPlan:
@@ -229,31 +263,61 @@ class TestSampling:
             assert table.alias.dtype == alias.dtype
 
     def test_build_equals_pairing_loop_bytes(self):
-        # 300 distributions: uniform, log-uniform over up to 16 decades, a
-        # few heavy entries among light ones, and small integer weights
-        # (ties, and scaled entries at exactly 1)
-        rng = np.random.default_rng(22)
-        for trial in range(300):
-            m = int(rng.integers(1, 400))
-            kind = trial % 4
-            if kind == 0:
-                p = np.ones(m)
-            elif kind == 1:
-                p = 10.0 ** rng.uniform(-int(rng.integers(1, 17)), 0, size=m)
-            elif kind == 2:
-                p = np.full(m, 1e-9)
-                p[rng.integers(m, size=int(rng.integers(1, 4)))] = 1.0
-            else:
-                p = rng.integers(1, 4, size=m).astype(float)
-            p = p / p.sum()
+        for p in pairing_cases():
             assert_table_bytes(AliasTable(p), p)
 
     def test_lad_plan_tables_equal_pairing_loop_bytes(self):
-        # the plan of the benchmark's lazy LAD shape (3000 x 3000 at 0.7%)
-        inst = generate_instance("lad", 3000, 3000, 1.0, seed=5, density=0.007)
-        plan = problem_plan(inst)
+        plan = lad_lazy_plan()
         assert_table_bytes(plan._alias_p, plan.p)
         assert_table_bytes(plan._alias_q, plan.q)
+
+    @needs_compiler
+    def test_compiled_build_equals_python_build(self, monkeypatch):
+        # the same session builds each table in C and then in Python (the
+        # accessor patched to find no library): the bytes are equal
+        cases = pairing_cases() + [lad_lazy_plan().p]
+        compiled = [AliasTable(p) for p in cases]
+        assert _kernel.alias_builder() is not None
+        monkeypatch.setattr(_kernel, "alias_builder", lambda: None)
+        for p, table in zip(cases, compiled):
+            reference = AliasTable(p)
+            assert table.prob.tobytes() == reference.prob.tobytes()
+            assert table.alias.tobytes() == reference.alias.tobytes()
+
+    @needs_compiler
+    def test_compiled_build_memory(self):
+        # the build's own arrays (scaled, the small and large indices, prob
+        # and alias) are 32 B an entry; the Python lists took about 120
+        p = np.sqrt(np.random.default_rng(23).uniform(0.01, 1.0, 200_000))
+        p /= p.sum()
+        AliasTable(p[:2] / p[:2].sum())     # the library loaded
+        tracemalloc.start()
+        try:
+            AliasTable(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * p.size
+
+    def test_sample_reads_table_as_sample_many(self):
+        # sample reads the table through memoryviews, sample_many through
+        # numpy indexing: the same index for each of 1e5 uniforms
+        table = lad_lazy_plan()._alias_p
+        u = RngStream(24).uniform_array(100_000)
+        # and at uniforms landing exactly on an entry's prob, where the
+        # alias is drawn
+        i = np.flatnonzero(table.prob < 1.0)
+        edge = (i + table.prob[i]) / table.m
+        scaled = edge * table.m
+        exact = (scaled.astype(np.intp) == i) & (scaled - i == table.prob[i])
+        u = np.concatenate((u, edge[exact]))
+        assert exact.any()
+        np.testing.assert_array_equal(
+            np.array([table.sample(v) for v in u.tolist()]),
+            table.sample_many(u))
+        np.testing.assert_array_equal(table.sample_many(edge[exact]),
+                                      table.alias[i[exact]])
+        assert type(table.sample(0.5)) is int
 
     def test_sample_many_matches_sequential(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
