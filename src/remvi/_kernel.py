@@ -1,8 +1,8 @@
 """The compiled window kernel: build, cache and load ``_window.c``, and run
 the REM loop's iterations between two stops through it.
 
-``solver.run`` calls ``load`` for every run of more than one iteration,
-on any geometry, and ``sampling.AliasTable`` calls ``alias_builder`` for
+``solver.run`` calls ``load`` for every run of one iteration or more, on
+any geometry, and ``sampling.AliasTable`` calls ``alias_builder`` for
 every table it builds.  The shared library is built with the system
 ``gcc`` on first use and cached per user under ``$XDG_CACHE_HOME/remvi``
 (``~/.cache/remvi`` by default; the directory has mode 0700), keyed by a
@@ -52,11 +52,11 @@ class Window(ctypes.Structure):
             "values_obj", "prox_ent")]
         + [(f, _P) for f in (
             "x", "z", "S", "values", "scratch", "shadow", "old", "wsum",
-            "eval_iter", "p", "a", "A", "wx0", "w", "mu", "lo", "hi",
+            "fhat", "eval_iter", "p", "a", "A", "wx0", "w", "mu", "lo", "hi",
             "offsets", "out_all", "r_offsets", "r_all", "w_offsets", "w_all",
             "every", "ent")]
-        + [(f, _N) for f in ("m", "d", "n_every", "n_ent", "lazy", "j2",
-                             "shadow_n", "bad_k")]
+        + [(f, _N) for f in ("m", "d", "n_every", "n_ent", "lazy", "K",
+                             "j2", "bad_k")]
         + [("bad_norm", ctypes.c_double)])
 
 
@@ -124,7 +124,7 @@ def _library():
     except OSError:
         return None
     fn = lib.rem_window
-    fn.argtypes = (ctypes.POINTER(Window), _N, _N, ctypes.c_int)
+    fn.argtypes = (ctypes.POINTER(Window), _N, _N)
     fn.restype = ctypes.c_int
     fn = lib.alias_build
     fn.argtypes = (_P, _P, _N, _P, _N, _P, _P)
@@ -153,11 +153,12 @@ def _pointer(arr, dtype):
 
 
 def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
-                 scratch, wsum, lazy, reads, writes, prox_ent):
+                 scratch, wsum, fhat, lazy, reads, writes, prox_ent):
     """The ``Window`` of one run, with every pointer resolved once.
     ``reads`` and ``writes`` are the run's Euclidean read and write layouts
-    (``(flat, ends)`` each), and ``prox_ent`` the no-argument call that
-    proxes the entropy coordinates.  The caller keeps the arrays alive
+    (``(flat, ends)`` each), ``prox_ent`` the no-argument call that
+    proxes the entropy coordinates, and ``fhat`` takes the extrapolated
+    estimate of the last iteration.  The caller keeps the arrays alive
     while the kernel runs: the ones made here are kept on the state.  The
     components are handed x, scratch and the table's values through the
     operator's ``io_view``."""
@@ -169,14 +170,14 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
         comps=op.components, x_obj=op.io_view(x),
         scratch_obj=op.io_view(scratch), values_obj=table.out,
         prox_ent=prox_ent, m=op.m, d=op.d, n_every=geom._eu_idx.size,
-        n_ent=geom._ent_idx.size, lazy=int(lazy), j2=-1, shadow_n=0,
+        n_ent=geom._ent_idx.size, lazy=int(lazy), K=a_steps.size - 1, j2=-1,
         bad_k=0, bad_norm=0.0)
     if type(op.components) is not list or len(op.components) != op.m:
         raise ValueError("kernel needs the operator's component list")
     (r_all, r_ends), (w_all, w_ends) = reads, writes
     if (x.size != op.d or z.size != op.d or geom.d != op.d
             or table.values.size != op.out_all.size
-            or scratch.size < op.max_support
+            or scratch.size < op.max_support or fhat.size != op.d
             or table.eval_iter.dtype != np.int64 or p.size != op.m
             or r_ends.size != op.m + 1 or w_ends.size != op.m + 1
             or a_steps.size != A_sums.size):
@@ -184,6 +185,7 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
     for name, arr, dtype in (
             ("x", x, f8), ("z", z, f8), ("S", table.aggregate, f8),
             ("values", table.values, f8), ("scratch", scratch, f8),
+            ("fhat", fhat, f8),
             ("shadow", table._buffer, f8), ("old", old, f8),
             ("eval_iter", table.eval_iter, np.dtype(np.int64)), ("p", p, f8),
             ("a", a_steps, f8), ("A", A_sums, f8), ("wx0", geom._wx0, f8),
@@ -196,5 +198,5 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
         setattr(st, name, _pointer(arr, dtype))
     if wsum is not None:
         st.wsum = _pointer(wsum, f8)
-    st.keep = (p, old, a_steps, A_sums, wsum, reads, writes)
+    st.keep = (p, old, a_steps, A_sums, wsum, fhat, reads, writes)
     return st

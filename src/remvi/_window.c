@@ -8,7 +8,8 @@
  * between them runs here on the run's flat arrays: j1's catch-up prox
  * (lazy mode), the entropy step, j1's correction of z, j2's settle, the
  * table refresh's bookkeeping (shadow, eval_iter, aggregate) and base
- * shift, dense mode's whole-iterate settle and the weighted-full sum.
+ * shift, the whole-iterate settle, the weighted-full sum and, at the last
+ * iteration K, fhat as solver.extrapolate forms it.
  *
  * Every operation is the IEEE double operation the numpy loop makes, in
  * the same order, so a run here equals the Python loop bit for bit.  That
@@ -33,8 +34,8 @@ typedef struct {
      * entropy coordinates) */
     PyObject *sample_p, *sample_q, *draw, *comps, *x_obj, *scratch_obj,
              *values_obj, *prox_ent;
-    /* the dual state and the table */
-    double *x, *z, *S, *values, *scratch, *shadow, *old, *wsum;
+    /* the dual state, the table, the weighted-full sum and fhat (at K) */
+    double *x, *z, *S, *values, *scratch, *shadow, *old, *wsum, *fhat;
     int64_t *eval_iter;
     /* run constants: probabilities, steps a_0..a_K, sums A_0..A_K */
     const double *p, *a, *A;
@@ -44,9 +45,9 @@ typedef struct {
      * Euclidean and entropy coordinates */
     const Py_ssize_t *offsets, *out_all, *r_offsets, *r_all, *w_offsets,
                      *w_all, *every, *ent;
-    Py_ssize_t m, d, n_every, n_ent, lazy;
-    /* carried from one window to the next: the last j2 and its slot size */
-    Py_ssize_t j2, shadow_n;
+    Py_ssize_t m, d, n_every, n_ent, lazy, K;
+    /* carried from one window to the next: the last j2 */
+    Py_ssize_t j2;
     /* a divergence: its iteration and the magnitude reported */
     Py_ssize_t bad_k;
     double bad_norm;
@@ -142,7 +143,7 @@ static int in_range(Py_ssize_t j, Py_ssize_t m)
 #define DIVERGED(norm_) do { st->bad_k = k; st->bad_norm = (norm_); \
                              return 1; } while (0)
 
-int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
+int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1)
 {
     if (evaluate_name == NULL) {
         evaluate_name = PyUnicode_InternFromString("evaluate");
@@ -170,7 +171,8 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
          * entropy coordinates by a*S, correct z on its outputs by
          * (a_prev/p_j1) * (F_j1(x) - its value two iterations back, the
          * shadow if the last refresh was j1's), then prox the entropy
-         * coordinates */
+         * coordinates; at K, fhat is S plus j1's correction rescaled by
+         * a_prev/(a*p_j1) */
         Py_ssize_t lo = st->r_offsets[j1];
         if (st->lazy && A_prev != 0.0
                 && settle(st, st->r_all + lo, st->r_offsets[j1 + 1] - lo,
@@ -181,12 +183,19 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
         for (Py_ssize_t t = 0; t < st->n_ent; t++)
             z[ent[t]] = z[ent[t]] + a * S[ent[t]];
         Py_ssize_t at = offsets[j1], n = offsets[j1 + 1] - at;
+        double *fhat = k == st->K ? st->fhat : NULL;
+        if (fhat != NULL)
+            memcpy(fhat, S, st->d * sizeof(double));
         if (a_prev != 0.0) {
             double cj = a_prev / st->p[j1];
+            double c = fhat != NULL ? a_prev / (a * st->p[j1]) : 0.0;
             const double *prev = j1 == j2_prev ? st->shadow : values + at;
             for (Py_ssize_t t = 0; t < n; t++) {
                 Py_ssize_t i = out_all[at + t];
-                z[i] = z[i] + cj * (st->scratch[t] - prev[t]);
+                double dv = st->scratch[t] - prev[t];
+                z[i] = z[i] + cj * dv;
+                if (fhat != NULL)
+                    fhat[i] = fhat[i] + c * dv;
             }
         }
         if (st->n_ent) {
@@ -214,7 +223,6 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
         for (Py_ssize_t t = 0; t < n_eu; t++)
             st->old[t] = S[eu[t]];
         st->j2 = j2;
-        st->shadow_n = n;
         if (evaluate(st, j2, st->values_obj, at))
             return -1;
         st->eval_iter[j2] = k;
@@ -232,8 +240,8 @@ int rem_window(Window *st, Py_ssize_t k0, Py_ssize_t k1, int settle_last)
 
         /* the Euclidean iterate at A: every iteration in dense mode and
          * with weighted-full averaging, else at the window's last
-         * iteration when it is a record or a pick */
-        if ((!st->lazy || st->wsum != NULL || (k == k1 && settle_last))
+         * iteration (a window ends at a record or a pick) */
+        if ((!st->lazy || st->wsum != NULL || k == k1)
                 && settle(st, st->every, st->n_every, A, &norm))
             DIVERGED(norm);
         if (st->wsum != NULL) {

@@ -303,8 +303,9 @@ def run_experiment(cfg):
     """
     cfg.validate()
     problem = _load_problem(cfg)
-    plan = _make_plan(problem, cfg.sampling)
     rem = _solver_config(problem, cfg)
+    # only REM draws from a sampling plan
+    plan = None if rem is None else _make_plan(problem, cfg.sampling)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed = []
     any_diverged = False

@@ -369,13 +369,6 @@ class ComponentTable:
         # scatter-add
         self.aggregate[op.out_all[at:end]] += slot - old
 
-    def shadowed(self, j, k, n):
-        """Record a refresh of slot j (n entries) at iteration k made
-        outside ``refresh``, whose overwritten values were written into
-        the first n entries of the shadow buffer."""
-        self.shadow = self._buffer[:n]
-        self._shadow_iter, self._shadow_j = k, j
-
     def resolve_prev(self, j, k):
         """Stored value of component j as of the end of iteration k-2: the
         shadow or a view of slot j."""

@@ -10,17 +10,17 @@ components read, dense mode also all of them at the end of each iteration.
 Both consume the same draw stream (j1 first, then j2) and compute each prox
 from the same state, so their runs are equal bit for bit.
 
-``run`` hands iterations 1..K-1 to a compiled kernel (``_window.c``,
-built and loaded by ``_kernel``), one call per window that ends at a
-metric record or an averaging pick.  The draws, the component evaluations
-and the entropy prox (numpy's ``exp`` and ``log``) stay Python calls made
+``run`` hands every iteration to a compiled kernel (``_window.c``, built
+and loaded by ``_kernel``), one call per window that ends at a metric
+record or an averaging pick.  The draws, the component evaluations and
+the entropy prox (numpy's ``exp`` and ``log``) stay Python calls made
 from the kernel; the Euclidean proxes, the correction, the refresh's
-bookkeeping and base shift, dense mode's settle and the weighted-full sum
-run in C with the same IEEE operations as the Python loop, so both give
-the same bits, errors included.  Iteration K, which also forms
-``fhat_last``, runs in the Python loop, in numpy.  Without a compiler, or
-when the build fails, the Python loop runs every iteration;
-``Trace.info["kernel"]`` says which ran ("c" or "python").
+bookkeeping and base shift, the whole-iterate settle, the weighted-full
+sum and, at iteration K, ``fhat_last`` run in C with the same IEEE
+operations as the numpy loop, so both give the same bits, errors
+included.  Without a compiler, or when the build fails, the numpy loop
+runs the same windows; ``Trace.info["kernel"]`` says which ran ("c" or
+"python").
 
 A component's sets are slices of the operator's support layout, cut per
 draw; with entropy coordinates the reads and writes that are settled come
@@ -41,7 +41,6 @@ checked once, over the whole schedule.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -237,20 +236,19 @@ def extrapolate(table, j, comp_at_prev, a_prev, a, p_j, k):
 
 
 class _Averager:
-    """Output-averaging bookkeeping shared by both run modes.  ``picks``
-    holds the iterations whose iterate enters the average."""
+    """Output-averaging bookkeeping shared by both run modes: the a-weighted
+    sum ``wsum``, which the loop adds to, or ``picks``, the iterations whose
+    iterate ``add`` enters into the average."""
 
     def __init__(self, config, gamma, m, d, index_rng):
         K = config.iterations
-        self.mode = config.averaging
         self.wsum = None
         self.counts = None
         self.denom = 0
         self.acc = None
         self.picks = ()
-        if self.mode == "weighted-full":
+        if config.averaging == "weighted-full":
             self.wsum = np.zeros(d)
-            self.picks = range(1, K + 1)
         elif gamma == 0.0 and K >= 1:
             size = config.avg_samples
             if size is None:
@@ -269,11 +267,8 @@ class _Averager:
             self.counts = counts
             self.acc = np.zeros(d)
 
-    def add(self, k, a, x):
-        if self.wsum is not None:
-            self.wsum += a * x
-        else:
-            self.acc += self.counts[k] * x
+    def add(self, k, x):
+        self.acc += self.counts[k] * x
 
     def result(self, A_final):
         if self.wsum is not None and A_final > 0.0:
@@ -357,7 +352,7 @@ def run(problem, plan, config):
     index_rng = RngStream(config.seed, stream=1)
     avg = _Averager(config, gamma, m, op.d, index_rng)
     # loaded (and on first use built) before the records' clock starts
-    kernel = _kernel.load() if K > 1 else None
+    kernel = _kernel.load() if K else None
     rec = _Recorder(problem, config)
     stride = rec.stride
     table = ComponentTable(op, geom.x0)
@@ -399,96 +394,96 @@ def run(problem, plan, config):
 
     # j1's value, in the first entries of one buffer for the whole run
     scratch = np.empty(op.max_support)
-    a = A = 0.0
+    x_io, scratch_io = op.io_view(x), op.io_view(scratch)
+    fhat_last = np.empty(op.d)
     j2 = -1
-    fhat_last = None
-    first = 1
+
+    def numpy_window(k0, k1):
+        """Iterations k0..k1 in numpy, with the kernel's contract: the same
+        operations in the same order, the whole iterate settled at k1."""
+        nonlocal j2
+        for k in range(k0, k1 + 1):
+            a_prev, A_prev, j2_prev = a_all.item(k - 1), A_seq.item(k - 1), j2
+            a, A = a_all.item(k), A_seq.item(k)
+            # the draws depend on nothing the iteration changes: j1, then j2
+            j1 = plan.sample_p(draw)
+            j2 = plan.sample_q(draw)
+            if not (0 <= j1 < m and 0 <= j2 < m):
+                bad = j1 if not 0 <= j1 < m else j2
+                raise IndexError(
+                    f"drawn component index {bad} outside [0, {m})")
+            if lazy and A_prev != 0.0:  # dense x is current; at A = 0, x0
+                settle(r_all[r_ends.item(j1):r_ends.item(j1 + 1)], A_prev, k)
+            op.components[j1].evaluate(x_io, scratch_io, 0)
+            at, end = offsets.item(j1), offsets.item(j1 + 1)
+            value = scratch[:end - at]
+            if k == K:
+                fhat_last[:] = extrapolate(table, j1, value, a_prev, a,
+                                           plan.p[j1], k)
+            # the step adds a_k * F_hat to z: a_k * S, stepped on the
+            # entropy coordinates and implied by the new A on Euclidean
+            # ones, plus j1's correction (a_prev/p_j1) * (F_j1(x) - its
+            # value two iterations back, which is the shadow if the last
+            # refresh was j1's)
+            if ent is not None:
+                z[ent] += a * S[ent]
+            if a_prev != 0.0:
+                prev = table.shadow if j1 == j2_prev else table.values[at:end]
+                z[out_all[at:end]] += (a_prev / plan.p.item(j1)) * (
+                    value - prev)
+            if ent is not None:
+                _check_finite(z[ent], k, bound)
+                prox_ent()
+            # both modes settle what j2 reads, then refresh slot j2 at x,
+            # shifting the base on its Euclidean writes so that z + A*S
+            # stays where it was
+            settle(r_all[r_ends.item(j2):r_ends.item(j2 + 1)], A, k)
+            writes = w_all[w_ends.item(j2):w_ends.item(j2 + 1)]
+            old = S[writes]
+            table.refresh(j2, x_io, k)
+            if writes.size:     # else j2 writes only entropy coordinates
+                z[writes] = b = z[writes] - A * (S[writes] - old)
+                _check_finite(b, k, bound)
+            # the whole iterate at A: every iteration in dense mode and with
+            # weighted-full averaging, else at the window's end
+            if not lazy or avg.wsum is not None or k == k1:
+                settle(every, A, k)
+            if avg.wsum is not None:
+                avg.wsum += a * x
+
     if kernel is not None:
-        # iterations 1..K-1 in the compiled kernel, a window per stop (a
-        # record or a pick); iteration K, which also forms fhat_last, below
         st = _kernel.window_state(
             plan=plan, draw=draw, op=op, geom=geom, table=table, x=x, z=z,
             a_steps=a_all, A_sums=A_seq, scratch=scratch, wsum=avg.wsum,
-            lazy=lazy, reads=(r_all, r_ends), writes=(w_all, w_ends),
-            prox_ent=prox_ent)
-        sampled = avg.wsum is None
-        ordered = () if not sampled else (
-            picks if type(picks) is range else sorted(picks))
-        # the stops in order, made as they are needed: a stop that is both
-        # a record and a pick comes twice, and its second copy is skipped
-        stops = heapq.merge(range(stride, K - 1, stride),
-                            itertools.takewhile((K - 1).__gt__, ordered),
-                            (K - 1,))
-        k = 1
-        for stop in stops:
-            if stop < k:
-                continue
-            shown = stop % stride == 0 or stop in picks
-            if kernel(st, k, stop, shown):
+            fhat=fhat_last, lazy=lazy, reads=(r_all, r_ends),
+            writes=(w_all, w_ends), prox_ent=prox_ent)
+
+        def advance(k0, k1):
+            if kernel(st, k0, k1):
                 raise DivergenceError(st.bad_k, st.bad_norm, bound,
                                       what="dual vector z")
-            k = stop + 1
-            if sampled and stop in picks:
-                avg.add(stop, a_all.item(stop), x)
-            if stop % stride == 0:
-                rec.add(stop, op.m + 2 * stop, x, avg.wsum,
-                        A_seq.item(stop))
-        first, a, A, j2 = K, a_all.item(K - 1), A_seq.item(K - 1), st.j2
-        table.shadowed(j2, K - 1, st.shadow_n)
-    # the iterations the kernel did not run, in numpy: the same operations
-    # in the same order
-    x_io, scratch_io = op.io_view(x), op.io_view(scratch)
-    for k in range(first, K + 1):
-        a_prev, A_prev, j2_prev = a, A, j2
-        a, A = a_all.item(k), A_seq.item(k)
-        # the draws depend on nothing the iteration changes: j1, then j2
-        j1 = plan.sample_p(draw)
-        j2 = plan.sample_q(draw)
-        if not (0 <= j1 < m and 0 <= j2 < m):
-            bad = j1 if not 0 <= j1 < m else j2
-            raise IndexError(f"drawn component index {bad} outside [0, {m})")
-        if lazy and A_prev != 0.0:  # dense x is current, at A = 0 it is x0
-            settle(r_all[r_ends.item(j1):r_ends.item(j1 + 1)], A_prev, k)
-        op.components[j1].evaluate(x_io, scratch_io, 0)
-        at, end = offsets.item(j1), offsets.item(j1 + 1)
-        value = scratch[:end - at]
-        if k == K:
-            fhat_last = extrapolate(table, j1, value, a_prev, a,
-                                    plan.p[j1], k)
-        # the step adds a_k * F_hat to z: a_k * S, stepped on the entropy
-        # coordinates and implied by the new A on Euclidean ones, plus j1's
-        # correction (a_prev/p_j1) * (F_j1(x) - its value two iterations
-        # back, which is the shadow if the last refresh was j1's)
-        if ent is not None:
-            z[ent] += a * S[ent]
-        if a_prev != 0.0:
-            prev = table.shadow if j1 == j2_prev else table.values[at:end]
-            z[out_all[at:end]] += (a_prev / plan.p.item(j1)) * (value - prev)
-        if ent is not None:
-            _check_finite(z[ent], k, bound)
-            prox_ent()
-        # both modes settle what j2 reads, then refresh slot j2 at x,
-        # shifting the base on its Euclidean writes so that z + A*S stays
-        # where it was
-        settle(r_all[r_ends.item(j2):r_ends.item(j2 + 1)], A, k)
-        writes = w_all[w_ends.item(j2):w_ends.item(j2 + 1)]
-        old = S[writes]
-        table.refresh(j2, x_io, k)
-        if writes.size:     # else j2 writes only entropy coordinates
-            z[writes] = b = z[writes] - A * (S[writes] - old)
-            _check_finite(b, k, bound)
-        record = k % stride == 0 or k == K
-        if not lazy or record or k in picks:
-            # the whole iterate at A: every iteration in dense mode
-            settle(every, A, k)
-        if k in picks:
-            avg.add(k, a, x)
-        if record:
-            rec.add(k, op.m + 2 * k, x, avg.wsum, A)
+    else:
+        advance = numpy_window
+    # one window per stop, a record (every stride iterations and at K) or
+    # a pick, the stops made in order as they are needed: a stop that is
+    # both comes twice, and its second copy is skipped
+    stops = heapq.merge(range(stride, K, stride),
+                        picks if type(picks) is range else sorted(picks),
+                        (K,))
+    k = 1
+    for stop in stops:
+        if stop < k:
+            continue
+        advance(k, stop)
+        k = stop + 1
+        if stop in picks:
+            avg.add(stop, x)
+        if stop % stride == 0 or stop == K:
+            rec.add(stop, op.m + 2 * stop, x, avg.wsum, A_seq.item(stop))
     trace.final_x = x
     trace.x_bar = avg.result(A_seq.item(K))
     trace.oracle_calls = op.m + 2 * K
-    if fhat_last is not None:
+    if K:
         trace.info["fhat_last"] = fhat_last
         trace.info["table_values"] = table.values.copy()
         trace.info["table_eval_iter"] = table.eval_iter.copy()

@@ -235,6 +235,21 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "summary.json"))
         assert os.path.exists(os.path.join(out, "seed_1.csv"))
 
+    @pytest.mark.parametrize("solver", ["mirror-prox", "popov"])
+    @pytest.mark.parametrize("sampling", ["problem", "uniform"])
+    def test_baseline_builds_no_sampling_plan(self, tmp_path, solver,
+                                              sampling, monkeypatch):
+        # only REM draws from a plan: a baseline run builds none
+        def fail(*args, **kwargs):
+            raise AssertionError("sampling plan built for a baseline")
+        monkeypatch.setattr(bench, "problem_plan", fail)
+        monkeypatch.setattr(bench, "build_plan", fail)
+        out = str(tmp_path / "cli")
+        assert main(["run", "--problem", "matrix-game", "--solver", solver,
+                     "--sampling", sampling, "--iters", "10", "--n", "3",
+                     "--d", "3", "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "summary.json"))
+
     @pytest.mark.parametrize("solver", ["rem-lazy", "rem-dense",
                                         "mirror-prox", "popov"])
     @pytest.mark.parametrize("stride", ["0", "-5"])

@@ -16,9 +16,9 @@ import pytest
 
 from helpers import (assert_runs_bitwise_equal, calls_per_iteration,
                      loop_paths, needs_compiler, scripted_plan)
-from remvi import _kernel
+from remvi import _kernel, solver
 from remvi.geometry import GeometryBundle, euclidean_block
-from remvi.operators import CallableComponent
+from remvi.operators import CallableComponent, ComponentTable
 from remvi.problems import generate_instance, make_custom, make_matrix_game
 from remvi.sampling import problem_plan
 from remvi.solver import DivergenceError, SolverConfig, run
@@ -127,12 +127,11 @@ def test_kernel_stops_every_iteration(mode, stride, avg_samples,
 
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("mode", ["dense", "lazy"])
-@pytest.mark.parametrize("K", [3, 120])
+@pytest.mark.parametrize("K", [1, 2, 3, 120])
 def test_kernel_follows_scripted_draws(name, mode, K, monkeypatch):
     # the kernel calls the plan's draws as they are at the start of a run,
     # here a script that repeats j1 as the last j2 (the shadow) and draws
-    # the same component as j1 and j2; at K = 3 the Python loop's last
-    # iteration reads the shadow of the kernel's last refresh
+    # the same component as j1 and j2
     inst = CASES[name]()
     m = inst.m
     draws = ([0, 1, m - 1, 2, 2, 0], [1, m - 1, 2, 2, 0, 0, 1])
@@ -212,15 +211,15 @@ def test_divergence_named_alike(name, lpq, mode, seed, monkeypatch):
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("mode", ["dense", "lazy"])
 @pytest.mark.parametrize("seed", [16, 0])
-@pytest.mark.parametrize("at_call", [5, 12, 31])
+@pytest.mark.parametrize("at_call", [5, 12, 31, 799])
 def test_non_finite_component_value_named_alike(name, mode, seed, at_call,
                                                 monkeypatch):
-    # from the loop's at_call-th evaluation on (5 and 31 are j1's, 12 is
-    # j2's) every component writes (inf, NaN, ...): z turns non-finite
-    # through j1's correction (caught by the next prox or, on an entropy
-    # coordinate, by the entropy step's check) or through a refresh's base
-    # shift.  The set names numpy's max (NaN); both paths name the same
-    # iteration and magnitude
+    # from the loop's at_call-th evaluation on (5, 31 and 799 are j1's, 12
+    # is j2's; 799 is in the last iteration, K = 400) every component
+    # writes (inf, NaN, ...): z turns non-finite through j1's correction
+    # (caught by the next prox or, on an entropy coordinate, by the entropy
+    # step's check) or through a refresh's base shift.  The set names
+    # numpy's max (NaN); both paths name the same iteration and magnitude
     inst = CASES[name]()
     calls = {"n": -inst.m}          # the table build evaluates each once
 
@@ -250,17 +249,40 @@ def test_non_finite_component_value_named_alike(name, mode, seed, at_call,
         errors.append((err.iteration, str(err).split(" inf-norm")[0],
                        "nan" if math.isnan(err.norm) else err.norm))
     assert errors[0] == errors[1]
+    assert at_call < 799 or errors[0][0] == 400
 
 
 @needs_compiler
 def test_kernel_runs_on_every_geometry():
-    # with a compiler every run of two iterations or more takes the kernel
+    # with a compiler every run of one iteration or more takes the kernel
     for make in CASES.values():
         inst = make()
         plan = problem_plan(inst)
-        for K, path in ((0, "python"), (1, "python"), (2, "c"), (20, "c")):
+        for K, path in ((0, "python"), (1, "c"), (2, "c"), (20, "c")):
             cfg = SolverConfig(iterations=K, seed=0, mode="lazy")
             assert run(inst, plan, cfg).info["kernel"] == path
+
+
+@needs_compiler
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("mode", ["dense", "lazy"])
+@pytest.mark.parametrize("K", [1, 2, 37])
+def test_compiled_run_never_enters_numpy_loop(name, mode, K, monkeypatch):
+    # the kernel runs every iteration, the last one (which forms fhat_last)
+    # included: the numpy loop's table refresh and extrapolate raise here
+    def entered(*args):
+        raise AssertionError("the numpy loop ran an iteration")
+
+    inst = CASES[name]()
+    plan = problem_plan(inst)
+    cfg = SolverConfig(iterations=K, seed=4, mode=mode, eval_stride=9)
+    with monkeypatch.context() as patch:
+        patch.setattr(ComponentTable, "refresh", entered)
+        patch.setattr(solver, "extrapolate", entered)
+        kern = run(inst, plan, cfg)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert kern.info["kernel"] == "c"
+    assert_runs_bitwise_equal(kern, run(inst, plan, cfg))
 
 
 @needs_compiler
@@ -268,8 +290,8 @@ def test_kernel_iteration_python_calls():
     # in the kernel a lazy LAD iteration makes only the calls that stay in
     # Python: sample_p and sample_q with a uniform and an alias lookup
     # each, the two component evaluations, and the schedule's step size
-    # (iteration K in Python and the kernel's state add about 160 calls a
-    # run, 0.08 an iteration here)
+    # (the kernel's state adds about 110 calls a run, 0.06 an iteration
+    # here)
     inst = generate_instance("lad", 200, 150, 1.0, seed=5, density=0.05)
     cfg = SolverConfig(iterations=2000, seed=0, mode="lazy", eval_metrics=())
     assert calls_per_iteration(run, inst, problem_plan(inst), cfg) <= 9.1
