@@ -1,18 +1,22 @@
-"""The compiled window kernel: build, cache and load ``_window.c``, and run
-the REM loop's iterations between two stops through it.
+"""The compiled library: build, cache and load ``_window.c``, which runs
+the REM loop's iterations between two stops and builds what a run starts
+from.
 
 ``solver.run`` calls ``load`` for every run of one iteration or more, on
-any geometry, and ``sampling.AliasTable`` calls ``alias_builder`` for
-every table it builds.  The shared library is built with the system
+any geometry; ``sampling.AliasTable`` calls ``alias_builder`` for every
+table it builds; ``problems.generate_lad`` calls ``mask_drawer`` for its
+mask on a PCG64 generator, and ``problems.make_lad`` calls ``lad_builder``
+to make its components.  The shared library is built with the system
 ``gcc`` on first use and cached per user under ``$XDG_CACHE_HOME/remvi``
 (``~/.cache/remvi`` by default; the directory has mode 0700), keyed by a
 hash of the source, the flags and the Python ABI, and written atomically.
 It is loaded with ``ctypes.PyDLL``: the interpreter lock stays held, so
 the kernel calls the draws, the component evaluations and the entropy prox
-as Python calls, and an exception one of them raises propagates.  With no
-compiler or a failed build ``load`` and ``alias_builder`` return None, and
-the run and the table take their Python loops, with the same bits.  A new
-build removes the cache's older builds for the same Python.
+as Python calls, the component build makes Python objects, and an
+exception set in C propagates.  With no compiler or a failed build every
+accessor returns None, and the run, the table, the mask and the components
+take their Python or numpy paths, with the same bits.  A new build removes
+the cache's older builds for the same Python.
 """
 
 from __future__ import annotations
@@ -129,6 +133,12 @@ def _library():
     fn = lib.alias_build
     fn.argtypes = (_P, _P, _N, _P, _N, _P, _P)
     fn.restype = None
+    fn = lib.lad_mask
+    fn.argtypes = (*[ctypes.c_uint64] * 4, _N, ctypes.c_double, _P)
+    fn.restype = _N
+    fn = lib.lad_components
+    fn.argtypes = (*[ctypes.py_object] * 4, _P, _P, _N)
+    fn.restype = ctypes.c_int
     return lib
 
 
@@ -143,6 +153,21 @@ def alias_builder():
     on the arrays' addresses, or None as for ``load``."""
     lib = _library()
     return None if lib is None else lib.alias_build
+
+
+def mask_drawer():
+    """``lad_mask(s_hi, s_lo, inc_hi, inc_lo, n, density, hits)``, the
+    mask draw of ``problems.generate_lad`` on a PCG64 state, or None as for
+    ``load``."""
+    lib = _library()
+    return None if lib is None else lib.lad_mask
+
+
+def lad_builder():
+    """``lad_components(cls, comps, coord, share, flat, vals, d)``, the
+    component build of ``problems.make_lad``, or None as for ``load``."""
+    lib = _library()
+    return None if lib is None else lib.lad_components
 
 
 def _pointer(arr, dtype):

@@ -21,10 +21,17 @@
  * iteration and magnitude in bad_k and bad_norm) and -1 with a Python
  * exception set.
  *
- * alias_build, at the end, is the build loop of sampling.AliasTable.
+ * The library's other entry points, at the end, build what a run starts
+ * from, each equal to the Python or numpy code it stands for:
+ * alias_build is the build loop of sampling.AliasTable; lad_mask is
+ * generate_lad's mask draw, stepping numpy's PCG64 itself (in unsigned
+ * __int128, which gcc has on 64-bit targets) to the same uniforms and
+ * hits; and lad_components makes make_lad's components, slot for slot
+ * the objects its Python build makes (problems.py).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -280,4 +287,132 @@ void alias_build(double *scaled, Py_ssize_t *small, Py_ssize_t n_small,
             }
         }
     }
+}
+
+/* generate_lad's mask draw (problems._draw_mask) on numpy's PCG64: of the
+ * next n uniforms of the generator whose 128-bit state and increment are
+ * given (as high and low words), the indices t of those below density, in
+ * increasing order, into hits (room for n).  Returns the number of hits;
+ * the caller advances the generator by n.  Each uniform is numpy's: a step
+ * s = M s + inc, the XSL-RR output of the new s, and next_double's
+ * u = (out >> 11) * 2^-53.  Four states one draw apart step four draws at
+ * a time, s_{t+4} = M^4 s_t + c_4 with c_4 = (M^3 + M^2 + M + 1) inc
+ * (Brown's leapfrog), so the four products of a round do not wait for
+ * each other. */
+typedef unsigned __int128 u128;
+
+static uint64_t pcg64_top53(u128 s)
+{
+    uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return ((v >> rot) | (v << (-rot & 63u))) >> 11;
+}
+
+Py_ssize_t lad_mask(uint64_t s_hi, uint64_t s_lo, uint64_t inc_hi,
+                    uint64_t inc_lo, Py_ssize_t n, double density,
+                    int64_t *hits)
+{
+    const u128 mult = (u128)0x2360ED051FC65DA4u << 64 | 0x4385DF649FCCF645u;
+    const u128 inc = (u128)inc_hi << 64 | inc_lo;
+    u128 s = (u128)s_hi << 64 | s_lo, lane[4], m4 = 1, c4 = 0;
+    for (int i = 0; i < 4; i++) {
+        s = s * mult + inc;
+        lane[i] = s;
+        m4 *= mult;
+        c4 = c4 * mult + inc;
+    }
+    /* u = X * 2^-53 with X = out >> 11 is exact, and so is y = density *
+     * 2^53, so u < density is X < y, which for an integer X is X < ceil(y)
+     * (0 when density is not above 0, NaN included, and 2^53, every X,
+     * from 1 on) */
+    double y = density * 0x1p53;
+    uint64_t cut = y > 0.0 ? y < 0x1p53 ? (uint64_t)ceil(y) : (uint64_t)1 << 53
+                           : 0;
+    /* a draw's index is stored at every draw and kept by counting it as a
+     * hit: no branch on the draw */
+    Py_ssize_t k = 0, t = 0;
+    for (; t + 4 <= n; t += 4)
+        for (int i = 0; i < 4; i++) {
+            hits[k] = t + i;
+            k += pcg64_top53(lane[i]) < cut;
+            lane[i] = lane[i] * m4 + c4;
+        }
+    for (int i = 0; t < n; i++, t++) {
+        hits[k] = t;
+        k += pcg64_top53(lane[i]) < cut;
+    }
+    return k;
+}
+
+/* make_lad's component build: comps, a list of m Nones, gets in place k a
+ * new cls whose slots hold what cls.__init__(zpos, ypos, a, bshare) stores,
+ * zpos = coord[flat[2k]], ypos = coord[flat[2k + 1]], a = vals[k] as a new
+ * float and bshare = share[flat[2k + 1] - d]: the shared int and float
+ * objects themselves.  The object comes from cls's tp_alloc and its slots
+ * are set through the offsets of cls's slot descriptors; __init__ is not
+ * called.  Returns 0, or -1 with an exception set (the places not yet
+ * reached keep None). */
+int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
+                   PyObject *share, const Py_ssize_t *flat,
+                   const double *vals, Py_ssize_t d)
+{
+    static const char *const names[4] = {"zpos", "ypos", "a", "bshare"};
+    Py_ssize_t offset[4];
+    if (!PyType_Check(cls) || !PyList_Check(comps) || !PyList_Check(coord)
+            || !PyList_Check(share)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "lad_components takes a type and three lists");
+        return -1;
+    }
+    for (int i = 0; i < 4; i++) {
+        PyObject *descr = PyObject_GetAttrString(cls, names[i]);
+        if (descr == NULL)
+            return -1;
+        int slot = Py_IS_TYPE(descr, &PyMemberDescr_Type)
+                   && ((PyMemberDescrObject *)descr)->d_member->type
+                      == T_OBJECT_EX;
+        if (slot)
+            offset[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
+        Py_DECREF(descr);
+        if (!slot) {
+            PyErr_Format(PyExc_TypeError, "%s is not a slot of %R",
+                         names[i], cls);
+            return -1;
+        }
+    }
+    PyTypeObject *tp = (PyTypeObject *)cls;
+    Py_ssize_t m = PyList_GET_SIZE(comps), top = PyList_GET_SIZE(coord);
+    if (d < 0 || top != d + PyList_GET_SIZE(share)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "coord must hold d entries more than share");
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < m; k++) {
+        Py_ssize_t zpos = flat[2 * k], ypos = flat[2 * k + 1];
+        if (zpos < 0 || zpos >= d || ypos < d || ypos >= top) {
+            PyErr_Format(PyExc_IndexError, "component %zd's coordinates "
+                         "(%zd, %zd) outside the layout", k, zpos, ypos);
+            return -1;
+        }
+        PyObject *a = PyFloat_FromDouble(vals[k]);
+        if (a == NULL)
+            return -1;
+        PyObject *obj = tp->tp_alloc(tp, 0);
+        if (obj == NULL) {
+            Py_DECREF(a);
+            return -1;
+        }
+        PyObject *slots[4] = {PyList_GET_ITEM(coord, zpos),
+                              PyList_GET_ITEM(coord, ypos), a,
+                              PyList_GET_ITEM(share, ypos - d)};
+        for (int i = 0; i < 4; i++) {
+            if (i != 2)
+                Py_INCREF(slots[i]);
+            *(PyObject **)((char *)obj + offset[i]) = slots[i];
+        }
+        PyObject *none = PyList_GET_ITEM(comps, k);
+        PyList_SET_ITEM(comps, k, obj);
+        Py_DECREF(none);
+    }
+    return 0;
 }

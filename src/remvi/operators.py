@@ -166,6 +166,13 @@ class FiniteSumOperator:
                 raise ValueError("component support out of range")
         # the largest write support: the size of a one-slot scratch buffer
         self.max_support = int(sizes.max())
+        # where each component's values start in evaluate_flat's result: a
+        # range, which holds no memory, when every support has one size
+        # (LAD's pairs), else the offsets as a list of ints
+        size = int(sizes[0])
+        self._starts = (range(0, size * self.m, size)
+                        if size and np.all(sizes == size)
+                        else offsets[:-1].tolist())
         self.scalar_io = all(
             t.scalar_io for t in set(map(type, self.components)))
 
@@ -184,7 +191,7 @@ class FiniteSumOperator:
             # one conversion instead of a read per component: a list reads
             # faster than a memoryview
             x = x.tolist()
-        for c, at in zip(self.components, self.offsets.tolist()):
+        for c, at in zip(self.components, self._starts):
             c.evaluate(x, out, at)
         return flat
 

@@ -26,6 +26,7 @@ import gc
 import numpy as np
 from scipy.sparse import bmat, coo_matrix, csr_matrix, identity
 
+from . import _kernel
 from .geometry import GeometryBundle, euclidean_block, simplex_block
 from .operators import (Component, FiniteSumOperator, LipschitzProfile,
                         load_matrix_market)
@@ -355,15 +356,23 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
     flat, offsets = idx.ravel(), 2 * np.arange(A.nnz + 1)
     # Components share one int object per coordinate and one b_i/c_i float
     # per row (the same divisions as per entry), so a component owns only
-    # itself and its A entry.
-    row_list = rows.tolist()
+    # itself and its A entry.  The compiled library builds them where it
+    # can be built (``_kernel.lad_builder``), with the same slot values.
     coord = list(range(d + n))
     share = (b / counts).tolist()
+    build = _kernel.lad_builder()
     with _collector_paused():
-        comps = list(map(_LadComponent,
-                         map(coord.__getitem__, cols.tolist()),
-                         map(coord[d:].__getitem__, row_list),
-                         vals.tolist(), map(share.__getitem__, row_list)))
+        if build is not None:
+            comps = [None] * A.nnz
+            build(_LadComponent, comps, coord, share,
+                  _kernel._pointer(flat, np.dtype(np.intp)),
+                  _kernel._pointer(vals, np.dtype(np.float64)), d)
+        else:
+            row_list = rows.tolist()
+            comps = list(map(_LadComponent,
+                             map(coord.__getitem__, cols.tolist()),
+                             map(coord[d:].__getitem__, row_list),
+                             vals.tolist(), map(share.__getitem__, row_list)))
     # Coordinates are separable: one block for z, one for the boxed y.
     geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
                                euclidean_block(np.arange(d, d + n), mu=quad,
@@ -662,8 +671,37 @@ _GEMV_ROWS = 16
 def _draw_mask(rng, n, d, density, step):
     """Row and column indices, in row-major order, of the cells of an n x d
     mask whose uniform draw falls below ``density``: the draws of one
-    ``rng.random((n, d))`` call, taken ``step`` rows at a time into one
-    reused block."""
+    ``rng.random((n, d))`` call, taken ``step`` rows at a time.  On numpy's
+    PCG64 the compiled library draws each block from the generator's state
+    (``_kernel.mask_drawer``) and the generator is advanced past it; else
+    numpy draws it into one reused block.  Both leave the generator where
+    ``rng.random((n, d))`` would."""
+    bits = rng.bit_generator
+    draw = _kernel.mask_drawer()
+    # advance() drops a buffered 32-bit half, which random() would keep
+    if (draw is None or type(bits) is not np.random.PCG64
+            or bits.state["has_uint32"]):
+        return _draw_mask_numpy(rng, n, d, density, step)
+    hits = np.empty(min(step, n) * d, dtype=np.int64)
+    at = _kernel._pointer(hits, hits.dtype)
+    word = (1 << 64) - 1
+    rows, cols = [], []
+    for r0 in range(0, n, step):
+        h = min(step, n - r0)
+        pcg = bits.state["state"]
+        s, inc = pcg["state"], pcg["inc"]
+        k = draw(s >> 64, s & word, inc >> 64, inc & word, h * d,
+                 float(density), at)
+        bits.advance(h * d)
+        r, c = np.divmod(hits[:k], d)
+        rows.append(r + r0)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _draw_mask_numpy(rng, n, d, density, step):
+    """``_draw_mask`` through ``Generator.random``, ``step`` rows at a time
+    into one reused block."""
     draws = np.empty((min(step, n), d))
     mask = np.empty(draws.shape, dtype=bool)
     rows, cols = [], []

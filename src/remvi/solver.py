@@ -185,6 +185,12 @@ def step_schedule(K, gamma, lpq, q_star):
     the draws."""
     a_seq = np.empty(K)
     A_seq = np.zeros(K + 1)
+    if gamma == 0.0 and K:
+        # every step is the first: np.cumsum adds the same steps in the
+        # same order as the loop
+        a_seq[:] = next_step_size(0.0, 0.0, 1, gamma, lpq, q_star)
+        np.cumsum(a_seq, out=A_seq[1:])
+        return a_seq, A_seq
     a = A = 0.0
     for i in range(K):
         a = next_step_size(a, A, i + 1, gamma, lpq, q_star)

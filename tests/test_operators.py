@@ -270,6 +270,22 @@ class TestSupportLayout:
         with pytest.raises(ValueError, match="out of range"):
             FiniteSumOperator([CallableComponent([0, 1], [0, 3], f)], 3)
 
+    def test_flat_starts_range_for_one_support_size(self):
+        # evaluate_flat's starts: a range, which holds no memory, when
+        # every support has one size, else the offsets as a list
+        lad = LINEAR_CASES["lad-sparse"].operator
+        assert type(lad._starts) is range
+        assert list(lad._starts) == lad.offsets[:-1].tolist()
+        for sizes, kind in (((3, 3), range), ((1, 3), list), ((0, 0), list)):
+            comps = [CallableComponent(np.arange(s), np.arange(s), lambda x,
+                                       s=s: np.arange(1.0, s + 1.0))
+                     for s in sizes]
+            op = FiniteSumOperator(comps, 3)
+            assert type(op._starts) is kind
+            assert list(op._starts) == op.offsets[:-1].tolist()
+            assert (op.evaluate_flat(np.zeros(3)).tolist()
+                    == [float(t) for s in sizes for t in range(1, s + 1)])
+
     @pytest.mark.parametrize("name", ["lad-dense", "lad-sparse", "lad-quad"])
     def test_lad_out_all_is_raveled_index_array(self, name):
         inst = LINEAR_CASES[name]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, csr_matrix
 
-from helpers import value
-from remvi import problems
+from helpers import needs_compiler, value
+from remvi import _kernel, problems
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
 from remvi.problems import (_lines_nonzero, generate_instance, generate_lad,
@@ -160,8 +160,10 @@ class TestLad:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_component_build_pauses_collector(self, enabled, monkeypatch):
-        # the components are built with the cyclic collector off, and
-        # make_lad leaves it as it found it, also when the build raises
+        # the Python build: the components are built with the cyclic
+        # collector off, and make_lad leaves it as it found it, also when
+        # the build raises
+        monkeypatch.setattr(_kernel, "lad_builder", lambda: None)
         seen = []
 
         class Probe(problems._LadComponent):
@@ -185,6 +187,36 @@ class TestLad:
             with pytest.raises(RuntimeError, match="build failed"):
                 make_lad(A, np.ones(2))
             assert seen == [False] * 3 and gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @needs_compiler
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_compiled_build_pauses_collector(self, enabled, monkeypatch):
+        # the compiled build: the builder is called with the collector off,
+        # and make_lad leaves it as it found it, also when the builder raises
+        build = _kernel.lad_builder()
+        assert build is not None
+        seen = []
+
+        def probe(*args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("build failed")
+            return build(*args)
+
+        monkeypatch.setattr(_kernel, "lad_builder", lambda: probe)
+        A = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            fail = False
+            assert make_lad(A, np.ones(2)).m == 4
+            assert seen == [False] and gc.isenabled() is enabled
+            fail, seen[:] = True, []
+            with pytest.raises(RuntimeError, match="build failed"):
+                make_lad(A, np.ones(2))
+            assert seen == [False] and gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
 
@@ -567,6 +599,144 @@ class TestLadRowBlockGenerator:
             tracemalloc.stop()
         assert inst.m == pytest.approx(n * d * 0.005, rel=0.05)
         assert max(peaks.values()) < limit, peaks
+
+
+def _assert_same_lad(got, ref):
+    """A, b, the components' slots (types, values and which objects are
+    shared) and F at a point are equal bit for bit."""
+    for key in ("indptr", "indices", "data"):
+        a, r = getattr(got.data["A"], key), getattr(ref.data["A"], key)
+        assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+    assert got.data["b"].tobytes() == ref.data["b"].tobytes()
+    slots = ("zpos", "ypos", "a", "bshare")
+
+    def fields(inst):
+        return [(type(c), *((type(getattr(c, f)), getattr(c, f).hex()
+                             if f in ("a", "bshare") else getattr(c, f))
+                            for f in slots))
+                for c in inst.operator.components]
+
+    assert fields(got) == fields(ref)
+    # one int per coordinate and one float per row, shared
+    n, d = got.data["A"].shape
+    for inst in (got, ref):
+        comps = inst.operator.components
+        assert [len({id(getattr(c, f)) for c in comps})
+                for f in ("zpos", "ypos", "bshare")] == [d, n, n]
+    x = np.linspace(-1.0, 1.0, got.d)
+    assert (got.operator.evaluate_full(x).tobytes()
+            == ref.operator.evaluate_full(x).tobytes())
+
+
+# (n, d, exponent, seed, density) beyond _CHUNK_CASES
+_BUILD_CASES = {
+    **_CHUNK_CASES,
+    "nd-not-a-multiple-of-4": (7, 5, 1.0, 3, 0.3),
+    "density-1": (5, 3, 1.0, 0, 1.0),
+    "1x1": (1, 1, 1.0, 0, 1.0),
+}
+
+
+def _pcg64_holding_half_word():
+    """A PCG64 generator holding the unused half of a 64-bit output, which
+    ``advance`` would drop."""
+    rng = np.random.default_rng(5)
+    rng.integers(2, size=3, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+@needs_compiler
+class TestLadCompiledBuild:
+    """The compiled mask draw (a leapfrog PCG64) and component build give
+    generate_lad's instance and generator state bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_BUILD_CASES))
+    def test_equals_python_build(self, case, monkeypatch):
+        n, d, exponent, seed, density = _BUILD_CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = generate_lad(n, d, exponent, seed, density=density)
+            # the compiled mask draw and component build switched off
+            monkeypatch.setattr(_kernel, "mask_drawer", lambda: None)
+            monkeypatch.setattr(_kernel, "lad_builder", lambda: None)
+            ref = generate_lad(n, d, exponent, seed, density=density)
+        _assert_same_lad(got, ref)
+
+    @pytest.mark.parametrize("rows", [1, 3, 37, 10 ** 6])
+    @pytest.mark.parametrize("n,d,density", [
+        (40, 30, 0.05), (7, 5, 0.3), (5, 3, 1.0), (1, 1, 1.0),
+        (9, 1, 0.5), (60, 50, 1e-3)])
+    def test_mask_and_generator_state(self, n, d, density, rows):
+        # the hits in row-major order in blocks of ``rows`` rows, and the
+        # generator's next draws after them
+        def draw(mask):
+            rng = np.random.default_rng(np.random.SeedSequence((n, d, 303)))
+            return (*mask(rng, n, d, density, rows), rng.random(3))
+
+        got = draw(problems._draw_mask)
+        ref = draw(problems._draw_mask_numpy)
+        for a, r in zip(got, ref):
+            assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+        mask = np.random.default_rng(np.random.SeedSequence(
+            (n, d, 303))).random((n, d)) < density
+        np.testing.assert_array_equal(got[0] * d + got[1],
+                                      np.flatnonzero(mask))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hit_decided_as_numpy_at_the_density(self, seed):
+        # densities at the first uniform u and one ulp either side of it:
+        # a draw equal to the density is no hit, one ulp below it is
+        u = np.random.default_rng(seed).random()
+        for density, hit in ((np.nextafter(u, 0.0), False), (u, False),
+                             (np.nextafter(u, 1.0), True)):
+            for mask in (problems._draw_mask, problems._draw_mask_numpy):
+                rows, cols = mask(np.random.default_rng(seed), 1, 5,
+                                  density, 1)
+                assert (0 in cols) is hit
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.random.Generator(np.random.MT19937(5)),
+        lambda: np.random.Generator(np.random.PCG64DXSM(5)),
+        _pcg64_holding_half_word], ids=["mt19937", "pcg64dxsm",
+                                        "pcg64-half-word"])
+    def test_other_generators_take_numpy(self, make, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compiled mask draw on another generator")
+
+        monkeypatch.setattr(_kernel, "mask_drawer", lambda: refuse)
+        got_rng, ref_rng = make(), make()
+        got = problems._draw_mask(got_rng, 30, 20, 0.1, 7)
+        ref = problems._draw_mask_numpy(ref_rng, 30, 20, 0.1, 7)
+        for a, r in zip((*got, got_rng.random(3)), (*ref, ref_rng.random(3))):
+            assert a.tobytes() == r.tobytes()
+
+    def test_builder_rejects_bad_input(self):
+        build = _kernel.lad_builder()
+        flat = np.array([0, 2, 1, 3], dtype=np.intp)
+        vals = np.array([1.5, -2.0])
+        at = _kernel._pointer
+        args = (at(flat, flat.dtype), at(vals, vals.dtype), 2)
+        comps = [None, None]
+        build(problems._LadComponent, comps, [0, 1, 2, 3], [0.5, 0.25],
+              *args)
+        assert [(c.zpos, c.ypos, c.a, c.bshare) for c in comps] == [
+            (0, 2, 1.5, 0.5), (1, 3, -2.0, 0.25)]
+
+        class Plain:
+            zpos = ypos = a = bshare = None
+
+        with pytest.raises(TypeError, match="zpos is not a slot"):
+            build(Plain, [None] * 2, [0, 1, 2, 3], [0.5, 0.25], *args)
+        with pytest.raises(ValueError, match="d entries more"):
+            build(problems._LadComponent, [None] * 2, [0, 1, 2], [0.5, 0.25],
+                  *args)
+        flat[3] = 4
+        comps = [None, None]
+        with pytest.raises(IndexError, match="component 1"):
+            build(problems._LadComponent, comps, [0, 1, 2, 3], [0.5, 0.25],
+                  *args)
+        # the places before the bad one are built, the rest keep None
+        assert type(comps[0]) is problems._LadComponent and comps[1] is None
 
 
 class TestPolicyEval:

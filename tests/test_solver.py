@@ -115,6 +115,22 @@ class TestStepSize:
         assert step_condition_violations(np.array(a_seq) * 3.0, gamma, lpq,
                                          q_star) > 0
 
+    @pytest.mark.parametrize("K", [0, 1, 1000, 20000])
+    @pytest.mark.parametrize("lpq", [3.7, 1340.0, 1e-3])
+    def test_constant_schedule_equals_loop(self, K, lpq):
+        # at gamma = 0 the schedule is the first step repeated and its
+        # running sums, bit for bit what the steps' loop adds in order
+        a_ref, A_ref = [], [0.0]
+        a = A = 0.0
+        for k in range(1, K + 1):
+            a = next_step_size(a, A, k, 0.0, lpq, 0.25)
+            A = A + a
+            a_ref.append(a)
+            A_ref.append(A)
+        a_seq, A_seq = step_schedule(K, 0.0, lpq, 0.25)
+        assert a_seq.tobytes() == np.array(a_ref, dtype=float).tobytes()
+        assert A_seq.tobytes() == np.array(A_ref).tobytes()
+
     def test_certificate_counts_nan_as_violation(self):
         # a NaN gamma (or step) makes every comparison false; each one counts
         a_seq, _ = step_schedule(50, 0.5, 2.0, 0.25)
