@@ -6,7 +6,10 @@ from.
 any geometry; ``sampling.AliasTable`` calls ``alias_builder`` for every
 table it builds; ``problems.generate_lad`` calls ``mask_drawer`` for its
 mask on a PCG64 generator, and ``problems.make_lad`` calls ``lad_builder``
-to make its components.  The shared library is built with the system
+to make its components; ``operators.empirical_full_lipschitz`` calls
+``pair_ratio`` for the pairs of the baselines' Lipschitz estimate on a
+CSR linear part and a geometry without simplex blocks.  The shared
+library is built with the system
 ``gcc`` on first use and cached per user under ``$XDG_CACHE_HOME/remvi``
 (``~/.cache/remvi`` by default; the directory has mode 0700), keyed by a
 hash of the source, the flags and the Python ABI, and written atomically.
@@ -14,9 +17,10 @@ It is loaded with ``ctypes.PyDLL``: the interpreter lock stays held, so
 the kernel calls the draws, the component evaluations and the entropy prox
 as Python calls, the component build makes Python objects, and an
 exception set in C propagates.  With no compiler or a failed build every
-accessor returns None, and the run, the table, the mask and the components
-take their Python or numpy paths, with the same bits.  A new build removes
-the cache's older builds for the same Python.
+accessor returns None, and the run, the table, the mask, the components
+and the estimate take their Python or numpy paths, with the same bits.
+The cache keeps the ``KEEP_BUILDS`` most recently used builds per Python:
+a load refreshes a build's mtime, and a new build removes the older ones.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ CC = "gcc"
 # no fused multiply-add and no -ffast-math: the kernel's arithmetic is the
 # IEEE double arithmetic of the Python loop, operation for operation
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# builds kept in the cache per Python, the most recently used: source
+# trees that run alternately under one cache each keep theirs
+KEEP_BUILDS = 4
 
 _P = ctypes.c_void_p
 _N = ctypes.c_ssize_t
@@ -62,6 +69,18 @@ class Window(ctypes.Structure):
         + [(f, _N) for f in ("m", "d", "n_every", "n_ent", "lazy", "K",
                              "j2", "bad_k")]
         + [("bad_norm", ctypes.c_double)])
+
+
+class Pairs(ctypes.Structure):
+    """The state of the empirical Lipschitz estimate's pairs (``Pairs`` in
+    ``_window.c``, field for field)."""
+
+    _fields_ = (
+        [(f, _P) for f in (
+            "eu", "w", "lo", "hi", "x0", "lo_b", "span", "boxed", "indptr",
+            "indices", "data", "diff", "mv", "terms")]
+        + [(f, _N) for f in ("n", "wide")]
+        + [(f, ctypes.c_double) for f in ("moved", "best")])
 
 
 def _cache_dir():
@@ -87,13 +106,15 @@ def _build():
         source, " ".join(FLAGS).encode(), include.encode(),
         str(sysconfig.get_config_var("SOABI")).encode(),
         sys.version.encode()])).hexdigest()[:24]
-    # one build per Python in the cache: a new one replaces the builds of
-    # an older source or flags for the same Python
+    # a load marks a build used (its mtime); a new build prunes the builds
+    # for the same Python past the KEEP_BUILDS most recently used
     stem = f"window-{sys.implementation.cache_tag}-"
     try:
         cache = _cache_dir()
         path = os.path.join(cache, f"{stem}{key}.so")
         if os.path.exists(path):
+            with contextlib.suppress(OSError):
+                os.utime(path)
             return path
         cc = shutil.which(CC)
         if cc is None:
@@ -107,15 +128,24 @@ def _build():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        for name in os.listdir(cache):
-            if name.startswith(stem) and name.endswith(".so") \
-                    and name != os.path.basename(path):
-                # a process that has it loaded keeps its mapping
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(cache, name))
+        _prune(cache, stem)
     except (OSError, subprocess.SubprocessError):
         return None
     return path
+
+
+def _prune(cache, stem):
+    """Remove the builds named ``stem*.so`` in ``cache`` past the
+    ``KEEP_BUILDS`` most recently used; a process that has one loaded keeps
+    its mapping."""
+    used = []
+    for entry in os.scandir(cache):
+        if entry.name.startswith(stem) and entry.name.endswith(".so"):
+            with contextlib.suppress(OSError):
+                used.append((entry.stat().st_mtime_ns, entry.path))
+    for _, path in sorted(used, reverse=True)[KEEP_BUILDS:]:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 @functools.cache
@@ -139,6 +169,12 @@ def _library():
     fn = lib.lad_components
     fn.argtypes = (*[ctypes.py_object] * 4, _P, _P, _N)
     fn.restype = ctypes.c_int
+    fn = lib.pair_ratio
+    fn.argtypes = (ctypes.POINTER(Pairs), _P, _P, _N, _N)
+    fn.restype = _N
+    fn = lib.sum_pairwise
+    fn.argtypes = (_P, _N)
+    fn.restype = ctypes.c_double
     return lib
 
 
@@ -168,6 +204,14 @@ def lad_builder():
     component build of ``problems.make_lad``, or None as for ``load``."""
     lib = _library()
     return None if lib is None else lib.lad_components
+
+
+def pair_ratio():
+    """``pair_ratio(state, noise, unif, t0, count)``, the pairs of
+    ``operators.empirical_full_lipschitz`` on a ``pair_state``, or None as
+    for ``load``."""
+    lib = _library()
+    return None if lib is None else lib.pair_ratio
 
 
 def _pointer(arr, dtype):
@@ -224,4 +268,39 @@ def window_state(*, plan, draw, op, geom, table, x, z, a_steps, A_sums,
     if wsum is not None:
         st.wsum = _pointer(wsum, f8)
     st.keep = (p, old, a_steps, A_sums, wsum, fhat, reads, writes)
+    return st
+
+
+def pair_state(geom, linear):
+    """The ``Pairs`` of an estimate on ``geom``, a geometry without simplex
+    blocks, and ``linear``, a float64 CSR matrix, with its work arrays;
+    ``best`` starts at -inf.  The arrays are kept on the state."""
+    f8 = np.dtype(np.float64)
+    lo, hi, x0, boxed, lo_b, span, moved = geom._domain
+    n = geom._eu_idx.size
+    if geom._ent_idx.size or n != geom.d or linear.shape != (n, n):
+        raise ValueError("pairs need a Euclidean geometry and an n x n M")
+    ix = np.dtype(np.int64 if linear.indices.dtype == np.int64
+                  else np.int32)
+    indptr = np.ascontiguousarray(linear.indptr, dtype=ix)
+    indices = np.ascontiguousarray(linear.indices, dtype=ix)
+    # what the C reads: rows in order within the arrays, columns within n
+    nnz = indptr[-1] if indptr.size == n + 1 else -1
+    if (nnz < 0 or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1])
+            or nnz > min(indices.size, linear.data.size)
+            or np.any((indices[:nnz] < 0) | (indices[:nnz] >= n))):
+        raise ValueError("M's CSR arrays are out of bounds")
+    work = np.empty((3, n))
+    st = Pairs(n=n, wide=int(ix == np.int64), moved=moved, best=-np.inf)
+    for name, arr, dtype in (
+            ("eu", geom._eu_idx, np.dtype(np.intp)), ("w", geom._w, f8),
+            ("lo", lo, f8), ("hi", hi, f8), ("x0", x0, f8),
+            ("lo_b", lo_b, f8), ("span", span, f8), ("indptr", indptr, ix),
+            ("indices", indices, ix), ("data", linear.data, f8),
+            ("diff", work[0], f8), ("mv", work[1], f8),
+            ("terms", work[2], f8)):
+        setattr(st, name, _pointer(arr, dtype))
+    if boxed is not None:
+        st.boxed = _pointer(boxed, np.dtype(bool))
+    st.keep = (indptr, indices, work)
     return st

@@ -26,8 +26,11 @@
  * alias_build is the build loop of sampling.AliasTable; lad_mask is
  * generate_lad's mask draw, stepping numpy's PCG64 itself (in unsigned
  * __int128, which gcc has on 64-bit targets) to the same uniforms and
- * hits; and lad_components makes make_lad's components, slot for slot
- * the objects its Python build makes (problems.py).
+ * hits; lad_components makes make_lad's components, slot for slot
+ * the objects its Python build makes (problems.py); and pair_ratio runs
+ * the pairs of operators.empirical_full_lipschitz on a CSR linear part
+ * from numpy's draws, with numpy's pairwise summation (sum_pairwise) and
+ * scipy's csr_matvec order, to the same double.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -350,8 +353,8 @@ Py_ssize_t lad_mask(uint64_t s_hi, uint64_t s_lo, uint64_t inc_hi,
  * float and bshare = share[flat[2k + 1] - d]: the shared int and float
  * objects themselves.  The object comes from cls's tp_alloc and its slots
  * are set through the offsets of cls's slot descriptors; __init__ is not
- * called.  Returns 0, or -1 with an exception set (the places not yet
- * reached keep None). */
+ * called.  It is left untracked by the cyclic collector.  Returns 0, or -1
+ * with an exception set (the places not yet reached keep None). */
 int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
                    PyObject *share, const Py_ssize_t *flat,
                    const double *vals, Py_ssize_t d)
@@ -410,9 +413,154 @@ int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
                 Py_INCREF(slots[i]);
             *(PyObject **)((char *)obj + offset[i]) = slots[i];
         }
+        /* the slots hold only ints and floats, so the object can be in no
+         * cycle: the cyclic collector need not scan it */
+        if (PyObject_IS_GC(obj))
+            PyObject_GC_UnTrack(obj);
         PyObject *none = PyList_GET_ITEM(comps, k);
         PyList_SET_ITEM(comps, k, obj);
         Py_DECREF(none);
     }
     return 0;
+}
+
+/* empirical_full_lipschitz's pairs (operators.py) on a geometry without
+ * simplex blocks and a CSR linear part M: per pair, the two points
+ * sample_domain makes from its draws, d = x - y, ||d||^2 in the
+ * geometry's weights, M d as scipy's csr_matvec forms it and its dual
+ * norm, and the running max of the ratio.  The constants are
+ * GeometryBundle._domain's, in the order of the Euclidean coordinates eu,
+ * which are all n coordinates; boxed is NULL where no coordinate is
+ * boxed.  M's index arrays are int64 where wide is set, else int32.
+ * diff, mv and terms are work arrays of n doubles each. */
+typedef struct {
+    const Py_ssize_t *eu;
+    const double *w, *lo, *hi, *x0, *lo_b, *span;
+    const unsigned char *boxed;
+    const void *indptr, *indices;
+    const double *data;
+    double *diff, *mv, *terms;
+    Py_ssize_t n, wide;
+    double moved;
+    /* the largest ratio so far, -inf before any */
+    double best;
+} Pairs;
+
+/* numpy's pairwise summation (pairwise_sum_DOUBLE): sequential below 8
+ * terms, eight accumulators up to 128, else halves split at a multiple
+ * of 8. */
+static double pairwise(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        Py_ssize_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    Py_ssize_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* np.sum of n contiguous doubles: the reduction starts from 0.0 */
+double sum_pairwise(const double *a, Py_ssize_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* Coordinate i of sample_domain's point from its normals g and uniforms u
+ * (u[0:n] a sharp draw's move mask or an interior draw's place in the box,
+ * u[n:2n] a sharp corner and u[2n:3n] whether it is taken), then np.clip's
+ * max and min, which keep a NaN.  Each select reads values already loaded,
+ * so that it needs no branch on a draw. */
+static double domain_point(const Pairs *st, Py_ssize_t i, int sharp,
+                           const double *g, const double *u)
+{
+    Py_ssize_t n = st->n;
+    int boxed = st->boxed != NULL && st->boxed[i];
+    double lo = st->lo[i], hi = st->hi[i], x0 = st->x0[i], v;
+    if (sharp) {
+        double moved = x0 + 3.0 * g[i];
+        v = u[i] < st->moved ? moved : x0;
+        if (boxed) {
+            double corner = u[n + i] < 0.5 ? lo : hi;
+            v = u[2 * n + i] < 0.5 ? corner : v;
+        }
+    } else {
+        v = boxed ? st->lo_b[i] + u[i] * st->span[i] : x0 + g[i];
+    }
+    if (!isnan(v))
+        v = v > lo ? v : lo;
+    if (!isnan(v))
+        v = v < hi ? v : hi;
+    return v;
+}
+
+/* y = M x as scipy's csr_matvec forms it, each row summed from 0.0 in
+ * stored order, for either index width; returns whether y is finite. */
+#define CSR_MATVEC(name, I)                                                 \
+    static int name(const Pairs *st, const double *x, double *y)           \
+    {                                                                       \
+        const I *ptr = st->indptr, *idx = st->indices;                      \
+        int finite = 1;                                                     \
+        for (Py_ssize_t r = 0; r < st->n; r++) {                            \
+            double s = 0.0;                                                 \
+            for (Py_ssize_t k = ptr[r]; k < ptr[r + 1]; k++)                \
+                s += st->data[k] * x[idx[k]];                               \
+            y[r] = s;                                                       \
+            finite &= isfinite(s) != 0;                                     \
+        }                                                                   \
+        return finite;                                                      \
+    }
+CSR_MATVEC(csr_matvec32, int32_t)
+CSR_MATVEC(csr_matvec64, int64_t)
+
+/* Pairs t0..t0+count-1 from their draws: pair p's x from normals
+ * noise[2p*n..] and uniforms unif[6p*n..], its y from the next rows
+ * (n normals and 3n uniforms a row, of which sample_domain's are used).
+ * Updates best and returns -1, or the first pair whose M d is not finite,
+ * which the caller raises on. */
+Py_ssize_t pair_ratio(Pairs *st, const double *noise, const double *unif,
+                      Py_ssize_t t0, Py_ssize_t count)
+{
+    /* a copy, which the stores to the work arrays cannot alias */
+    const Pairs c = *st;
+    Py_ssize_t n = c.n;
+    for (Py_ssize_t p = 0; p < count; p++) {
+        int sharp = (int)((t0 + p) % 2);
+        const double *g = noise + 2 * p * n, *u = unif + 6 * p * n;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            double dv = domain_point(&c, i, sharp, g, u)
+                        - domain_point(&c, i, sharp, g + n, u + 3 * n);
+            c.diff[c.eu[i]] = dv;
+            c.terms[i] = c.w[c.eu[i]] * (dv * dv);
+        }
+        double nrm = sum_pairwise(c.terms, n);
+        if (nrm <= 0.0)
+            continue;
+        if (!(c.wide ? csr_matvec64 : csr_matvec32)(&c, c.diff, c.mv))
+            return t0 + p;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            double v = c.mv[c.eu[i]];
+            c.terms[i] = (v * v) / c.w[c.eu[i]];
+        }
+        double r = sqrt(sum_pairwise(c.terms, n) / nrm);
+        if (r > st->best)
+            st->best = r;
+    }
+    return -1;
 }

@@ -7,7 +7,10 @@ Default step sizes use an empirical full-operator Lipschitz estimate: the
 classical guarantees fix only the constant's order, and the sampled estimate
 keeps both baselines honestly tuned on every instance.  The estimate runs on
 the operator's linear part, one matvec per sampled pair; a custom operator
-without one falls back to two full evaluations per pair.
+without one falls back to two full evaluations per pair.  On a CSR linear
+part and a geometry without simplex blocks (LAD), the pairs after numpy's
+draws run in the compiled library, to the same estimate (see
+``operators.empirical_full_lipschitz``).
 """
 
 from __future__ import annotations

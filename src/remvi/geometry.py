@@ -213,14 +213,18 @@ class GeometryBundle:
         # sample_domain's per-call constants on the Euclidean coordinates:
         # lo, hi and x0 there, the mask of the boxed ones (None if there is
         # none), their lower bounds and spans (0 elsewhere), and the share
-        # of coordinates a sharp draw moves
+        # of coordinates a sharp draw moves; and the uniforms an interior
+        # and a sharp draw take (n for the mask, 2n for a corner and its
+        # pick, n for a place in a box)
         ei = self._eu_idx
         lo, hi = self._lo[ei], self._hi[ei]
         boxed = np.isfinite(lo) & np.isfinite(hi)
-        self._domain = (lo, hi, self.x0[ei], boxed if boxed.any() else None,
+        n, box = ei.size, boxed.any()
+        self._domain = (lo, hi, self.x0[ei], boxed if box else None,
                         np.where(boxed, lo, 0.0),
                         np.where(boxed, hi - lo, 0.0),
-                        max(2.0 / ei.size, 0.05) if ei.size else 0.0)
+                        max(2.0 / n, 0.05) if n else 0.0)
+        self._domain_uniforms = (n if box else 0, 3 * n if box else n)
         self._ent_blocks = [b for b in self.blocks if b.kind == "entropy"]
         ent = self._ent_blocks
         self._ent_idx = np.concatenate(
@@ -368,6 +372,20 @@ class GeometryBundle:
             if np.any(xb < -tol) or abs(xb.sum() - 1.0) > max(tol, 1e-8):
                 raise ValueError("point outside the probability simplex")
 
+    def _domain_draws(self, rng, sharp, noise, unif):
+        """The Euclidean draws of one ``sample_domain`` point, into the
+        rows given: n standard normals into ``noise``, then the uniforms
+        into the head of ``unif`` (room for 3n), in one call: a sharp
+        draw's move mask, then, with boxed coordinates, each one's corner
+        and whether it takes it; an interior draw's place in the box.
+        Three ``random(n)`` in a row are one ``random(3n)``.  Returns the
+        uniforms drawn."""
+        rng.standard_normal(out=noise)
+        u = unif[:self._domain_uniforms[bool(sharp)]]
+        if u.size:
+            rng.random(out=u)
+        return u
+
     def sample_domain(self, rng, sharp=False):
         """Random feasible point: Dirichlet on simplexes, uniform on boxes,
         standard normal on unconstrained coordinates (around the anchor).
@@ -380,19 +398,19 @@ class GeometryBundle:
         n = self._eu_idx.size
         if n:
             lo, hi, x0, boxed, lo_b, span, moved = self._domain
-            noise = rng.standard_normal(n)
+            noise = np.empty(n)
+            u = self._domain_draws(rng, sharp, noise, np.empty(3 * n))
             if sharp:
-                mask = rng.random(n) < moved
-                vals = np.where(mask, x0 + 3.0 * noise, x0)
+                vals = np.where(u[:n] < moved, x0 + 3.0 * noise, x0)
             else:
                 vals = x0 + noise
             if boxed is not None:
                 if sharp:
-                    corner = np.where(rng.random(n) < 0.5, lo, hi)
+                    corner = np.where(u[n:2 * n] < 0.5, lo, hi)
                     vals = np.where(boxed, np.where(
-                        rng.random(n) < 0.5, corner, vals), vals)
+                        u[2 * n:] < 0.5, corner, vals), vals)
                 else:
-                    vals = np.where(boxed, lo_b + rng.random(n) * span, vals)
+                    vals = np.where(boxed, lo_b + u * span, vals)
             x[self._eu_sel] = np.clip(vals, lo, hi)
         alpha = 0.07 if sharp else 1.0
         for b in self._ent_blocks:

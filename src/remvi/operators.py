@@ -43,6 +43,8 @@ from operator import is_
 import numpy as np
 from scipy.sparse import issparse
 
+from . import _kernel
+
 
 class Component:
     """Base class: a single summand F_j with fixed sparse supports
@@ -321,18 +323,56 @@ def lpq_empirical(op, geom, p, q, trials, rng):
     return _max_pair_ratio(geom, trials, rng, numer)
 
 
+# Pairs the compiled estimate draws per call, into buffers of 16n normals
+# and 48n uniforms made once
+_PAIRS = 8
+
+
 def empirical_full_lipschitz(op, geom, trials, rng):
     """Empirical estimate of the full-operator Lipschitz constant.
 
     With the operator's linear part M set, each pair costs one matvec
     M(x - y); otherwise two ``evaluate_full`` calls (2m component calls).
+    With M a float64 CSR matrix on a geometry without simplex blocks (every
+    LAD instance), the pairs run in the compiled library where it can be
+    built (``_kernel.pair_ratio``): numpy makes the same draws, and C the
+    points, the norms and the matvec with numpy's and scipy's operations
+    in their order, so the estimate is the same double.
     """
+    M = op.linear
+    if (issparse(M) and M.format == "csr" and M.dtype == np.float64
+            and not geom._ent_idx.size and trials >= 1):
+        pair_ratio = _kernel.pair_ratio()
+        if pair_ratio is not None:
+            return _compiled_pairs(pair_ratio, M, geom, trials, rng)
+
     def numer(x, y):
         if op.linear is not None:
             return geom.dual_norm_sq(op.linear @ (x - y))
         return geom.dual_norm_sq(op.evaluate_full(x) - op.evaluate_full(y))
 
     return _max_pair_ratio(geom, trials, rng, numer)
+
+
+def _compiled_pairs(pair_ratio, M, geom, trials, rng):
+    """``_max_pair_ratio`` with ``dual_norm_sq(M (x - y))`` as numerator,
+    in C: the draws of ``_PAIRS`` pairs at a time, then one call."""
+    n = geom.d
+    st = _kernel.pair_state(geom, M)
+    noise, unif = np.empty((_PAIRS, 2, n)), np.empty((_PAIRS, 2, 3 * n))
+    rows = list(zip(noise.reshape(-1, n), unif.reshape(-1, 3 * n)))
+    draw = geom._domain_draws
+    for t0 in range(0, trials, _PAIRS):
+        count = min(_PAIRS, trials - t0)
+        # pair t's x and y, both sharp where t is odd
+        for k, (g, u) in enumerate(rows[:2 * count]):
+            draw(rng, (t0 + k // 2) % 2, g, u)
+        if pair_ratio(st, noise.ctypes.data, unif.ctypes.data, t0,
+                      count) >= 0:
+            raise ValueError("dual norm input must be finite")
+    if not np.isfinite(st.best):
+        raise ValueError("all sampled pairs were degenerate (x == y)")
+    return st.best
 
 
 class ComponentTable:

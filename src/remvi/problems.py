@@ -24,7 +24,7 @@ import contextlib
 import gc
 
 import numpy as np
-from scipy.sparse import bmat, coo_matrix, csr_matrix, identity
+from scipy.sparse import coo_matrix, csr_matrix, identity
 
 from . import _kernel
 from .geometry import GeometryBundle, euclidean_block, simplex_block
@@ -99,8 +99,16 @@ def make_custom(components, geometry, lam, family="custom", plan_weights=None,
 
 def _bilinear_part(A):
     """M = [[0, A^T], [-A, 0]] as CSR: the linear part of the bilinear
-    families' operators F(z, y) = (A^T y, -Az) + constant."""
-    return bmat([[None, A.T], [-A, None]], format="csr")
+    families' operators F(z, y) = (A^T y, -Az) + constant.  Its arrays are
+    those of A^T's CSR (columns shifted by d) and then of -A's, end to end:
+    the arrays ``bmat`` makes, without its COO round trip."""
+    A = csr_matrix(A, dtype=float)
+    T = A.T.tocsr()
+    n, d = A.shape
+    return csr_matrix((np.concatenate([T.data, -A.data]),
+                       np.concatenate([T.indices + d, A.indices]),
+                       np.concatenate([T.indptr, T.nnz + A.indptr[1:]])),
+                      shape=(d + n, d + n))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +322,10 @@ def _collector_paused():
     it as it was found, also when the block raises.  Building one object
     per nonzero otherwise sets off a collection every 700 of them, and the
     older generations' collections rescan all built so far.  A LAD
-    component holds no reference cycle, so the pause leaves no garbage."""
+    component holds no reference cycle, so the pause leaves no garbage.
+    The compiled build (``_kernel.lad_builder``) also leaves its components
+    untracked: their slots hold only the shared ints and floats, so they
+    can be in no cycle, and no later collection scans them."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -361,13 +361,55 @@ def test_build_cached_per_user(fresh_build, monkeypatch):
 
 @needs_compiler
 def test_new_build_prunes_older_builds(fresh_build):
-    # an older build for this Python goes, another Python's build stays
+    # the KEEP_BUILDS most recently used builds for this Python stay, the
+    # new one among them; another Python's build stays however old
     fresh_build.mkdir(mode=0o700)
     tag = sys.implementation.cache_tag
-    for name in (f"window-{tag}-0ld.so", "window-cpython-299-0ld.so"):
+    old = [f"window-{tag}-0ld{i}.so" for i in range(_kernel.KEEP_BUILDS)]
+    for i, name in enumerate([*old, "window-cpython-299-0ld.so"]):
         (fresh_build / name).write_bytes(b"")
+        os.utime(fresh_build / name, ns=(10 ** 9 * (i % 4 + 1),) * 2)
     assert _kernel.load() is not None
-    left = sorted(os.listdir(fresh_build))
-    assert len(left) == 2 and left[0] == "window-cpython-299-0ld.so"
-    assert left[1].startswith(f"window-{tag}-") and left[1] != \
-        f"window-{tag}-0ld.so"
+    left = set(os.listdir(fresh_build))
+    new = left - {*old, "window-cpython-299-0ld.so"}
+    assert len(new) == 1 and new.pop().startswith(f"window-{tag}-")
+    assert left > {*old[1:], "window-cpython-299-0ld.so"}
+    assert len(left) == _kernel.KEEP_BUILDS + 1
+
+
+@needs_compiler
+def test_alternating_sources_compile_once_each(fresh_build, tmp_path,
+                                               monkeypatch):
+    # two source trees that run alternately under one cache: a load marks
+    # its build used and keeps it, so each tree compiles once
+    with open(_kernel.SOURCE, "rb") as fh:
+        source = fh.read()
+    trees = []
+    for k in range(2):
+        path = tmp_path / f"tree{k}" / "_window.c"
+        path.parent.mkdir()
+        path.write_bytes(source + f"/* tree {k} */\n".encode())
+        trees.append(str(path))
+    compiled = []
+    compile_ = subprocess.run
+
+    def counted(cmd, **kwargs):
+        compiled.append(cmd[cmd.index("-o") - 1])
+        return compile_(cmd, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    for k in (0, 1, 0, 1, 0):
+        monkeypatch.setattr(_kernel, "SOURCE", trees[k])
+        _kernel._library.cache_clear()
+        assert _kernel.load() is not None
+    assert compiled == trees
+    builds = sorted(os.listdir(fresh_build))
+    assert len(builds) == 2
+    # a load refreshes the mtime of the build it finds, and only that one
+    for name in builds:
+        os.utime(fresh_build / name, ns=(10 ** 9, 10 ** 9))
+    _kernel._library.cache_clear()
+    assert _kernel.load() is not None
+    fresh = [os.stat(fresh_build / name).st_mtime_ns > 10 ** 9
+             for name in builds]
+    assert sorted(fresh) == [False, True] and compiled == trees

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from helpers import loop_paths, slot, value
+from helpers import loop_paths, needs_compiler, slot, value
+from remvi import _kernel, operators
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.operators import (CallableComponent, ComponentTable,
                              FiniteSumOperator, LipschitzProfile,
@@ -228,6 +229,187 @@ class TestLinearPart:
             with pytest.raises(ValueError, match="non-finite"):
                 FiniteSumOperator([comp], 3, linear=linear)
         FiniteSumOperator([comp], 3, linear=csr_matrix(np.eye(3)))
+
+
+def custom_csr_case(wide=False):
+    """A CSR linear part on a custom Euclidean geometry: weights, a box, a
+    lower and an upper bound alone, non-zero anchors, blocks out of order
+    (so ``_eu_sel`` is an index array), an empty row and, with ``wide``,
+    int64 index arrays."""
+    geom = GeometryBundle([
+        euclidean_block(np.arange(4, 7), anchor=[0.3, -1.2, 2.0],
+                        weights=[0.5, 2.0, 1.0], lo=[-1.0, -np.inf, 1.5]),
+        euclidean_block(np.arange(4), anchor=[0.1, -0.2, 0.0, 0.4],
+                        lo=-0.5, hi=[0.5, 0.25, 2.0, 1.0]),
+        euclidean_block(np.arange(7, 9), anchor=[-0.3, 0.1],
+                        weights=[3.0, 0.2], hi=0.2),
+    ])
+    assert not isinstance(geom._eu_sel, slice)
+    dense = np.random.default_rng(48).normal(size=(9, 9))
+    dense[np.random.default_rng(49).random((9, 9)) < 0.5] = 0.0
+    dense[5] = 0.0
+    M = csr_matrix(dense)
+    if wide:
+        M.indices, M.indptr = (M.indices.astype(np.int64),
+                               M.indptr.astype(np.int64))
+    comp = CallableComponent(np.arange(9), np.arange(9), lambda x: M @ x)
+    op = FiniteSumOperator([comp], 9, linear=M)
+    assert op.linear.indices.dtype == (np.int64 if wide else np.int32)
+    return op, geom
+
+
+def estimate_cases():
+    """(operator, geometry) pairs whose estimate takes the compiled pairs:
+    LAD at the lad-mirror-prox shape, at density 1, with a one-entry row and
+    with quad > 0, and the custom CSR cases."""
+    one_entry = np.random.default_rng(50).normal(size=(6, 5))
+    one_entry[2] = 0.0
+    one_entry[2, 3] = 1.25
+    insts = {
+        "lad-300x300": generate_lad(300, 300, 1.0, 21, density=0.05),
+        "lad-density-1": generate_lad(7, 5, 1.0, 3, density=1.0),
+        "lad-one-entry-row": make_lad(one_entry, np.arange(6.0)),
+        "lad-quad": generate_lad(40, 30, 1.0, 4, density=0.2, quad=0.3),
+    }
+    cases = {k: (v.operator, v.geometry) for k, v in insts.items()}
+    cases["custom"] = custom_csr_case()
+    cases["custom-int64"] = custom_csr_case(wide=True)
+    return cases
+
+
+ESTIMATE_CASES = estimate_cases()
+
+
+def loop_estimate(monkeypatch, op, geom, trials, rng):
+    """``empirical_full_lipschitz`` with the compiled pairs switched off:
+    the numpy loop."""
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernel, "pair_ratio", lambda: None)
+        return empirical_full_lipschitz(op, geom, trials, rng)
+
+
+def underflow_case():
+    """One coordinate whose weight is the least subnormal, so that the
+    weighted norm of a difference below about 0.7 rounds to 0 while M d,
+    read on an unweighted coordinate, does not: such a pair is skipped as
+    degenerate.  M's entry keeps the other ratios finite."""
+    geom = GeometryBundle([
+        euclidean_block([0], weights=[5e-324]),
+        euclidean_block([1], lo=0.0, hi=0.0),
+    ])
+    M = csr_matrix(np.array([[0.0, 0.0], [1e-8, 0.0]]))
+    comp = CallableComponent([0, 1], [0, 1], lambda x: M @ x)
+    return FiniteSumOperator([comp], 2, linear=M), geom
+
+
+@needs_compiler
+class TestCompiledEstimate:
+    """The compiled pairs of empirical_full_lipschitz give the numpy loop's
+    estimate as the same double and leave the generator where it does."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 57, 200])
+    @pytest.mark.parametrize("name", sorted(ESTIMATE_CASES))
+    def test_equals_loop(self, name, trials, monkeypatch):
+        op, geom = ESTIMATE_CASES[name]
+        calls = []
+        pair_ratio = _kernel.pair_ratio()
+
+        def counted(*args):
+            calls.append(args[3:])
+            return pair_ratio(*args)
+
+        monkeypatch.setattr(_kernel, "pair_ratio", lambda: counted)
+        for seed in (0, 1, 2):
+            r_c = np.random.default_rng(seed)
+            r_py = np.random.default_rng(seed)
+            got = empirical_full_lipschitz(op, geom, trials, r_c)
+            want = loop_estimate(monkeypatch, op, geom, trials, r_py)
+            assert type(got) is float and got.hex() == want.hex()
+            assert r_c.random(4).tobytes() == r_py.random(4).tobytes()
+        # blocks of at most 8 pairs, in order, for each seed
+        assert calls == 3 * [(t0, min(8, trials - t0))
+                             for t0 in range(0, trials, 8)]
+
+    def test_norm_underflowing_to_zero_is_skipped(self, monkeypatch):
+        op, geom = underflow_case()
+        got = empirical_full_lipschitz(op, geom, 200,
+                                       np.random.default_rng(5))
+        want = loop_estimate(monkeypatch, op, geom, 200,
+                             np.random.default_rng(5))
+        assert got.hex() == want.hex() and np.isfinite(got)
+
+    def test_non_finite_matvec_rejected(self, monkeypatch):
+        op, geom = custom_csr_case()
+        op.linear = op.linear.sign() * 1e308
+        for estimate in (empirical_full_lipschitz,
+                         lambda *a: loop_estimate(monkeypatch, *a)):
+            with pytest.raises(ValueError,
+                               match="^dual norm input must be finite$"):
+                estimate(op, geom, 200, np.random.default_rng(6))
+
+    def test_all_pairs_degenerate_rejected(self, monkeypatch):
+        geom = GeometryBundle([euclidean_block(np.arange(3), lo=0.5,
+                                               hi=0.5)])
+        M = csr_matrix(np.eye(3))
+        op = FiniteSumOperator(
+            [CallableComponent(np.arange(3), np.arange(3), lambda x: x)], 3,
+            linear=M)
+        for estimate in (empirical_full_lipschitz,
+                         lambda *a: loop_estimate(monkeypatch, *a)):
+            with pytest.raises(ValueError, match="degenerate"):
+                estimate(op, geom, 57, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("edit", ["column-past-n", "negative-column",
+                                      "rows-out-of-order"])
+    def test_out_of_bounds_csr_rejected(self, edit):
+        # the C reads M's arrays unchecked, so they are checked before
+        op, geom = custom_csr_case()
+        M = op.linear.copy()
+        if edit == "rows-out-of-order":
+            M.indptr[3], M.indptr[4] = M.indptr[4], M.indptr[3]
+        else:
+            M.indices[2] = 9 if edit == "column-past-n" else -1
+        with pytest.raises(ValueError, match="out of bounds"):
+            _kernel.pair_state(geom, M)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        op, geom = ESTIMATE_CASES["lad-density-1"]
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            empirical_full_lipschitz(op, geom, trials,
+                                     np.random.default_rng(0))
+
+    def test_pairwise_sum_equals_numpy(self):
+        total = _kernel._library().sum_pairwise
+        rng = np.random.default_rng(8)
+        for n in [*range(301), 4097, 8192, 10 ** 5]:
+            # signs and magnitudes spread over 1e-40..1e40, so that any
+            # other order of the additions rounds differently
+            a = rng.standard_normal(n) * np.exp(rng.standard_normal(n) * 20)
+            assert total(a.ctypes.data, n).hex() == float(np.sum(a)).hex()
+
+
+def test_estimate_without_compiler_takes_loop(tmp_path, monkeypatch):
+    op, geom = ESTIMATE_CASES["lad-quad"]
+    want = empirical_full_lipschitz(op, geom, 57, np.random.default_rng(9))
+    # a new process on a machine with no compiler and no cached build
+    monkeypatch.setattr(_kernel, "CC", "no-such-compiler")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    loops = []
+
+    def loop(*args):
+        loops.append(args[1])
+        return _max_pair_ratio(*args)
+
+    monkeypatch.setattr(operators, "_max_pair_ratio", loop)
+    _kernel._library.cache_clear()
+    try:
+        assert _kernel.pair_ratio() is None
+        got = empirical_full_lipschitz(op, geom, 57,
+                                       np.random.default_rng(9))
+    finally:
+        _kernel._library.cache_clear()
+    assert loops == [57] and got.hex() == want.hex()
 
 
 class TestSupportLayout:

@@ -1,10 +1,13 @@
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import bmat, coo_matrix, csr_matrix
 
 from helpers import needs_compiler, value
 from remvi import _kernel, problems
@@ -628,6 +631,47 @@ def _assert_same_lad(got, ref):
             == ref.operator.evaluate_full(x).tobytes())
 
 
+
+def test_b_equal_under_one_and_two_blas_threads():
+    # the benchmark runs OpenBLAS on one thread and the suite on the
+    # default count: at the benchmark's two LAD shapes b is the same bytes
+    code = ("import hashlib; from remvi.problems import generate_lad; "
+            "print([hashlib.sha256(generate_lad(n, n, 1.0, 0, density=p)"
+            ".data['b'].tobytes()).hexdigest() "
+            "for n, p in ((3000, 0.007), (300, 0.05))])")
+    src = os.path.dirname(os.path.dirname(problems.__file__))
+    out = [subprocess.run([sys.executable, "-c", code], check=True,
+                          text=True, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "2")]
+    assert out[0] == out[1] and out[0].count("'") == 4
+
+
+@pytest.mark.parametrize("family", ["game-two-sided", "game-row-sided",
+                                    "box-simplex", "lad"])
+def test_bilinear_part_equals_bmat(family):
+    # dense A holding zeros for the games and box-simplex, a sparse one for
+    # LAD: M's arrays, their dtypes and the sorted flag are bmat's
+    A = np.random.default_rng(11).normal(size=(7, 5))
+    A[np.random.default_rng(12).random(A.shape) < 0.4] = 0.0
+    A[:, 0] = A[0] = 1.0
+    inst = {
+        "game-two-sided": lambda: make_matrix_game(A),
+        "game-row-sided": lambda: make_matrix_game(A, mode="row-sided"),
+        "box-simplex": lambda: make_box_simplex(A, np.arange(7.0)),
+        "lad": lambda: generate_lad(30, 20, 1.0, 5, density=0.1),
+    }[family]()
+    A = inst.data["A"]
+    want = bmat([[None, A.T], [-A, None]], format="csr")
+    got = inst.operator.linear
+    for key in ("indptr", "indices", "data"):
+        a, w = getattr(got, key), getattr(want, key)
+        assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+    assert got.shape == want.shape
+    assert got.has_sorted_indices == want.has_sorted_indices
+
+
 # (n, d, exponent, seed, density) beyond _CHUNK_CASES
 _BUILD_CASES = {
     **_CHUNK_CASES,
@@ -660,6 +704,16 @@ class TestLadCompiledBuild:
             monkeypatch.setattr(_kernel, "mask_drawer", lambda: None)
             monkeypatch.setattr(_kernel, "lad_builder", lambda: None)
             ref = generate_lad(n, d, exponent, seed, density=density)
+        _assert_same_lad(got, ref)
+
+    def test_components_untracked_by_collector(self, monkeypatch):
+        # the compiled build's components hold only ints and floats and are
+        # left to reference counting; the Python build's stay tracked
+        got = generate_lad(30, 20, 1.0, 4, density=0.2)
+        assert not any(map(gc.is_tracked, got.operator.components))
+        monkeypatch.setattr(_kernel, "lad_builder", lambda: None)
+        ref = generate_lad(30, 20, 1.0, 4, density=0.2)
+        assert all(map(gc.is_tracked, ref.operator.components))
         _assert_same_lad(got, ref)
 
     @pytest.mark.parametrize("rows", [1, 3, 37, 10 ** 6])
