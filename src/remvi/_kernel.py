@@ -6,7 +6,10 @@ from.
 any geometry; ``sampling.AliasTable`` calls ``alias_builder`` for every
 table it builds; ``problems.generate_lad`` calls ``mask_drawer`` for its
 mask on a PCG64 generator, and ``problems.make_lad`` calls ``lad_builder``
-to make its components; ``operators.empirical_full_lipschitz`` calls
+to make its components and ``lad_evaluator`` for the C ``evaluate`` it
+puts on their class in place of the Python body (one call per oracle call
+still, from the kernel, ``evaluate_flat`` and ``ComponentTable.refresh``
+alike); ``operators.empirical_full_lipschitz`` calls
 ``pair_ratio`` for the pairs of the baselines' Lipschitz estimate on a
 CSR linear part and a geometry without simplex blocks.  The shared
 library is built with the system
@@ -17,8 +20,9 @@ It is loaded with ``ctypes.PyDLL``: the interpreter lock stays held, so
 the kernel calls the draws, the component evaluations and the entropy prox
 as Python calls, the component build makes Python objects, and an
 exception set in C propagates.  With no compiler or a failed build every
-accessor returns None, and the run, the table, the mask, the components
-and the estimate take their Python or numpy paths, with the same bits.
+accessor returns None, and the run, the table, the mask, the components,
+their evaluation and the estimate take their Python or numpy paths, with
+the same bits.
 The cache keeps the ``KEEP_BUILDS`` most recently used builds per Python:
 a load refreshes a build's mtime, and a new build removes the older ones.
 """
@@ -169,6 +173,9 @@ def _library():
     fn = lib.lad_components
     fn.argtypes = (*[ctypes.py_object] * 4, _P, _P, _N)
     fn.restype = ctypes.c_int
+    fn = lib.lad_method
+    fn.argtypes = (ctypes.py_object, ctypes.py_object)
+    fn.restype = ctypes.py_object
     fn = lib.pair_ratio
     fn.argtypes = (ctypes.POINTER(Pairs), _P, _P, _N, _N)
     fn.restype = _N
@@ -204,6 +211,14 @@ def lad_builder():
     component build of ``problems.make_lad``, or None as for ``load``."""
     lib = _library()
     return None if lib is None else lib.lad_components
+
+
+def lad_evaluator():
+    """``lad_method(cls, body)``, the method descriptor of the compiled
+    ``evaluate`` that ``problems.make_lad`` puts on its component class in
+    place of the Python body ``body``, or None as for ``load``."""
+    lib = _library()
+    return None if lib is None else lib.lad_method
 
 
 def pair_ratio():

@@ -4,7 +4,9 @@
  * geometry with entropy coordinates, their prox are calls into Python:
  * plan.sample_p(draw), plan.sample_q(draw), comps[j1].evaluate(x, scratch,
  * 0), comps[j2].evaluate(x, values, at) and prox_ent(), which writes
- * x[ent] = geom.prox_entropy(z[ent]) with numpy's exp and log.  Everything
+ * x[ent] = geom.prox_entropy(z[ent]) with numpy's exp and log.  (A LAD
+ * component's evaluate is itself C, lad_evaluate below, but it is reached
+ * through the class as any other method is.)  Everything
  * between them runs here on the run's flat arrays: j1's catch-up prox
  * (lazy mode), the entropy step, j1's correction of z, j2's settle, the
  * table refresh's bookkeeping (shadow, eval_iter, aggregate) and base
@@ -27,7 +29,10 @@
  * generate_lad's mask draw, stepping numpy's PCG64 itself (in unsigned
  * __int128, which gcc has on 64-bit targets) to the same uniforms and
  * hits; lad_components makes make_lad's components, slot for slot
- * the objects its Python build makes (problems.py); and pair_ratio runs
+ * the objects its Python build makes (problems.py), and lad_method the
+ * method descriptor of their evaluate in C, which writes the Python
+ * body's bits and hands the inputs it does not serve to that body; and
+ * pair_ratio runs
  * the pairs of operators.empirical_full_lipschitz on a CSR linear part
  * from numpy's draws, with numpy's pairwise summation (sum_pairwise) and
  * scipy's csr_matvec order, to the same double.
@@ -347,26 +352,12 @@ Py_ssize_t lad_mask(uint64_t s_hi, uint64_t s_lo, uint64_t inc_hi,
     return k;
 }
 
-/* make_lad's component build: comps, a list of m Nones, gets in place k a
- * new cls whose slots hold what cls.__init__(zpos, ypos, a, bshare) stores,
- * zpos = coord[flat[2k]], ypos = coord[flat[2k + 1]], a = vals[k] as a new
- * float and bshare = share[flat[2k + 1] - d]: the shared int and float
- * objects themselves.  The object comes from cls's tp_alloc and its slots
- * are set through the offsets of cls's slot descriptors; __init__ is not
- * called.  It is left untracked by the cyclic collector.  Returns 0, or -1
- * with an exception set (the places not yet reached keep None). */
-int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
-                   PyObject *share, const Py_ssize_t *flat,
-                   const double *vals, Py_ssize_t d)
+/* The offsets in cls's objects of its slots zpos, ypos, a and bshare, each
+ * a T_OBJECT_EX member of cls.  Returns 0, or -1 with an exception set
+ * (TypeError where one is not such a slot). */
+static int lad_slots(PyObject *cls, Py_ssize_t offset[4])
 {
     static const char *const names[4] = {"zpos", "ypos", "a", "bshare"};
-    Py_ssize_t offset[4];
-    if (!PyType_Check(cls) || !PyList_Check(comps) || !PyList_Check(coord)
-            || !PyList_Check(share)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "lad_components takes a type and three lists");
-        return -1;
-    }
     for (int i = 0; i < 4; i++) {
         PyObject *descr = PyObject_GetAttrString(cls, names[i]);
         if (descr == NULL)
@@ -383,6 +374,30 @@ int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
             return -1;
         }
     }
+    return 0;
+}
+
+/* make_lad's component build: comps, a list of m Nones, gets in place k a
+ * new cls whose slots hold what cls.__init__(zpos, ypos, a, bshare) stores,
+ * zpos = coord[flat[2k]], ypos = coord[flat[2k + 1]], a = vals[k] as a new
+ * float and bshare = share[flat[2k + 1] - d]: the shared int and float
+ * objects themselves.  The object comes from cls's tp_alloc and its slots
+ * are set through the offsets of cls's slot descriptors; __init__ is not
+ * called.  It is left untracked by the cyclic collector.  Returns 0, or -1
+ * with an exception set (the places not yet reached keep None). */
+int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
+                   PyObject *share, const Py_ssize_t *flat,
+                   const double *vals, Py_ssize_t d)
+{
+    Py_ssize_t offset[4];
+    if (!PyType_Check(cls) || !PyList_Check(comps) || !PyList_Check(coord)
+            || !PyList_Check(share)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "lad_components takes a type and three lists");
+        return -1;
+    }
+    if (lad_slots(cls, offset))
+        return -1;
     PyTypeObject *tp = (PyTypeObject *)cls;
     Py_ssize_t m = PyList_GET_SIZE(comps), top = PyList_GET_SIZE(coord);
     if (d < 0 || top != d + PyList_GET_SIZE(share)) {
@@ -422,6 +437,158 @@ int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
         Py_DECREF(none);
     }
     return 0;
+}
+
+/* _LadComponent.evaluate (problems.py) as a C method: lad_method makes
+ * its method descriptor, which make_lad puts in the class's __dict__ in
+ * place of the Python body, problems._lad_evaluate.  An oracle call is
+ * still one evaluate call, which a patch or a tracer on the class wraps.
+ *
+ * The fast path serves the inputs the library hands a component: x an
+ * exact list of exact floats or a 1-d contiguous memoryview of doubles
+ * (format "d"), out a writable memoryview of the same kind, at an exact
+ * int with 0 <= at and at + 1 < len(out), and self of the class itself
+ * with the exact ints zpos and ypos inside x and the exact floats a and
+ * bshare in its slots.  It reads x[ypos], stores out[at] = a*x[ypos],
+ * reads x[zpos] and stores out[at + 1] = bshare - a*x[zpos], in the
+ * body's order, so an x that shares out's memory gives the body's bits
+ * too.  Every other call, keywords and a wrong argument count included,
+ * is handed to the body, with its exceptions, partial writes and numpy
+ * warnings.
+ *
+ * The class, its slot offsets, the body and the descriptor are set by the
+ * first lad_method call and kept for the life of the process: the
+ * descriptor points at lad_def and the method reads lad_offset, both in
+ * this library, which ctypes never unloads. */
+static PyTypeObject *lad_type;
+static PyObject *lad_body, *lad_descr;
+static Py_ssize_t lad_offset[4];
+
+#define LAD_SLOT(obj, i) (*(PyObject **)((char *)(obj) + lad_offset[i]))
+
+/* The doubles of a memoryview the fast path serves, and their count in
+ * *n; NULL for anything else (a released view, a read-only one where
+ * writable is set). */
+static double *doubles(PyObject *obj, int writable, Py_ssize_t *n)
+{
+    if (!PyMemoryView_Check(obj))
+        return NULL;
+    PyMemoryViewObject *mv = (PyMemoryViewObject *)obj;
+    const Py_buffer *v = &mv->view;
+    if ((mv->flags & _Py_MEMORYVIEW_RELEASED) || v->ndim != 1
+            || v->itemsize != sizeof(double) || v->format == NULL
+            || v->format[0] != 'd' || v->format[1] != '\0'
+            || v->strides[0] != sizeof(double) || v->suboffsets != NULL
+            || (writable && v->readonly))
+        return NULL;
+    *n = v->shape[0];
+    return v->buf;
+}
+
+/* An exact int that is an index from 0 up, into *i; 0 for anything else
+ * (with no exception left set). */
+static int position(PyObject *obj, Py_ssize_t *i)
+{
+    if (obj == NULL || !PyLong_CheckExact(obj))
+        return 0;
+    *i = PyLong_AsSsize_t(obj);
+    if (*i == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return 0;
+    }
+    return *i >= 0;
+}
+
+/* body(self, *args, **kwargs), from the vectorcall arguments */
+static PyObject *lad_delegate(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs, PyObject *kwnames)
+{
+    Py_ssize_t total = nargs + (kwnames ? PyTuple_GET_SIZE(kwnames) : 0);
+    PyObject *small[8], **stack = small;
+    if (total >= 8) {
+        stack = PyMem_Malloc((total + 1) * sizeof(PyObject *));
+        if (stack == NULL)
+            return PyErr_NoMemory();
+    }
+    stack[0] = self;
+    memcpy(stack + 1, args, total * sizeof(PyObject *));
+    PyObject *res = PyObject_Vectorcall(lad_body, stack, nargs + 1, kwnames);
+    if (stack != small)
+        PyMem_Free(stack);
+    return res;
+}
+
+static PyObject *lad_evaluate(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs, PyObject *kwnames)
+{
+    Py_ssize_t at, zpos, ypos, n_out, n;
+    double *out;
+    if (nargs != 3 || kwnames != NULL || !Py_IS_TYPE(self, lad_type)
+            || (out = doubles(args[1], 1, &n_out)) == NULL
+            || !position(args[2], &at) || at >= n_out - 1
+            || !position(LAD_SLOT(self, 0), &zpos)
+            || !position(LAD_SLOT(self, 1), &ypos))
+        return lad_delegate(self, args, nargs, kwnames);
+    PyObject *a_obj = LAD_SLOT(self, 2), *b_obj = LAD_SLOT(self, 3);
+    if (a_obj == NULL || !PyFloat_CheckExact(a_obj) || b_obj == NULL
+            || !PyFloat_CheckExact(b_obj))
+        return lad_delegate(self, args, nargs, kwnames);
+    double a = PyFloat_AS_DOUBLE(a_obj), bshare = PyFloat_AS_DOUBLE(b_obj);
+    PyObject *x = args[0];
+    if (PyList_CheckExact(x)) {
+        /* a list cannot share out's memory: both entries are read first */
+        n = PyList_GET_SIZE(x);
+        if (zpos >= n || ypos >= n)
+            return lad_delegate(self, args, nargs, kwnames);
+        PyObject *xy = PyList_GET_ITEM(x, ypos), *xz = PyList_GET_ITEM(x, zpos);
+        if (!PyFloat_CheckExact(xy) || !PyFloat_CheckExact(xz))
+            return lad_delegate(self, args, nargs, kwnames);
+        out[at] = a * PyFloat_AS_DOUBLE(xy);
+        out[at + 1] = bshare - a * PyFloat_AS_DOUBLE(xz);
+    } else {
+        const double *xv = doubles(x, 0, &n);
+        if (xv == NULL || zpos >= n || ypos >= n)
+            return lad_delegate(self, args, nargs, kwnames);
+        out[at] = a * xv[ypos];
+        out[at + 1] = bshare - a * xv[zpos];
+    }
+    return Py_NewRef(args[1]);
+}
+
+static PyMethodDef lad_def = {
+    "evaluate", (PyCFunction)(void (*)(void))lad_evaluate,
+    METH_FASTCALL | METH_KEYWORDS,
+    "Write the component value at x into out[at:at + 2] and return out\n"
+    "(compiled; any input it does not serve goes to the Python body)."};
+
+/* The method descriptor of lad_evaluate on cls, a class with the four
+ * slots of lad_slots, whose Python body is body.  The first call binds
+ * the library to cls and body; a later one returns the same descriptor
+ * for them and raises TypeError for another pair.  NULL with an
+ * exception set on failure. */
+PyObject *lad_method(PyObject *cls, PyObject *body)
+{
+    Py_ssize_t offset[4];
+    if (!PyType_Check(cls) || !PyCallable_Check(body)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "lad_method takes a type and a callable");
+        return NULL;
+    }
+    if (lad_slots(cls, offset))
+        return NULL;
+    if (lad_descr == NULL) {
+        lad_descr = PyDescr_NewMethod((PyTypeObject *)cls, &lad_def);
+        if (lad_descr == NULL)
+            return NULL;
+        memcpy(lad_offset, offset, sizeof offset);
+        lad_type = (PyTypeObject *)Py_NewRef(cls);
+        lad_body = Py_NewRef(body);
+    } else if (cls != (PyObject *)lad_type || body != lad_body) {
+        PyErr_Format(PyExc_TypeError, "the compiled evaluate is bound to "
+                     "%R and its body %R", lad_type, lad_body);
+        return NULL;
+    }
+    return Py_NewRef(lad_descr);
 }
 
 /* empirical_full_lipschitz's pairs (operators.py) on a geometry without

@@ -33,7 +33,11 @@ of the iterate, the scratch buffer and the table's values
 (``FiniteSumOperator.io_view``).  A memoryview reads and stores a Python
 float without numpy's cost per scalar operation, and holds the same IEEE
 double, so the values are the same bits.  The LAD components declare it;
-the others, and any operator that mixes them in, get the ndarrays.
+the others, and any operator that mixes them in, get the ndarrays.  Where
+the compiled library is found, ``make_lad`` gives the LAD component a C
+``evaluate``: it reads and stores the doubles of exactly these lists and
+memoryviews, still one call per component-oracle call, and hands any other
+input, an ndarray included, to the Python body.
 """
 
 from __future__ import annotations

@@ -281,6 +281,19 @@ def make_box_simplex(A, b):
 # least absolute deviation
 # ---------------------------------------------------------------------------
 
+def _lad_evaluate(self, x, out, at):
+    """Write the component value at x into ``out[at:at + 2]`` and return
+    ``out``: ``_LadComponent.evaluate`` in Python."""
+    # Python-float arithmetic: the same IEEE products as numpy scalars,
+    # without their per-operation overhead.  The library's callers hand a
+    # list or memoryview of x and a memoryview of out, so x[i] reads a float
+    # and out[at] = v stores one.
+    a = self.a
+    out[at] = a * x[self.ypos]
+    out[at + 1] = self.bshare - a * x[self.zpos]
+    return out
+
+
 class _LadComponent(Component):
     """F_ij = (A_ij y_i e_j, -(A_ij z_j - b_i/c_i) e_i), c_i = row nonzero count.
 
@@ -288,6 +301,14 @@ class _LadComponent(Component):
     -(Az - b) exactly.  The read and write set is the pair (zpos, ypos) =
     (j, d + i), distinct, so Component's repeat check is skipped.  The
     operator's layout holds it; ``out_idx``/``in_idx`` build it when read.
+
+    ``evaluate`` is the Python body ``_lad_evaluate`` until ``make_lad``
+    finds the compiled library (``_kernel.lad_evaluator``), which puts a C
+    method in its place: the same bits on the lists and memoryviews the
+    library hands a component, at about a third of the cost per call, and
+    the body itself for any other input.  It replaces only the body: a
+    patch or wrapper on the class stays, and each oracle call is still one
+    ``evaluate`` call.
     """
 
     __slots__ = ("zpos", "ypos", "a", "bshare")
@@ -305,15 +326,7 @@ class _LadComponent(Component):
 
     in_idx = out_idx
 
-    def evaluate(self, x, out, at):
-        # Python-float arithmetic: the same IEEE products as numpy scalars,
-        # without their per-operation overhead.  The library's callers hand
-        # a list or memoryview of x and a memoryview of out, so x[i] reads a
-        # float and out[at] = v stores one.
-        a = self.a
-        out[at] = a * x[self.ypos]
-        out[at + 1] = self.bshare - a * x[self.zpos]
-        return out
+    evaluate = _lad_evaluate
 
 
 @contextlib.contextmanager
@@ -384,6 +397,12 @@ def make_lad(A, b, quad=0.0, ref_optimum=None, solve_reference=False):
                              map(coord.__getitem__, cols.tolist()),
                              map(coord[d:].__getitem__, row_list),
                              vals.tolist(), map(share.__getitem__, row_list)))
+    # The compiled evaluate takes the Python body's place on the class, and
+    # only the body's: a patch, an override or a tracer's wrapper stays.
+    if _LadComponent.__dict__.get("evaluate") is _lad_evaluate:
+        method = _kernel.lad_evaluator()
+        if method is not None:
+            _LadComponent.evaluate = method(_LadComponent, _lad_evaluate)
     # Coordinates are separable: one block for z, one for the boxed y.
     geometry = GeometryBundle([euclidean_block(np.arange(d), mu=quad),
                                euclidean_block(np.arange(d, d + n), mu=quad,

@@ -1,12 +1,17 @@
 """Suite options.  ``--no-compiler`` runs the whole suite as on a machine
-without a C compiler: every REM run takes the Python loop, and the tests
-that need the compiled kernel are skipped."""
+without a C compiler: every REM run takes the Python loop, every LAD
+component evaluates in Python, and the tests that need the compiled kernel
+are skipped.  It takes effect before collection, so that the instances the
+test modules build when imported are built without the library too."""
 
 import shutil
+import tempfile
 
 import pytest
 
 from remvi import _kernel
+
+_UNDO = pytest.StashKey()
 
 
 def pytest_addoption(parser):
@@ -14,16 +19,25 @@ def pytest_addoption(parser):
                      help="run as if no C compiler were installed")
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _compiler(request, tmp_path_factory):
-    if not request.config.getoption("--no-compiler"):
-        yield
+def pytest_configure(config):
+    if not config.getoption("--no-compiler"):
         return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "CC", "no-such-compiler")
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        _kernel._library.cache_clear()
-        yield
+    # an empty kernel cache: a cached build would load without a compiler
+    cache = tempfile.mkdtemp(prefix="remvi-cache-")
+    patch = pytest.MonkeyPatch()
+    patch.setattr(_kernel, "CC", "no-such-compiler")
+    patch.setenv("XDG_CACHE_HOME", cache)
+    _kernel._library.cache_clear()
+    config.stash[_UNDO] = (patch, cache)
+
+
+def pytest_unconfigure(config):
+    undo = config.stash.get(_UNDO, None)
+    if undo is None:
+        return
+    patch, cache = undo
+    patch.undo()
+    shutil.rmtree(cache, ignore_errors=True)
     _kernel._library.cache_clear()
 
 

@@ -1,16 +1,20 @@
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse import bmat, coo_matrix, csr_matrix
 
-from helpers import needs_compiler, value
+from helpers import (assert_runs_bitwise_equal, loop_paths, needs_compiler,
+                     value)
 from remvi import _kernel, problems
+from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
 from remvi.problems import (_lines_nonzero, generate_instance, generate_lad,
@@ -18,6 +22,8 @@ from remvi.problems import (_lines_nonzero, generate_instance, generate_lad,
                             make_matrix_game, make_policy_eval, lipschitz_shape,
                             problem_instances_for_tests, save_instance,
                             solve_policy_eval_direct, stationary_distribution)
+from remvi.sampling import problem_plan
+from remvi.solver import SolverConfig, run
 
 
 def enumerate_sup_gap(problem, candidate):
@@ -791,6 +797,311 @@ class TestLadCompiledBuild:
                   *args)
         # the places before the bad one are built, the rest keep None
         assert type(comps[0]) is problems._LadComponent and comps[1] is None
+
+
+def _compiled_evaluate():
+    """The compiled ``_LadComponent.evaluate`` that ``make_lad`` puts on
+    the class."""
+    make_lad(np.eye(2), np.ones(2))
+    method = problems._LadComponent.__dict__["evaluate"]
+    assert method is not problems._lad_evaluate
+    return method
+
+
+def _outcome(fn, comp, make, kwargs):
+    """What ``fn(comp, *args, **kwargs)`` does on fresh arguments from
+    ``make()``, which gives the arguments and the array behind ``out``:
+    the result (whether it is ``out``) or the exception, the array's bytes
+    afterwards, and the warnings raised."""
+    args, buf = make()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = fn(comp, *args, **kwargs)
+            done = ("returned", res is args[1])
+        except Exception as exc:        # compared, not handled
+            done = (type(exc), str(exc))
+    return done, buf.tobytes(), [(w.category, str(w.message))
+                                 for w in caught]
+
+
+# One of each kind of double: signed zeros, subnormals, normals, values
+# whose products overflow, infinities and NaN
+_SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.5, 3.0e-160, 1e200,
+            -1e200, math.inf, -math.inf, math.nan]
+
+
+@needs_compiler
+class TestLadCompiledEvaluate:
+    """The compiled ``_LadComponent.evaluate`` writes the Python body's
+    bits on the inputs it serves, and hands every other input to the body,
+    with its result, exception, partial writes and warnings."""
+
+    @staticmethod
+    def same(comp, make, **kwargs):
+        got = _outcome(_compiled_evaluate(), comp, make, kwargs)
+        want = _outcome(problems._lad_evaluate, comp, make, kwargs)
+        assert got == want
+        return got
+
+    @staticmethod
+    def lists_and_views(values, n_out=4, at=1):
+        """Makers of (x, out, at) with x the list and a memoryview of
+        ``values`` and out a memoryview of a NaN array."""
+        def make(view):
+            buf = np.full(n_out, np.nan)
+            x = (memoryview(np.array(values)) if view
+                 else [float(v) for v in values])
+            return (x, memoryview(buf), at), buf
+
+        return [lambda: make(False), lambda: make(True)]
+
+    def test_random_values(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(40).tolist()
+        for t in range(200):
+            zpos, ypos = rng.choice(40, 2, replace=False).tolist()
+            comp = problems._LadComponent(zpos, ypos, rng.standard_normal(),
+                                          rng.standard_normal())
+            for make in self.lists_and_views(x, 6, t % 5):
+                assert self.same(comp, make)[0] == ("returned", True)
+
+    def test_special_values(self):
+        # every pair of specials as (a, bshare), read at every pair of
+        # distinct positions of x, into one buffer per method
+        count = len(_SPECIAL)
+        comps = [problems._LadComponent(zpos, ypos, a, b)
+                 for a, b in itertools.product(_SPECIAL, repeat=2)
+                 for zpos, ypos in itertools.permutations(range(count), 2)]
+        compiled = _compiled_evaluate()
+        for x in (list(_SPECIAL), memoryview(np.array(_SPECIAL))):
+            got, want = np.full((2, 2 * len(comps)), np.nan)
+            for fn, buf in ((compiled, got), (problems._lad_evaluate, want)):
+                out = memoryview(buf)
+                for k, comp in enumerate(comps):
+                    assert fn(comp, x, out, 2 * k) is out
+            assert got.tobytes() == want.tobytes()
+
+    def test_x_aliasing_out(self):
+        # x and out one buffer, through one memoryview or two: the body
+        # reads x[ypos], stores out[at], reads x[zpos] (maybe that store)
+        # and stores out[at + 1]
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal(5)
+        for one in (True, False):
+            def make():
+                buf = values.copy()
+                out = memoryview(buf)
+                return (out if one else memoryview(buf), out, at), buf
+
+            for zpos, ypos, at in itertools.product(range(5), range(5),
+                                                    range(4)):
+                comp = problems._LadComponent(zpos, ypos, -1.25, 0.5)
+                assert self.same(comp, make)[0] == ("returned", True)
+
+    def test_slots_subclass(self):
+        class Sub(problems._LadComponent):
+            __slots__ = ()
+
+        class Shadow(problems._LadComponent):
+            # reads a from a property, not from the slot below it
+            __slots__ = ()
+            a = property(lambda self: 2.0)
+
+        shadow = Shadow.__new__(Shadow)
+        for name, v in zip(("zpos", "ypos", "a", "bshare"),
+                           (3, 0, 2.5, -0.75)):
+            getattr(problems._LadComponent, name).__set__(shadow, v)
+        for comp in (Sub(3, 0, 2.5, -0.75), shadow):
+            for make in self.lists_and_views([0.5, -1.0, 7.0, 1e200]):
+                assert self.same(comp, make)[0] == ("returned", True)
+
+    def test_ndarrays_delegated(self):
+        # numpy scalar arithmetic: the body's overflow and invalid warnings
+        for a, b in itertools.product([1e200, math.inf, 0.0, -1.5],
+                                      [0.5, math.inf]):
+            comp = problems._LadComponent(0, 1, a, b)
+
+            def make():
+                buf = np.full(4, np.nan)
+                return (np.array([1e200, 0.0, 3.0]), buf, 1), buf
+
+            self.same(comp, make)
+
+    @pytest.mark.parametrize("case", [
+        "at-1", "at-end", "at-past-end", "at-bool", "at-float",
+        "read-only", "released-out", "released-x", "strided-out",
+        "big-endian-out", "int-entry", "float64-entry", "short-x",
+        "short-x-view", "negative-zpos", "numpy-zpos", "int-a"])
+    def test_other_inputs_delegated(self, case):
+        comp = problems._LadComponent(2, 0, 1e200, 0.25)
+        at, n_out, entry = 1, 4, None
+        if case == "at-1":
+            at = -1
+        elif case in ("at-end", "at-past-end"):
+            at = n_out - 1 if case == "at-end" else n_out
+        elif case in ("at-bool", "at-float"):
+            at = True if case == "at-bool" else 1.0
+        elif case in ("int-entry", "float64-entry"):
+            entry = 3 if case == "int-entry" else np.float64(1e200)
+        elif case in ("short-x", "short-x-view"):
+            comp = problems._LadComponent(7, 0, 1.5, 0.25)
+        elif case == "negative-zpos":
+            comp = problems._LadComponent(-1, 0, 1.5, 0.25)
+        elif case == "numpy-zpos":
+            comp = problems._LadComponent(np.intp(2), 0, 1.5, 0.25)
+        elif case == "int-a":
+            comp = problems._LadComponent(2, 0, 3, 0.25)
+
+        def make():
+            # the arrays behind a released view stay alive, so that a view
+            # served after its release would write or read them
+            buf = np.full(2 * n_out if case == "strided-out" else n_out,
+                          np.nan, dtype=">f8" if case == "big-endian-out"
+                          else float)
+            out = memoryview(buf[::2] if case == "strided-out" else buf)
+            if case == "read-only":
+                out = out.toreadonly()
+            x = [0.5, -2.0, 1e200]
+            if entry is not None:
+                x[2] = entry
+            if case in ("released-x", "short-x-view"):
+                x = memoryview(kept.setdefault("x", np.array(x)))
+            if case == "released-x":
+                x.release()
+            if case == "released-out":
+                out.release()
+            return (x, out, at), buf
+
+        kept = {}
+        self.same(comp, make)
+
+    def test_keywords_and_argument_counts(self):
+        comp = problems._LadComponent(2, 0, -1.5, 0.25)
+        make = self.lists_and_views([0.5, -2.0, 3.0])[1]
+
+        def shift(args):
+            def made():
+                (x, out, at), buf = make()
+                return args(x, out, at), buf
+            return made
+
+        for args in (lambda x, out, at: (x, out),
+                     lambda x, out, at: (x, out, at, None), lambda *a: ()):
+            done = self.same(comp, shift(args))[0]
+            assert done[0] is TypeError
+        done = self.same(comp, make, bad=1)
+        assert done[0][0] is TypeError
+        done = self.same(comp, shift(lambda x, out, at: (x, out)), at=1)
+        assert done[0] == ("returned", True)
+        done = self.same(comp, shift(lambda x, out, at: (x, out)), bad=1)
+        assert done[0][0] is TypeError
+
+    def test_unset_slot_delegated(self):
+        comp = problems._LadComponent.__new__(problems._LadComponent)
+        make = self.lists_and_views([0.5, -2.0, 3.0])[0]
+        assert self.same(comp, make)[0][0] is AttributeError
+
+    def test_self_of_another_type_rejected(self):
+        method = _compiled_evaluate()
+        for other in (object(), 3, problems._GameRowComponent.__new__(
+                problems._GameRowComponent)):
+            with pytest.raises(TypeError, match="evaluate"):
+                method(other, [0.0, 1.0], memoryview(np.zeros(2)), 0)
+
+    def test_method_bound_to_its_class(self):
+        make = _kernel.lad_evaluator()
+        cls, body = problems._LadComponent, problems._lad_evaluate
+        assert make(cls, body) is _compiled_evaluate()
+
+        class Plain:
+            zpos = ypos = a = bshare = None
+
+        with pytest.raises(TypeError, match="zpos is not a slot"):
+            make(Plain, body)
+        with pytest.raises(TypeError, match="bound to"):
+            make(cls, lambda *args: None)
+
+        class Sub(cls):
+            __slots__ = ()
+
+        with pytest.raises(TypeError, match="bound to"):
+            make(Sub, body)
+
+
+class TestLadEvaluateInstall:
+    """``make_lad`` puts the compiled method on the class only in place of
+    the Python body, and each oracle call stays one ``evaluate`` call."""
+
+    def test_class_takes_what_the_library_gives(self):
+        # with a compiler, the compiled method; under --no-compiler (no
+        # library) the Python body stays
+        make_lad(np.eye(2), np.ones(2))
+        got = problems._LadComponent.__dict__["evaluate"]
+        make = _kernel.lad_evaluator()
+        if make is None:
+            assert got is problems._lad_evaluate
+        else:
+            assert got is make(problems._LadComponent,
+                               problems._lad_evaluate)
+
+    def test_body_kept_without_library(self, monkeypatch):
+        monkeypatch.setattr(problems._LadComponent, "evaluate",
+                            problems._lad_evaluate)
+        monkeypatch.setattr(_kernel, "lad_evaluator", lambda: None)
+        make_lad(np.eye(2), np.ones(2))
+        assert (problems._LadComponent.__dict__["evaluate"]
+                is problems._lad_evaluate)
+
+    @needs_compiler
+    def test_patch_survives_make_lad(self, monkeypatch):
+        compiled = _compiled_evaluate()
+
+        def patched(self, x, out, at):
+            return compiled(self, x, out, at)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(problems._LadComponent, "evaluate", patched)
+            make_lad(np.eye(2), np.ones(2))
+            assert problems._LadComponent.__dict__["evaluate"] is patched
+        # undone, the compiled method is back
+        assert problems._LadComponent.__dict__["evaluate"] is compiled
+        # a class back on the Python body gets it at the next make_lad
+        monkeypatch.setattr(problems._LadComponent, "evaluate",
+                            problems._lad_evaluate)
+        make_lad(np.eye(2), np.ones(2))
+        assert problems._LadComponent.__dict__["evaluate"] is compiled
+
+    @pytest.mark.parametrize("mode", ["dense", "lazy"])
+    def test_one_call_per_oracle_call(self, mode, monkeypatch):
+        # a counting wrapper on the class sees m calls for the table and 2
+        # an iteration on both REM loop paths, and 2m an iteration for
+        # mirror-prox; the wrapped runs are the runs
+        inst = generate_lad(30, 25, 1.0, 3, density=0.2)
+        K = 40
+        cfg = SolverConfig(iterations=K, seed=0, mode=mode,
+                           eval_metrics=())
+        base = BaselineConfig("mirror-prox", K, eval_metrics=())
+        plan = problem_plan(inst)
+        runs = [run(inst, plan, cfg), run_baseline(inst, base)]
+        inner = problems._LadComponent.__dict__["evaluate"]
+        calls = []
+
+        def counted(self, x, out, at):
+            calls.append(at)
+            return inner(self, x, out, at)
+
+        monkeypatch.setattr(problems._LadComponent, "evaluate", counted)
+        for path in loop_paths(monkeypatch):
+            calls.clear()
+            assert_runs_bitwise_equal(run(inst, plan, cfg), runs[0])
+            assert len(calls) == inst.m + 2 * K
+        calls.clear()
+        mirror = run_baseline(inst, base)
+        assert len(calls) == 2 * inst.m * K
+        assert mirror.oracle_calls == len(calls)
+        np.testing.assert_array_equal(mirror.final_x, runs[1].final_x)
+        np.testing.assert_array_equal(mirror.x_bar, runs[1].x_bar)
 
 
 class TestPolicyEval:
