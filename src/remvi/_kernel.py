@@ -7,12 +7,16 @@ any geometry; ``sampling.AliasTable`` calls ``alias_builder`` for every
 table it builds; ``problems.generate_lad`` calls ``mask_drawer`` for its
 mask on a PCG64 generator, and ``problems.make_lad`` calls ``lad_builder``
 to make its components and ``lad_evaluator`` for the C ``evaluate`` it
-puts on their class in place of the Python body (one call per oracle call
-still, from the kernel, ``evaluate_flat`` and ``ComponentTable.refresh``
-alike); ``operators.empirical_full_lipschitz`` calls
-``pair_ratio`` for the pairs of the baselines' Lipschitz estimate on a
-CSR linear part and a geometry without simplex blocks.  The shared
-library is built with the system
+puts on their class in place of the Python body;
+``FiniteSumOperator.evaluate_flat`` calls ``bulk_evaluator`` for the loop
+that evaluates those components with no method call each, while their
+class holds that C ``evaluate``; ``operators.empirical_full_lipschitz``
+calls ``pair_ratio`` for the pairs of the baselines' Lipschitz estimate on
+a CSR linear part and a geometry without simplex blocks.  A counted oracle
+call is one evaluation of that component: one ``evaluate`` call from the
+kernel and ``ComponentTable.refresh``, and from ``evaluate_flat`` wherever
+the class's ``evaluate`` is patched or wrapped; otherwise ``evaluate_flat``
+leaves it to the bulk loop.  The shared library is built with the system
 ``gcc`` on first use and cached per user under ``$XDG_CACHE_HOME/remvi``
 (``~/.cache/remvi`` by default; the directory has mode 0700), keyed by a
 hash of the source, the flags and the Python ABI, and written atomically.
@@ -176,6 +180,9 @@ def _library():
     fn = lib.lad_method
     fn.argtypes = (ctypes.py_object, ctypes.py_object)
     fn.restype = ctypes.py_object
+    fn = lib.lad_flat
+    fn.argtypes = (ctypes.py_object,) * 4
+    fn.restype = _N
     fn = lib.pair_ratio
     fn.argtypes = (ctypes.POINTER(Pairs), _P, _P, _N, _N)
     fn.restype = _N
@@ -219,6 +226,15 @@ def lad_evaluator():
     place of the Python body ``body``, or None as for ``load``."""
     lib = _library()
     return None if lib is None else lib.lad_method
+
+
+def bulk_evaluator():
+    """``lad_flat(comps, x, out, offsets)``, the compiled loop of
+    ``FiniteSumOperator.evaluate_flat``: it evaluates the components from
+    the first on while it serves them and returns how many it did, or
+    None as for ``load``."""
+    lib = _library()
+    return None if lib is None else lib.lad_flat
 
 
 def pair_ratio():

@@ -6,7 +6,8 @@
  * 0), comps[j2].evaluate(x, values, at) and prox_ent(), which writes
  * x[ent] = geom.prox_entropy(z[ent]) with numpy's exp and log.  (A LAD
  * component's evaluate is itself C, lad_evaluate below, but it is reached
- * through the class as any other method is.)  Everything
+ * through the class as any other method is, so each of the two is one
+ * evaluate call.)  Everything
  * between them runs here on the run's flat arrays: j1's catch-up prox
  * (lazy mode), the entropy step, j1's correction of z, j2's settle, the
  * table refresh's bookkeeping (shadow, eval_iter, aggregate) and base
@@ -31,7 +32,10 @@
  * hits; lad_components makes make_lad's components, slot for slot
  * the objects its Python build makes (problems.py), and lad_method the
  * method descriptor of their evaluate in C, which writes the Python
- * body's bits and hands the inputs it does not serve to that body; and
+ * body's bits and hands the inputs it does not serve to that body;
+ * lad_flat is evaluate_flat's loop over those components, one evaluation
+ * each and no method call, while their class holds that descriptor (a
+ * patched or wrapped class gets one evaluate call per oracle call); and
  * pair_ratio runs
  * the pairs of operators.empirical_full_lipschitz on a CSR linear part
  * from numpy's draws, with numpy's pairwise summation (sum_pairwise) and
@@ -441,8 +445,11 @@ int lad_components(PyObject *cls, PyObject *comps, PyObject *coord,
 
 /* _LadComponent.evaluate (problems.py) as a C method: lad_method makes
  * its method descriptor, which make_lad puts in the class's __dict__ in
- * place of the Python body, problems._lad_evaluate.  An oracle call is
- * still one evaluate call, which a patch or a tracer on the class wraps.
+ * place of the Python body, problems._lad_evaluate.  The kernel and a
+ * table refresh reach it as one evaluate call per oracle call, which a
+ * patch or a tracer on the class wraps; evaluate_flat's loop, lad_flat
+ * below, stores through the same lad_store without a call while the
+ * class holds it.
  *
  * The fast path serves the inputs the library hands a component: x an
  * exact list of exact floats or a 1-d contiguous memoryview of doubles
@@ -518,27 +525,60 @@ static PyObject *lad_delegate(PyObject *self, PyObject *const *args,
     return res;
 }
 
+/* self's slots, where self is of the class itself and they hold the
+ * exact ints zpos and ypos from 0 up and the exact floats a and bshare;
+ * 0 for anything else (an unset slot included). */
+static int lad_fields(PyObject *self, Py_ssize_t *zpos, Py_ssize_t *ypos,
+                      double *a, double *bshare)
+{
+    if (!Py_IS_TYPE(self, lad_type) || !position(LAD_SLOT(self, 0), zpos)
+            || !position(LAD_SLOT(self, 1), ypos))
+        return 0;
+    PyObject *a_obj = LAD_SLOT(self, 2), *b_obj = LAD_SLOT(self, 3);
+    if (a_obj == NULL || !PyFloat_CheckExact(a_obj) || b_obj == NULL
+            || !PyFloat_CheckExact(b_obj))
+        return 0;
+    *a = PyFloat_AS_DOUBLE(a_obj);
+    *bshare = PyFloat_AS_DOUBLE(b_obj);
+    return 1;
+}
+
+/* self's value at the n doubles x into out[at], out[at + 1] (n_out
+ * doubles), as the body writes it: reads x[ypos], stores out[at] =
+ * a*x[ypos], reads x[zpos] and stores out[at + 1] = bshare - a*x[zpos], so
+ * an x that shares out's memory gives the body's bits too.  Returns 1, or
+ * 0 with nothing written where lad_fields refuses self or an index falls
+ * outside its array.  lad_evaluate's memoryview path and lad_flat's loop
+ * both store through here. */
+static int lad_store(PyObject *self, const double *x, Py_ssize_t n,
+                     double *out, Py_ssize_t n_out, Py_ssize_t at)
+{
+    Py_ssize_t zpos, ypos;
+    double a, bshare;
+    if (at < 0 || at >= n_out - 1
+            || !lad_fields(self, &zpos, &ypos, &a, &bshare)
+            || zpos >= n || ypos >= n)
+        return 0;
+    out[at] = a * x[ypos];
+    out[at + 1] = bshare - a * x[zpos];
+    return 1;
+}
+
 static PyObject *lad_evaluate(PyObject *self, PyObject *const *args,
                               Py_ssize_t nargs, PyObject *kwnames)
 {
     Py_ssize_t at, zpos, ypos, n_out, n;
-    double *out;
-    if (nargs != 3 || kwnames != NULL || !Py_IS_TYPE(self, lad_type)
+    double *out, a, bshare;
+    if (nargs != 3 || kwnames != NULL
             || (out = doubles(args[1], 1, &n_out)) == NULL
-            || !position(args[2], &at) || at >= n_out - 1
-            || !position(LAD_SLOT(self, 0), &zpos)
-            || !position(LAD_SLOT(self, 1), &ypos))
+            || !position(args[2], &at) || at >= n_out - 1)
         return lad_delegate(self, args, nargs, kwnames);
-    PyObject *a_obj = LAD_SLOT(self, 2), *b_obj = LAD_SLOT(self, 3);
-    if (a_obj == NULL || !PyFloat_CheckExact(a_obj) || b_obj == NULL
-            || !PyFloat_CheckExact(b_obj))
-        return lad_delegate(self, args, nargs, kwnames);
-    double a = PyFloat_AS_DOUBLE(a_obj), bshare = PyFloat_AS_DOUBLE(b_obj);
     PyObject *x = args[0];
     if (PyList_CheckExact(x)) {
         /* a list cannot share out's memory: both entries are read first */
         n = PyList_GET_SIZE(x);
-        if (zpos >= n || ypos >= n)
+        if (!lad_fields(self, &zpos, &ypos, &a, &bshare)
+                || zpos >= n || ypos >= n)
             return lad_delegate(self, args, nargs, kwnames);
         PyObject *xy = PyList_GET_ITEM(x, ypos), *xz = PyList_GET_ITEM(x, zpos);
         if (!PyFloat_CheckExact(xy) || !PyFloat_CheckExact(xz))
@@ -547,10 +587,8 @@ static PyObject *lad_evaluate(PyObject *self, PyObject *const *args,
         out[at + 1] = bshare - a * PyFloat_AS_DOUBLE(xz);
     } else {
         const double *xv = doubles(x, 0, &n);
-        if (xv == NULL || zpos >= n || ypos >= n)
+        if (xv == NULL || !lad_store(self, xv, n, out, n_out, at))
             return lad_delegate(self, args, nargs, kwnames);
-        out[at] = a * xv[ypos];
-        out[at + 1] = bshare - a * xv[zpos];
     }
     return Py_NewRef(args[1]);
 }
@@ -576,6 +614,11 @@ PyObject *lad_method(PyObject *cls, PyObject *body)
     }
     if (lad_slots(cls, offset))
         return NULL;
+    if (evaluate_name == NULL) {
+        evaluate_name = PyUnicode_InternFromString("evaluate");
+        if (evaluate_name == NULL)
+            return NULL;
+    }
     if (lad_descr == NULL) {
         lad_descr = PyDescr_NewMethod((PyTypeObject *)cls, &lad_def);
         if (lad_descr == NULL)
@@ -589,6 +632,75 @@ PyObject *lad_method(PyObject *cls, PyObject *body)
         return NULL;
     }
     return Py_NewRef(lad_descr);
+}
+
+/* Whether c.evaluate on an instance c of the class is lad_method's
+ * descriptor: the class's own __dict__ holds it under "evaluate" and the
+ * class looks attributes up the generic way.  0 before lad_method's
+ * first call and while a patch, a wrapper or a tracer sits on the class,
+ * so that lad_flat leaves each of its calls to the caller. */
+static int lad_installed(void)
+{
+    if (lad_descr == NULL || lad_type->tp_getattro != PyObject_GenericGetAttr)
+        return 0;
+    return PyDict_GetItemWithError(lad_type->tp_dict, evaluate_name)
+           == lad_descr;
+}
+
+/* A 1-d C-contiguous buffer of obj (writable where flags asks it) whose
+ * format is one native letter among codes, with items of size bytes,
+ * into *view; 0 for anything else, with no exception left set. */
+static int vector(PyObject *obj, int flags, const char *codes,
+                  Py_ssize_t size, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view,
+                           flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)) {
+        PyErr_Clear();
+        return 0;
+    }
+    const char *f = view->format;
+    if (view->ndim == 1 && view->itemsize == size && f != NULL
+            && f[0] != '\0' && f[1] == '\0' && strchr(codes, f[0]) != NULL)
+        return 1;
+    PyBuffer_Release(view);
+    return 0;
+}
+
+/* evaluate_flat's loop (operators.py) in one call: component j of comps,
+ * an exact list, evaluated at x, float64 doubles, into out, float64
+ * doubles, at offsets[j], the operator's intp offsets, as lad_evaluate
+ * writes it (lad_store), from j = 0 on while lad_store serves component
+ * j.  Returns the index of the first component it does not serve (the
+ * number of components where it serves them all), from which the caller
+ * makes the evaluate calls itself; 0, with nothing written, while the
+ * class's evaluate is not the compiled method (lad_installed) or an
+ * argument is not as above.  Each component it serves is one evaluation
+ * of that component, one oracle call. */
+Py_ssize_t lad_flat(PyObject *comps, PyObject *x_obj, PyObject *out_obj,
+                    PyObject *offsets_obj)
+{
+    Py_buffer xb, ob, fb;
+    Py_ssize_t j = 0;
+    if (!PyList_CheckExact(comps) || !lad_installed())
+        return 0;
+    if (!vector(x_obj, PyBUF_SIMPLE, "d", sizeof(double), &xb))
+        return 0;
+    if (vector(out_obj, PyBUF_WRITABLE, "d", sizeof(double), &ob)) {
+        if (vector(offsets_obj, PyBUF_SIMPLE, "nlq", sizeof(Py_ssize_t),
+                   &fb)) {
+            const double *x = xb.buf;
+            const Py_ssize_t *at = fb.buf;
+            Py_ssize_t n = xb.shape[0], n_out = ob.shape[0];
+            Py_ssize_t m = Py_MIN(fb.shape[0] - 1, PyList_GET_SIZE(comps));
+            while (j < m && lad_store(PyList_GET_ITEM(comps, j), x, n,
+                                      ob.buf, n_out, at[j]))
+                j++;
+            PyBuffer_Release(&fb);
+        }
+        PyBuffer_Release(&ob);
+    }
+    PyBuffer_Release(&xb);
+    return j;
 }
 
 /* empirical_full_lipschitz's pairs (operators.py) on a geometry without

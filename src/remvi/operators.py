@@ -35,13 +35,19 @@ float without numpy's cost per scalar operation, and holds the same IEEE
 double, so the values are the same bits.  The LAD components declare it;
 the others, and any operator that mixes them in, get the ndarrays.  Where
 the compiled library is found, ``make_lad`` gives the LAD component a C
-``evaluate``: it reads and stores the doubles of exactly these lists and
-memoryviews, still one call per component-oracle call, and hands any other
-input, an ndarray included, to the Python body.
+``evaluate``, which reads and stores the doubles of exactly these lists and
+memoryviews and hands any other input, an ndarray included, to the Python
+body.  A ``scalar_io`` operator's ``evaluate_flat`` then runs the library's
+bulk loop (``_kernel.bulk_evaluator``) first: it evaluates the components
+from the first on, as long as it serves them, and ``evaluate`` is called on
+the rest.  A counted oracle call is one evaluation of that component.  It
+is one ``evaluate`` call whenever the class's ``evaluate`` is patched or
+wrapped (the loop then serves none), and otherwise the bulk loop does it.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import is_
 
 import numpy as np
@@ -190,15 +196,29 @@ class FiniteSumOperator:
 
     def evaluate_flat(self, x):
         """All m component values at x in one array laid out like
-        ``out_all`` (m component-oracle calls)."""
+        ``out_all`` (m component-oracle calls).  The compiled bulk loop
+        evaluates the components it serves, from the first on, at a 1-d
+        C-contiguous float64 ndarray x; each component from the first it
+        does not serve on gets its ``evaluate`` call.  The loop serves none
+        while the class's ``evaluate`` is patched or wrapped, so such a
+        wrapper sees all m calls."""
         flat = np.empty(self.out_all.size)
-        out = self.io_view(flat)
-        if self.scalar_io:
-            # one conversion instead of a read per component: a list reads
-            # faster than a memoryview
-            x = x.tolist()
-        for c, at in zip(self.components, self._starts):
-            c.evaluate(x, out, at)
+        done = 0
+        # only where the components would get Python floats: on ndarrays a
+        # scalar_io component may do numpy scalar arithmetic, which warns
+        if self.scalar_io and type(x) is np.ndarray:
+            bulk = _kernel.bulk_evaluator()
+            if bulk is not None:
+                done = bulk(self.components, x, flat, self.offsets)
+        if done < self.m:
+            out = self.io_view(flat)
+            if self.scalar_io:
+                # one conversion instead of a read per component: a list
+                # reads faster than a memoryview
+                x = x.tolist()
+            for c, at in zip(islice(self.components, done, None),
+                             self._starts[done:]):
+                c.evaluate(x, out, at)
         return flat
 
     def evaluate_full(self, x):

@@ -307,7 +307,10 @@ class _LadComponent(Component):
     method in its place: the same bits on the lists and memoryviews the
     library hands a component, at about a third of the cost per call, and
     the body itself for any other input.  It replaces only the body: a
-    patch or wrapper on the class stays, and each oracle call is still one
+    patch or wrapper on the class stays.  While the class holds the C
+    method, ``evaluate_flat`` evaluates these components in the library's
+    bulk loop with the same bits, one evaluation per oracle call and no
+    method call; while anything else is there, each oracle call is one
     ``evaluate`` call.
     """
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -17,6 +18,8 @@ from remvi import _kernel, problems
 from remvi.baselines import BaselineConfig, run_baseline
 from remvi.geometry import GeometryBundle, euclidean_block
 from remvi.metrics import gap_fixed
+from remvi.operators import (CallableComponent, Component, ComponentTable,
+                             FiniteSumOperator, lpq_empirical)
 from remvi.problems import (_lines_nonzero, generate_instance, generate_lad,
                             load_instance, make_box_simplex, make_lad,
                             make_matrix_game, make_policy_eval, lipschitz_shape,
@@ -1029,6 +1032,190 @@ class TestLadCompiledEvaluate:
             make(Sub, body)
 
 
+def _flat_outcome(op, x):
+    """What ``op.evaluate_flat(x)`` does: the bytes of its result or the
+    exception, and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            done = ("returned", op.evaluate_flat(x).tobytes())
+        except Exception as exc:        # compared, not handled
+            done = (type(exc), str(exc))
+    return done, [(w.category, str(w.message)) for w in caught]
+
+
+def _lad_operator(pairs, d, comps=None):
+    """An operator on d coordinates whose component k reads and writes
+    ``pairs[k]``, with the layout of ``make_lad``; its components are
+    ``comps``, or LAD components with random a and bshare."""
+    if comps is None:
+        rng = np.random.default_rng(len(pairs))
+        comps = [problems._LadComponent(z, y, *rng.standard_normal(2).tolist())
+                 for z, y in pairs]
+    flat = np.array(pairs, dtype=np.intp).ravel()
+    return FiniteSumOperator(comps, d,
+                             layout=(flat, 2 * np.arange(len(pairs) + 1)))
+
+
+class _ScalarPair(Component):
+    """A component of another type that declares ``scalar_io``: (x0, -x1)
+    on coordinates 0 and 1."""
+
+    __slots__ = ()
+    __init__ = object.__init__
+    scalar_io = True
+    out_idx = in_idx = np.array([0, 1])
+
+    def evaluate(self, x, out, at):
+        out[at] = x[0]
+        out[at + 1] = -x[1]
+        return out
+
+
+@needs_compiler
+class TestLadBulkEvaluate:
+    """``evaluate_flat``'s compiled loop (``_kernel.bulk_evaluator``) gives
+    the per-component loop's bytes, exception or warnings, and hands the
+    loop every component from the first it does not serve on."""
+
+    @staticmethod
+    def same(op, x, monkeypatch):
+        """The outcome of ``evaluate_flat(x)``, checked equal with the
+        class's evaluate wrapped, which forces the per-component loop, and
+        the number of components the compiled loop served (None where
+        it was not called)."""
+        _compiled_evaluate()
+        served = []
+        real = _kernel.bulk_evaluator()
+
+        def bulk(*args):
+            served.append(real(*args))
+            return served[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel, "bulk_evaluator", lambda: bulk)
+            got = _flat_outcome(op, x)
+            inner = problems._LadComponent.__dict__["evaluate"]
+            patch.setattr(problems._LadComponent, "evaluate",
+                          lambda self, x, out, at: inner(self, x, out, at))
+            want = _flat_outcome(op, x)
+        assert got == want
+        assert len(served) <= 2
+        # the wrapped class: the loop takes every component
+        assert served[1:] in ([], [0])
+        return got, served[0] if served else None
+
+    def test_random_instances(self, monkeypatch):
+        for n, d, density, seed in ((7, 5, 1.0, 0), (40, 30, 0.2, 1),
+                                    (120, 90, 0.05, 2)):
+            inst = generate_lad(n, d, 1.0, seed, density=density)
+            op = inst.operator
+            x = np.random.default_rng(seed).standard_normal(op.d)
+            (done, _), served = self.same(op, x, monkeypatch)
+            assert done[0] == "returned" and served == op.m
+
+    def test_special_values(self, monkeypatch):
+        # every pair of specials as (a, bshare), read at every pair of
+        # distinct positions of x, which holds the specials
+        count = len(_SPECIAL)
+        pairs = list(itertools.permutations(range(count), 2))
+        comps = [problems._LadComponent(zpos, ypos, a, b)
+                 for a, b in itertools.product(_SPECIAL, repeat=2)
+                 for zpos, ypos in pairs]
+        op = _lad_operator(pairs * count ** 2, count, comps)
+        (done, caught), served = self.same(op, np.array(_SPECIAL),
+                                           monkeypatch)
+        assert done[0] == "returned" and served == op.m and not caught
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("case", [
+        "int-a", "float64-bshare", "zpos-past-x", "negative-ypos", "unset",
+        "subclass", "other-scalar-type"])
+    def test_stops_at_what_it_does_not_serve(self, case, where,
+                                             monkeypatch):
+        d, m = 6, 9
+        rng = np.random.default_rng(3)
+        pairs = [tuple(rng.choice(d, 2, replace=False).tolist())
+                 for _ in range(m)]
+        op = _lad_operator(pairs, d)
+        j = {"first": 0, "middle": m // 2, "last": m - 1}[where]
+        z, y = pairs[j]
+
+        class Sub(problems._LadComponent):
+            __slots__ = ()
+
+        op.components[j] = {
+            "int-a": lambda: problems._LadComponent(z, y, 3, 0.5),
+            "float64-bshare": lambda: problems._LadComponent(
+                z, y, 1.5, np.float64(0.5)),
+            "zpos-past-x": lambda: problems._LadComponent(d, y, 1.5, 0.5),
+            "negative-ypos": lambda: problems._LadComponent(z, -1, 1.5, 0.5),
+            "unset": lambda: problems._LadComponent.__new__(
+                problems._LadComponent),
+            "subclass": lambda: Sub(z, y, 1.5, 0.5),
+            "other-scalar-type": _ScalarPair,
+        }[case]()
+        x = rng.standard_normal(d)
+        (done, _), served = self.same(op, x, monkeypatch)
+        assert served == j
+        assert done[0] == {"zpos-past-x": IndexError,
+                           "unset": AttributeError}.get(case, "returned")
+
+    def test_mixed_operator_takes_the_loop(self, monkeypatch):
+        # with a component that does not declare scalar_io, the LAD
+        # components are handed ndarrays, on which they warn as numpy does
+        comps = [problems._LadComponent(0, 1, 1e200, 0.5),
+                 problems._LadComponent(1, 2, -1.5, 0.25),
+                 CallableComponent([0, 2], [0, 2], lambda x: x[[0, 2]])]
+        op = FiniteSumOperator(comps, 3)
+        (done, caught), served = self.same(
+            op, np.array([1e200, 2.0, -3.0]), monkeypatch)
+        assert served is None and done[0] == "returned" and caught
+
+    @pytest.mark.parametrize("form", [
+        "float32", "int64", "big-endian", "strided", "2-d", "short"])
+    def test_x_forms(self, form, monkeypatch):
+        inst = generate_lad(20, 15, 1.0, 4, density=0.3)
+        op = inst.operator
+        x = np.random.default_rng(4).standard_normal(2 * op.d)
+        x = {"float32": lambda: x[:op.d].astype(np.float32),
+             "int64": lambda: (10 * x[:op.d]).astype(np.int64),
+             "big-endian": lambda: x[:op.d].astype(">f8"),
+             "strided": lambda: x[::2],
+             "2-d": lambda: x[:op.d].reshape(1, -1),
+             "short": lambda: x[:op.d - 1]}[form]()
+        (done, _), served = self.same(op, x, monkeypatch)
+        if form == "short":
+            # the components up to the first that reads the last coordinate
+            last = op.d - 1
+            first = int(np.flatnonzero(
+                (op.out_all.reshape(-1, 2) == last).any(axis=1))[0])
+            assert served == first and done[0] is IndexError
+        elif form == "2-d":
+            assert served == 0 and done[0] != "returned"
+        else:
+            assert served == 0 and done[0] == "returned"
+
+    def test_references_kept(self):
+        # the loop takes no reference it does not give back
+        # (positions past the small ints, whose counts others change)
+        _compiled_evaluate()
+        rng = np.random.default_rng(5)
+        d = 400
+        op = _lad_operator([tuple(rng.choice(np.arange(300, d), 2,
+                                             replace=False).tolist())
+                            for _ in range(20)], d)
+        bulk = _kernel.bulk_evaluator()
+        x, flat = np.linspace(-1.0, 1.0, d), np.empty(op.out_all.size)
+        held = [x, flat, op.components, op.offsets,
+                *(getattr(c, name) for c in op.components[:3]
+                  for name in ("zpos", "ypos", "a", "bshare"))]
+        before = [sys.getrefcount(obj) for obj in held]
+        for _ in range(10 ** 4):
+            assert bulk(op.components, x, flat, op.offsets) == op.m
+        assert [sys.getrefcount(obj) for obj in held] == before
+
+
 class TestLadEvaluateInstall:
     """``make_lad`` puts the compiled method on the class only in place of
     the Python body, and each oracle call stays one ``evaluate`` call."""
@@ -1074,16 +1261,57 @@ class TestLadEvaluateInstall:
 
     @pytest.mark.parametrize("mode", ["dense", "lazy"])
     def test_one_call_per_oracle_call(self, mode, monkeypatch):
-        # a counting wrapper on the class sees m calls for the table and 2
-        # an iteration on both REM loop paths, and 2m an iteration for
-        # mirror-prox; the wrapped runs are the runs
-        inst = generate_lad(30, 25, 1.0, 3, density=0.2)
+        # a counting wrapper on the class, put there after or before the
+        # instance is built, sees every oracle call as one evaluate call: m
+        # for evaluate_flat, evaluate_full, gap_fixed and the table, 2m a
+        # pair for lpq_empirical, m + 2 an iteration for REM on both loop
+        # paths, 2m an iteration for mirror-prox and m for Popov; and the
+        # wrapped calls give the unwrapped ones' bits
         K = 40
         cfg = SolverConfig(iterations=K, seed=0, mode=mode,
                            eval_metrics=())
-        base = BaselineConfig("mirror-prox", K, eval_metrics=())
-        plan = problem_plan(inst)
-        runs = [run(inst, plan, cfg), run_baseline(inst, base)]
+
+        def outputs(inst):
+            """(name, oracle calls, output) of each caller on inst."""
+            op, geom, m = inst.operator, inst.geometry, inst.m
+            plan = problem_plan(inst)
+            x = np.random.default_rng(1).uniform(-1.0, 1.0, op.d)
+            yield "evaluate_flat", m, op.evaluate_flat(x)
+            yield "evaluate_full", m, op.evaluate_full(x)
+            yield "table", m, ComponentTable(op, x).values
+            yield "gap_fixed", m, gap_fixed(inst, x, geom.x0)
+            flats = []
+            op.evaluate_flat = lambda x: flats.append(x) or type(
+                op).evaluate_flat(op, x)
+            est = lpq_empirical(op, geom, plan.p, plan.q, 6,
+                                np.random.default_rng(2))
+            del op.evaluate_flat
+            assert flats and len(flats) % 2 == 0
+            yield "lpq_empirical", m * len(flats), est
+            with monkeypatch.context() as patch:
+                for path in loop_paths(patch):
+                    yield path, m + 2 * K, run(inst, plan, cfg)
+            for method, per in (("mirror-prox", 2), ("popov", 1)):
+                trace = run_baseline(inst, BaselineConfig(
+                    method, K, eval_metrics=()))
+                assert trace.oracle_calls == per * m * K
+                yield method, per * m * K, trace
+
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            elif isinstance(a, float):
+                assert a == b
+            elif "fhat_last" in a.info:
+                assert_runs_bitwise_equal(a, b)
+            else:
+                assert ([vars(r) | {"elapsed_ns": 0} for r in a.records]
+                        == [vars(r) | {"elapsed_ns": 0} for r in b.records])
+                np.testing.assert_array_equal(a.final_x, b.final_x)
+                np.testing.assert_array_equal(a.x_bar, b.x_bar)
+
+        make = functools.partial(generate_lad, 30, 25, 1.0, 3, density=0.2)
+        want = list(outputs(make()))
         inner = problems._LadComponent.__dict__["evaluate"]
         calls = []
 
@@ -1091,17 +1319,20 @@ class TestLadEvaluateInstall:
             calls.append(at)
             return inner(self, x, out, at)
 
-        monkeypatch.setattr(problems._LadComponent, "evaluate", counted)
-        for path in loop_paths(monkeypatch):
-            calls.clear()
-            assert_runs_bitwise_equal(run(inst, plan, cfg), runs[0])
-            assert len(calls) == inst.m + 2 * K
-        calls.clear()
-        mirror = run_baseline(inst, base)
-        assert len(calls) == 2 * inst.m * K
-        assert mirror.oracle_calls == len(calls)
-        np.testing.assert_array_equal(mirror.final_x, runs[1].final_x)
-        np.testing.assert_array_equal(mirror.x_bar, runs[1].x_bar)
+        for before in (False, True):
+            with monkeypatch.context() as patch:
+                if before:
+                    patch.setattr(problems._LadComponent, "evaluate",
+                                  counted)
+                inst = make()
+                patch.setattr(problems._LadComponent, "evaluate", counted)
+                for (name, count, got), (_, _, ref) in zip(outputs(inst),
+                                                           want):
+                    assert len(calls) == count, (before, name)
+                    same(got, ref)
+                    calls.clear()
+                assert problems._LadComponent.__dict__["evaluate"] is counted
+            assert problems._LadComponent.__dict__["evaluate"] is inner
 
 
 class TestPolicyEval:
